@@ -21,16 +21,17 @@ report = verify_strength(A, 2)
 print(f"strength 2: every symbol pair appears exactly {report.index} times "
       f"in each of the {report.subsets_checked} column pairs "
       f"-> ok = {report.ok}")
-print(f"simple (no repeated rows): {verify_simple(A)}")
+simple = verify_simple(A)
+print(f"simple (no repeated rows): {simple}")
 
 # strength 3 carries no contract; see what happens experimentally
 r3 = verify_strength(A, 3)
 print(f"strength 3 (experimental, no claim): ok = {r3.ok}")
 print()
 
-paths = write_oa(A, "oa_demo")
+paths = write_oa(A, "oa_demo", report, simple)
 print("wrote:", *paths)
-print("sidecar keys:", sorted(oa_sidecar(A)))
+print("sidecar keys:", sorted(oa_sidecar(A, report, simple)))
 
 # a bigger instance, still exact
 params = scan_params(field_context(3), 3, mode="family")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 
 import click
 
@@ -28,10 +29,31 @@ BUDGET_ENV = "QHV_BUDGET"
 
 
 def _budget(override: int | None) -> int:
+    """--budget, else QHV_BUDGET, else 10^7; ValueError unless an int >= 0."""
     if override is not None:
-        return override
-    env = os.environ.get(BUDGET_ENV)
-    return int(env) if env else 10**7
+        value = override
+    else:
+        env = os.environ.get(BUDGET_ENV)
+        try:
+            value = int(env) if env else 10**7
+        except ValueError:
+            raise ValueError(f"{BUDGET_ENV}={env!r} is not an integer") from None
+    if value < 0:
+        raise ValueError(f"budget must be >= 0, got {value}")
+    return value
+
+
+@contextmanager
+def _exit_on_bad_input():
+    """Exit 2 on invalid parameters and 3 on an exceeded budget."""
+    try:
+        yield
+    except ValueError as exc:  # ParameterError included
+        click.echo(f"invalid parameters: {exc}", err=True)
+        sys.exit(EXIT_BAD_PARAMS)
+    except BudgetExceededError as exc:
+        click.echo(f"budget exceeded: {exc}", err=True)
+        sys.exit(EXIT_BUDGET)
 
 
 def _params(ctx, n, a, b, mode):
@@ -69,17 +91,11 @@ def variety(q, n, a, b, out, fmt, budget):
     """Build the variety, check its size and hyperplane characters."""
     cfg = {"command": "variety", "q": q, "n": n, "a": a, "b": b,
            "out": out, "format": fmt, "budget": budget}
-    try:
+    with _exit_on_bad_input():
         ctx = field_context(q)
         params = _params(ctx, n, a, b, mode="variety")
         S = geo.bm_variety(params, budget=_budget(budget))
         spectrum = geo.character_spectrum(S, ctx, budget=_budget(budget))
-    except (geo.ParameterError, ValueError) as exc:
-        click.echo(f"invalid parameters: {exc}", err=True)
-        sys.exit(EXIT_BAD_PARAMS)
-    except BudgetExceededError as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
     expected_support = geo.expected_spectrum_support(n, q)
     expected_size = geo.hermitian_size(n, q)
     ok = len(S) == expected_size and set(spectrum) == expected_support
@@ -123,27 +139,21 @@ def oa(q, n, a, b, out, fmt, budget):
     """Build the orthogonal array and verify strength, index and simplicity."""
     cfg = {"command": "oa", "q": q, "n": n, "a": a, "b": b,
            "out": out, "format": fmt, "budget": budget}
-    try:
+    with _exit_on_bad_input():
         ctx = field_context(q)
         params = _params(ctx, n, a, b, mode="family")
         A = oa_mod.build_oa(params, budget=_budget(budget), verify=False)
-    except (geo.ParameterError, ValueError) as exc:
-        click.echo(f"invalid parameters: {exc}", err=True)
-        sys.exit(EXIT_BAD_PARAMS)
-    except BudgetExceededError as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
     strength = oa_mod.verify_strength(A, 2)
     simple = oa_mod.verify_simple(A)
     ok = strength.ok and strength.index == A.index and simple
     base = out or f"oa_q{q}_n{n}"
     if fmt == "json":
-        payload = oa_mod.oa_sidecar(A, cfg)
+        payload = oa_mod.oa_sidecar(A, strength, simple, cfg)
         payload["entries"] = [[int(x) for x in row] for row in A.entries]
         _write_json(base + ".json", payload)
         click.echo(base + ".json")
     else:
-        csv_path, json_path = oa_mod.write_oa(A, base, cfg)
+        csv_path, json_path = oa_mod.write_oa(A, base, strength, simple, cfg)
         click.echo(csv_path)
         click.echo(json_path)
     click.echo(f"OA({A.runs},{A.factors},{A.levels},2) index {A.index}: "
@@ -170,7 +180,7 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     if q <= 4 and strict:
         click.echo("q <= 4: the MDS construction requires q > 4", err=True)
         sys.exit(EXIT_BAD_PARAMS)
-    try:
+    with _exit_on_bad_input():
         ctx = field_context(q)
         params = _params(ctx, 3, a, b, mode="family")
         import warnings
@@ -178,12 +188,6 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore" if q <= 4 else "default")
             ec = codes_mod.build_code(params, budget=_budget(budget))
-    except (geo.ParameterError, ValueError) as exc:
-        click.echo(f"invalid parameters: {exc}", err=True)
-        sys.exit(EXIT_BAD_PARAMS)
-    except BudgetExceededError as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
-        sys.exit(EXIT_BUDGET)
     c = codes_mod.scale_to_fq(ec)
     d = codes_mod.min_distance(c)
     if q <= 4:
@@ -224,16 +228,19 @@ def grid(instances, out, budget):
     """Run the cross-module verification grid and write its JSON report."""
     cfg = {"command": "grid", "instances": instances, "out": out,
            "budget": budget}
-    try:
+    with _exit_on_bad_input():
         pairs = []
         for part in instances.split(";"):
-            n_s, q_s = part.split(",")
-            pairs.append(GridInstance(int(n_s), int(q_s)))
-    except ValueError:
-        click.echo("instances must look like '2,3;3,2'", err=True)
-        sys.exit(EXIT_BAD_PARAMS)
-    spec = GridSpec(tuple(pairs), point_budget=_budget(budget),
-                    cell_budget=_budget(budget))
+            try:
+                n, q = (int(s) for s in part.split(","))
+            except ValueError:
+                raise ValueError("instances must look like '2,3;3,2'") from None
+            if n < 2:
+                raise ValueError(f"ambient dimension n must be >= 2, got {n}")
+            field_context(q)  # rejects q that is not a prime power, or too large
+            pairs.append(GridInstance(n, q))
+        spec = GridSpec(tuple(pairs), point_budget=_budget(budget),
+                        cell_budget=_budget(budget))
     report = run_grid(spec)
     report["config"] = cfg
     base = out or "grid_report"

@@ -23,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
+from .collineations import Collineation
 from .fields import BudgetExceededError, FieldCtx
-from .geometry import BMParams
+from .geometry import BMParams, affine_rhs
+from .intersecting_family import act_on_form, base_form, form_values, w_set
 
 DEFAULT_CODEWORD_BUDGET = 10**7
 
@@ -72,25 +74,6 @@ def check_luc1(ctx: FieldCtx, omega: OmegaSet, indices) -> bool:
     return linalg.det(ctx.Fq2, rows) != 0
 
 
-def _column_coeffs(params: BMParams, omega: OmegaSet):
-    """(u1, u2, v1, v2) per column: coefficients of x^q, y^q, x, y."""
-    ctx = params.ctx
-    F = ctx.Fq2
-    frob = ctx.frob
-    two = 2 % ctx.p
-    two_a = F.mul(two, params.a)
-    two_aq = F.mul(two, frob[params.a])
-    bqmb = F.sub(frob[params.b], params.b)
-    cols = []
-    for w1, w2 in omega.pairs:
-        u1 = F.sub(F.mul(two_aq, frob[w1]), F.mul(bqmb, w1))
-        u2 = F.sub(F.mul(two_aq, frob[w2]), F.mul(bqmb, w2))
-        v1 = F.neg(F.add(F.mul(two_a, w1), F.mul(bqmb, frob[w1])))
-        v2 = F.neg(F.add(F.mul(two_a, w2), F.mul(bqmb, frob[w2])))
-        cols.append((u1, u2, v1, v2))
-    return cols
-
-
 @dataclass
 class EvalCode:
     """Raw evaluation code: q^5 words over the trace-zero set, length q."""
@@ -110,7 +93,7 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
     ctx = params.ctx
     if params.n != 3:
         raise ValueError("the code construction lives in PG(3, q^2)")
-    q, q2 = ctx.q, ctx.q2
+    q = ctx.q
     if q**5 * q > budget:
         raise BudgetExceededError("codeword table over budget")
     if omega is None:
@@ -118,42 +101,14 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
             if q > 4:
                 warnings.simplefilter("error")
             omega = omega_set(ctx)
-    F = ctx.Fq2
-    frob = ctx.frob
-    a, b = params.a, params.b
-    aq = frob[a]
-    bqmb = F.sub(frob[b], b)
-    cols = _column_coeffs(params, omega)
-
-    # the form value splits as Bz(z) + Bx(x) + By(y) + Gx[i](x) + Gy[i](y)
-    def quad(u):
-        u2 = F.mul(u, u)
-        val = F.sub(F.mul(aq, frob[u2]), F.mul(a, u2))
-        return F.sub(val, F.mul(bqmb, F.mul(u, frob[u])))
-
-    Bu = [quad(u) for u in range(q2)]
-    Bz = {z: F.sub(frob[z], z) for z in ctx.transversal}
-    Gx = [[F.add(F.mul(u1, frob[u]), F.mul(v1, u)) for u in range(q2)]
-          for (u1, _, v1, _) in cols]
-    Gy = [[F.add(F.mul(u2, frob[u]), F.mul(v2, u)) for u in range(q2)]
-          for (_, u2, _, v2) in cols]
-
-    add = F.add
-    domain = np.empty((q**5, 3), dtype=np.int32)
-    words = np.empty((q**5, q), dtype=np.int32)
-    r = 0
-    for x in range(q2):
-        for y in range(q2):
-            bxy = add(Bu[x], Bu[y])
-            gx = [Gx[i][x] for i in range(q)]
-            gy = [Gy[i][y] for i in range(q)]
-            for z in ctx.transversal:
-                base = add(Bz[z], bxy)
-                domain[r] = (x, y, z)
-                row = words[r]
-                for i in range(q):
-                    row[i] = add(base, add(gx[i], gy[i]))
-                r += 1
+    # column i is the family form pulled back along the i-th Omega pair
+    base = base_form(params)
+    forms = []
+    for w1, w2 in omega.pairs:
+        an = ctx.unique_root_in_transversal(affine_rhs(params, (w1, w2)))
+        forms.append(act_on_form(Collineation((w1, w2, an), (0, 0)), base))
+    domain = np.array(w_set(ctx, 3).points, dtype=np.int32)
+    words = form_values(forms, domain)
     return EvalCode(params, omega, domain, words)
 
 

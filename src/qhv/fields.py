@@ -499,7 +499,6 @@ class FieldCtx:
         self.transversal = tuple(F.mul(self.epsilon, w) for w in range(q))
         self.t0 = tuple(sorted(x for x in range(self.q2)
                                if F.add(x, self.frob[x]) == 0))
-        self.t0_index = {x: i for i, x in enumerate(self.t0)}
 
         # one Artin-Schreier root per trace-zero right-hand side
         roots: dict[int, int] = {}

@@ -130,6 +130,8 @@ def family_params(ctx: FieldCtx, n: int, a: int, b: int) -> BMParams:
     happens, e.g., for every pair at n = 2, q in {2, 3}) the pair is still
     accepted provided the separation value is nonzero, labelled "affine".
     """
+    if n < 2:
+        raise ParameterError("ambient dimension n must be >= 2")
     try:
         return validate_params(ctx, n, a, b)
     except ParameterError:

@@ -9,9 +9,12 @@ members share exactly q^{2n-2} affine points.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, product
+
+import numpy as np
 
 from .collineations import Collineation, RSet, build_R, identity
 from .geometry import BMParams, bab_affine_eval
@@ -113,6 +116,35 @@ def w_set(ctx: FieldCtx, n: int) -> WSet:
     return WSet(n, pts)
 
 
+def form_values(forms: list[AffineForm], points) -> np.ndarray:
+    """Values of every form at every affine point, len(points) x len(forms).
+
+    The Frobenius map is additive, so each form splits coordinatewise as
+    Z(x_n) + Sum_{i<n} [H(x_i) + u_i x_i^q + v_i x_i] + w, with Z and H the
+    base form restricted to one coordinate.  Every coordinate thus becomes a
+    length-q^2 table per form, and a value is a sum of table lookups.
+    ``AffineForm.evaluate`` is the scalar reference for this.
+    """
+    params = forms[0].params
+    ctx, n = params.ctx, params.n
+    add, mul = ctx.Fq2.np_add_table(), ctx.Fq2.np_mul_table()
+    frob = ctx.np_frob()
+    zeros = (0,) * (n - 1)
+    Z = np.array([bab_affine_eval(params, zeros + (x,)) for x in range(ctx.q2)],
+                 dtype=np.int32)
+    H = np.array([bab_affine_eval(params, (x,) + zeros) for x in range(ctx.q2)],
+                 dtype=np.int32)
+    u = np.array([f.u for f in forms], dtype=np.int32)
+    v = np.array([f.v for f in forms], dtype=np.int32)
+    w = np.array([f.w for f in forms], dtype=np.int32)
+    pts = np.asarray(points, dtype=np.int32).reshape(-1, n)
+    values = Z[pts[:, -1], None]
+    for i in range(n - 1):
+        table = add[add[H, mul[u[:, i]][:, frob]], mul[v[:, i]]]
+        values = add[values, table[:, pts[:, i]].T]
+    return add[values, w]
+
+
 @lru_cache(maxsize=512)
 def _tail_profile(form: AffineForm) -> tuple[int, ...]:
     """Values of the x_n-free part over all (x_1..x_{n-1}), fixed order.
@@ -122,10 +154,8 @@ def _tail_profile(form: AffineForm) -> tuple[int, ...]:
     when the profiles match there.
     """
     ctx, n = form.params.ctx, form.params.n
-    return tuple(
-        form.evaluate(head + (0,))
-        for head in product(range(ctx.q2), repeat=n - 1)
-    )
+    heads = [head + (0,) for head in product(range(ctx.q2), repeat=n - 1)]
+    return tuple(form_values([form], heads)[:, 0].tolist())
 
 
 def intersection_count(f1: AffineForm, f2: AffineForm) -> int:
@@ -139,6 +169,11 @@ def intersection_count(f1: AffineForm, f2: AffineForm) -> int:
     q = f1.params.ctx.q
     p1, p2 = _tail_profile(f1), _tail_profile(f2)
     return q * sum(a == b for a, b in zip(p1, p2))
+
+
+def pairwise_counts(forms: list[AffineForm]) -> Counter:
+    """Histogram of ``intersection_count`` over all unordered pairs."""
+    return Counter(intersection_count(f1, f2) for f1, f2 in combinations(forms, 2))
 
 
 def s_coefficients(params: BMParams, g: Collineation, g2: Collineation) -> tuple[int, ...]:
@@ -175,13 +210,9 @@ def family_report(params: BMParams) -> dict:
     ctx = params.ctx
     forms = family(params)
     mu = ctx.q ** (2 * params.n - 2)
-    histogram: dict[int, int] = {}
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            c = intersection_count(forms[i], forms[j])
-            histogram[c] = histogram.get(c, 0) + 1
+    histogram = pairwise_counts(forms)
     W = w_set(ctx, params.n)
-    rows = {tuple(f.evaluate(p) for f in forms) for p in W}
+    rows = np.unique(form_values(forms, W.points), axis=0)
     report = {
         "q": ctx.q,
         "n": params.n,

@@ -15,7 +15,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .intersecting_family import family, w_set
+from .intersecting_family import family, form_values, w_set
 from .fields import BudgetExceededError
 from .geometry import BMParams
 
@@ -92,15 +92,15 @@ def build_oa(params: BMParams, budget: int = DEFAULT_CELL_BUDGET,
     if N * k > budget:
         raise BudgetExceededError(
             f"array would have {N * k} cells, budget is {budget}")
-    forms = family(params)
-    W = w_set(ctx, n)
-    level = ctx.t0_index
-    entries = np.empty((N, k), dtype=np.int16)
-    for i, pt in enumerate(W):
-        row = entries[i]
-        for j, f in enumerate(forms):
-            val = f.evaluate(pt)
-            row[j] = level[val]  # KeyError here would mean a non-trace-zero value
+    values = form_values(family(params), w_set(ctx, n).points)
+    level = np.full(ctx.q2, -1, dtype=np.int16)
+    level[list(ctx.t0)] = np.arange(q)
+    entries = level[values]
+    if np.any(entries < 0):
+        i, j = np.argwhere(entries < 0)[0]
+        raise RuntimeError(
+            f"form value {values[i, j]} at row {i}, column {j} is not "
+            "trace-zero; arithmetic bug")
     A = OrthogonalArray(
         runs=N,
         factors=k,
@@ -131,17 +131,18 @@ def oa_csv_bytes(A: OrthogonalArray) -> bytes:
     return ("\n".join(lines) + "\n").encode()
 
 
-def oa_sidecar(A: OrthogonalArray, extra_meta: dict | None = None) -> dict:
+def oa_sidecar(A: OrthogonalArray, strength: StrengthReport, simple: bool,
+               extra_meta: dict | None = None) -> dict:
+    """Metadata for the array, recording the caller's verification verdicts."""
     ctx = A.params.ctx if A.params is not None else None
     digest = hashlib.sha256(oa_csv_bytes(A)).hexdigest()
-    strength = verify_strength(A, A.strength)
     sidecar = {
         "N": A.runs,
         "k": A.factors,
         "v": A.levels,
         "t": A.strength,
         "lambda": A.index,
-        "simple": verify_simple(A),
+        "simple": simple,
         "strength_ok": strength.ok and strength.index == A.index,
         "level_map": [
             {"level": i, "element": ctx.format_element(x) if ctx else x,
@@ -167,14 +168,14 @@ def oa_sidecar(A: OrthogonalArray, extra_meta: dict | None = None) -> dict:
     return sidecar
 
 
-def write_oa(A: OrthogonalArray, base_path: str,
-             extra_meta: dict | None = None) -> tuple[str, str]:
+def write_oa(A: OrthogonalArray, base_path: str, strength: StrengthReport,
+             simple: bool, extra_meta: dict | None = None) -> tuple[str, str]:
     """Write <base>.csv and <base>.json; returns the two paths."""
     csv_path = base_path + ".csv"
     json_path = base_path + ".json"
     with open(csv_path, "wb") as fh:
         fh.write(oa_csv_bytes(A))
     with open(json_path, "w") as fh:
-        json.dump(oa_sidecar(A, extra_meta), fh, indent=2, sort_keys=True)
+        json.dump(oa_sidecar(A, strength, simple, extra_meta), fh, indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, json_path

@@ -15,7 +15,7 @@ from . import codes as codes_mod
 from . import geometry as geo
 from . import oa as oa_mod
 from .collineations import Collineation, build_R, to_matrix
-from .intersecting_family import family, intersection_count
+from .intersecting_family import family, intersection_count, pairwise_counts
 from .fields import BudgetExceededError, FieldCtx, field_context
 from .geometry import BMParams, ParameterError
 
@@ -193,11 +193,7 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
     forms = family(params, R)
     mu = q ** (2 * n - 2)
     _check(report, "family_size", len(forms) == mu, size=len(forms), expected=mu)
-    counts = {}
-    for i in range(len(forms)):
-        for j in range(i + 1, len(forms)):
-            c = intersection_count(forms[i], forms[j])
-            counts[c] = counts.get(c, 0) + 1
+    counts = pairwise_counts(forms)
     _check(report, "mutual_mu", set(counts) <= {mu},
            histogram={str(k): v for k, v in sorted(counts.items())},
            expected_mu=mu)

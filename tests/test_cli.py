@@ -120,3 +120,32 @@ def test_byte_identical_reruns(runner, tmp_path):
     jb = json.loads((tmp_path / "b.json").read_text())
     ja["config"].pop("out"), jb["config"].pop("out")
     assert ja == jb
+
+
+@pytest.mark.parametrize("args,env", [
+    (["grid", "--instances", "2,6"], None),
+    (["grid", "--instances", "1,3"], None),
+    (["grid", "--instances", "2;3"], None),
+    (["grid"], "abc"),
+    (["grid"], "-1"),
+    (["grid", "--budget", "-1"], None),
+    (["oa", "--q", "2", "--budget", "-1"], None),
+    (["variety", "--q", "2"], "-5"),
+    (["code", "--q", "5"], "x"),
+], ids=["grid-q6", "grid-n1", "grid-syntax", "env-abc", "env-negative",
+        "grid-negative", "oa-negative", "variety-env-negative", "code-env-abc"])
+def test_bad_input_exits_2(runner, tmp_path, monkeypatch, args, env):
+    if env is not None:
+        monkeypatch.setenv("QHV_BUDGET", env)
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "x")])
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_grid_field_beyond_table_limit_exits_3(runner, tmp_path):
+    res = runner.invoke(main, ["grid", "--instances", "2,257",
+                               "--out", str(tmp_path / "g")])
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)

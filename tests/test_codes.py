@@ -91,14 +91,12 @@ def test_codewords_agree_with_family_forms():
     params = _params(q)
     ec = _code(q)
     base = fam.base_form(params)
-    rng = random.Random(2)
-    rows = rng.sample(range(len(ec)), 40)
     for i, (w1, w2) in enumerate(ec.omega.pairs):
         d = geo.affine_rhs(params, (w1, w2))
         an = params.ctx.unique_root_in_transversal(d)
         g = col.Collineation((w1, w2, an), (0, 0))
         form = fam.act_on_form(g, base)
-        for r in rows:
+        for r in range(q**5):
             x, y, z = ec.domain[r]
             assert ec.codewords[r, i] == form.evaluate((int(x), int(y), int(z)))
 

@@ -79,6 +79,18 @@ def test_family_params_fallback():
     assert geo.separation_value(ctx, p.a, p.b) != 0
 
 
+@pytest.mark.parametrize("make", [
+    lambda ctx: geo.validate_params(ctx, 1, 1, ctx.epsilon),
+    lambda ctx: geo.classical_params(ctx, 1, ctx.epsilon),
+    lambda ctx: geo.family_params(ctx, 1, 1, ctx.epsilon),
+    lambda ctx: geo.scan_params(ctx, 1, mode="family"),
+    lambda ctx: geo.scan_params(ctx, 1, mode="variety"),
+], ids=["validate", "classical", "family", "scan_family", "scan_variety"])
+def test_n_below_two_rejected(make):
+    with pytest.raises(geo.ParameterError):
+        make(field_context(3))
+
+
 def test_separating_value_zero_rejected():
     # q=3: a with norm 1 makes the separation value vanish
     ctx = field_context(3)

@@ -6,7 +6,7 @@ from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
 from qhv.fields import field_context
-from qhv.oracles import naive_intersection_count, naive_zero_set
+from qhv.oracles import naive_form_value, naive_intersection_count, naive_zero_set
 
 
 def _params(n, q):
@@ -178,6 +178,22 @@ def test_row_map_injective(n, q):
     forms = fam.family(params)
     rows = {tuple(f.evaluate(p) for f in forms) for p in fam.w_set(ctx, n)}
     assert len(rows) == q ** (2 * n - 1)
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3)])
+def test_form_values_match_naive_oracle(n, q):
+    # pullbacks along elements outside R: nonzero betas and constants
+    params = _params(n, q)
+    base = fam.base_form(params)
+    gs = [g for g in col.all_collineations(params.ctx, n) if all(g.betas)][::5]
+    forms = [fam.act_on_form(g, base) for g in gs]
+    assert any(f.w for f in forms)
+    points = list(product(range(q * q), repeat=n))
+    values = fam.form_values(forms, points)
+    assert values.shape == (len(points), len(forms))
+    for r, pt in enumerate(points):
+        for c, g in enumerate(gs):
+            assert values[r, c] == naive_form_value(params, g, pt)
 
 
 def test_family_report():

@@ -79,18 +79,32 @@ def test_budget():
         oam.build_oa(params)
 
 
-def test_raw_values_trace_zero_via_level_map():
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_raw_values_trace_zero_via_level_map(n, q):
     # entries are indices into the trace-zero set; recover and re-check
-    ctx = field_context(2)
-    params = geo.scan_params(ctx, 2, mode="family")
+    ctx = field_context(q)
+    params = geo.scan_params(ctx, n, mode="family")
     A = oam.build_oa(params)
     from qhv.intersecting_family import family, w_set
 
     forms = family(params)
-    W = list(w_set(ctx, 2))
+    W = list(w_set(ctx, n))
     for i, pt in enumerate(W):
         for j, f in enumerate(forms):
             assert f.evaluate(pt) == A.level_map[A.entries[i, j]]
+
+
+def test_non_trace_zero_value_names_its_cell(monkeypatch):
+    real = oam.form_values
+
+    def corrupted(forms, points):
+        values = real(forms, points)
+        values[4, 2] = 1  # trace(1) = 2 in GF(9)
+        return values
+
+    monkeypatch.setattr(oam, "form_values", corrupted)
+    with pytest.raises(RuntimeError, match="value 1 at row 4, column 2"):
+        _build(2, 3)
 
 
 def test_export_deterministic(tmp_path):
@@ -99,8 +113,8 @@ def test_export_deterministic(tmp_path):
     assert oam.oa_csv_bytes(A1) == oam.oa_csv_bytes(A2)
     p1 = tmp_path / "first"
     p2 = tmp_path / "second"
-    oam.write_oa(A1, str(p1))
-    oam.write_oa(A2, str(p2))
+    for A, p in ((A1, p1), (A2, p2)):
+        oam.write_oa(A, str(p), oam.verify_strength(A, 2), oam.verify_simple(A))
     assert p1.with_suffix(".csv").read_bytes() == p2.with_suffix(".csv").read_bytes()
     assert p1.with_suffix(".json").read_bytes() == p2.with_suffix(".json").read_bytes()
     sidecar = json.loads(p1.with_suffix(".json").read_text())
