@@ -201,6 +201,10 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
         click.echo("warning: q <= 4, MDS/RS contracts not applicable", err=True)
         sys.exit(EXIT_OK)
     rs = codes_mod.rs_equivalence_check(c, ec.omega)
+    if rs.first_mismatch is not None:
+        row, col = rs.first_mismatch
+        click.echo(f"RS check: {rs.mismatches} mismatches, first at "
+                   f"codeword {row}, coordinate {col}", err=True)
     ok = c.dimension == 5 and d == q - 4 and bool(c.is_mds) and rs.two_sided
     label = f"[{c.length},{c.dimension},{d}]"
     if extend:

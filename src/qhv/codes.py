@@ -125,8 +125,8 @@ class FqLinearCode:
     is_mds: bool | None = None
 
 
-def _to_fq_matrix(ctx: FieldCtx, words: np.ndarray) -> np.ndarray:
-    """Divide by theta and check every entry lands in GF(q)."""
+def _fq_code(ctx: FieldCtx, words: np.ndarray) -> FqLinearCode:
+    """Divide by theta, check every entry lands in GF(q), and span the rows."""
     mul = ctx.Fq2.np_mul_table()
     theta_inv = ctx.Fq2.inv(ctx.theta)
     scaled = mul[theta_inv][words]
@@ -134,24 +134,16 @@ def _to_fq_matrix(ctx: FieldCtx, words: np.ndarray) -> np.ndarray:
         raise RuntimeError(
             "a rescaled coordinate fell outside GF(q); the trace-zero "
             "invariant is violated")
-    return scaled.astype(np.int16)
-
-
-def _span(ctx: FieldCtx, matrix: np.ndarray) -> linalg.SpanBuilder:
-    builder = linalg.SpanBuilder(ctx.Fq, matrix.shape[1])
-    for row in np.unique(matrix, axis=0):
-        builder.add([int(x) for x in row])
-    return builder
+    scaled = scaled.astype(np.int16)
+    ncols = scaled.shape[1]
+    builder = linalg.row_space(ctx.Fq, scaled)
+    gen = np.array(builder.basis, dtype=np.int16).reshape(builder.rank, ncols)
+    return FqLinearCode(ctx.q, ncols, scaled, builder.rank, gen)
 
 
 def scale_to_fq(code: EvalCode) -> FqLinearCode:
     """The GF(q)-code theta^{-1} C, with Gauss-computed dimension."""
-    ctx = code.params.ctx
-    scaled = _to_fq_matrix(ctx, code.codewords)
-    builder = _span(ctx, scaled)
-    gen = np.array(builder.basis, dtype=np.int16) if builder.basis else \
-        np.zeros((0, scaled.shape[1]), dtype=np.int16)
-    return FqLinearCode(ctx.q, scaled.shape[1], scaled, builder.rank, gen)
+    return _fq_code(code.params.ctx, code.codewords)
 
 
 def min_distance(code: FqLinearCode,
@@ -173,6 +165,7 @@ class RSReport:
     mismatches: int
     distinct_codewords: int
     expected_codewords: int
+    first_mismatch: tuple[int, int] | None   # (codeword row, coordinate)
 
     @property
     def consistent(self) -> bool:
@@ -212,20 +205,23 @@ def rs_equivalence_check(code: FqLinearCode, omega: OmegaSet) -> RSReport:
             if vinv[k][i]:
                 acc = add[acc, mul[vinv[k][i]][head[i]]]
         coeffs.append(acc)
-    mismatches = 0
+    bad = np.zeros((len(words), q), dtype=bool)
     for j in range(5, q):
         acc = coeffs[0].copy()
         tp = 1
         for k in range(1, 5):
             tp = Fq.mul(tp, psi[j])
             acc = add[acc, mul[tp][coeffs[k]]]
-        mismatches += int(np.count_nonzero(acc != words[:, j]))
+        bad[:, j] = acc != words[:, j]
+    witnesses = np.argwhere(bad)
+    first = tuple(int(x) for x in witnesses[0]) if len(witnesses) else None
     distinct = len(np.unique(words, axis=0))
     return RSReport(
         checked=len(words),
-        mismatches=mismatches,
+        mismatches=len(witnesses),
         distinct_codewords=distinct,
         expected_codewords=q**5,
+        first_mismatch=first,
     )
 
 
@@ -252,10 +248,7 @@ def doubly_extend(code: EvalCode) -> FqLinearCode:
     ext = [F.sub(F.mul(c1, frob[y]), F.mul(c2, y)) for y in range(ctx.q2)]
     col = np.array([ext[y] for y in code.domain[:, 1]], dtype=np.int32)
     words = np.concatenate([code.codewords, col[:, None]], axis=1)
-    scaled = _to_fq_matrix(ctx, words)
-    builder = _span(ctx, scaled)
-    gen = np.array(builder.basis, dtype=np.int16)
-    return FqLinearCode(ctx.q, scaled.shape[1], scaled, builder.rank, gen)
+    return _fq_code(ctx, words)
 
 
 # ---------------------------------------------------------------------------

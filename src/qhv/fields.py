@@ -281,8 +281,10 @@ class ExtensionField:
         self._log: list[int] | None = None
         self.generator: int | None = None
         self._add_table: list[list[int]] | None = None
+        self._neg_table: list[int] | None = None
         self._np_add = None
         self._np_mul = None
+        self._np_neg = None
         if self.order <= LOG_TABLE_LIMIT:
             self._build_log_tables()
         if not self._xor_add and self.order <= DENSE_TABLE_LIMIT:
@@ -290,6 +292,7 @@ class ExtensionField:
                 [self._add_raw(a, b) for b in range(self.order)]
                 for a in range(self.order)
             ]
+            self._neg_table = [row.index(0) for row in self._add_table]
 
     # -- raw digit-level arithmetic -------------------------------------
 
@@ -363,6 +366,8 @@ class ExtensionField:
     def neg(self, a: int) -> int:
         if self._xor_add:
             return a
+        if self._neg_table is not None:
+            return self._neg_table[a]
         F = self.base
         return self.undigits(F.neg(x) for x in self.digits(a))
 
@@ -437,6 +442,17 @@ class ExtensionField:
                 )
             self._np_add = t.astype(np.int32)
         return self._np_add
+
+    def np_neg_table(self) -> np.ndarray:
+        if self._np_neg is None:
+            if self.order > DENSE_TABLE_LIMIT:
+                raise BudgetExceededError(
+                    f"dense tables disabled for order {self.order}"
+                )
+            t = np.arange(self.order) if self._xor_add else \
+                np.array(self._neg_table)
+            self._np_neg = t.astype(np.int32)
+        return self._np_neg
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ExtensionField(order={self.order}, modulus={self.modulus})"

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 
 def row_reduce(F, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
     """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
@@ -67,6 +69,30 @@ class SpanBuilder:
     @property
     def rank(self) -> int:
         return len(self.basis)
+
+
+def row_space(F, matrix: np.ndarray) -> SpanBuilder:
+    """RREF basis of the span of every row of an int-coded matrix.
+
+    Each new basis vector is the first row whose residual is nonzero; it
+    enters through `SpanBuilder.add`, and all remaining residuals are reduced
+    against it at its pivot in one step with the field's numpy tables.  Rows
+    whose residual vanishes are proved to lie in the span and are dropped, so
+    the loop runs once per basis vector and no row goes unchecked.
+    """
+    # codes stay below DENSE_TABLE_LIMIT, so int16 holds every residual
+    add, mul, neg = (t.astype(np.int16) for t in
+                     (F.np_add_table(), F.np_mul_table(), F.np_neg_table()))
+    builder = SpanBuilder(F, matrix.shape[1])
+    residual = matrix[matrix.any(axis=1)].astype(np.int16)
+    while len(residual):
+        head = residual[0]
+        piv = int(np.flatnonzero(head)[0])
+        builder.add([int(x) for x in head])
+        row = np.asarray(builder.basis[builder.pivots.index(piv)])
+        residual = add[residual, neg[mul[residual[:, piv, None], row]]]
+        residual = residual[residual.any(axis=1)]
+    return builder
 
 
 def det(F, matrix: list[list[int]]) -> int:

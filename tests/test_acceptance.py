@@ -61,7 +61,7 @@ def test_criterion_2_orthogonal_arrays(n, q, N, k, v, lam):
           f"simple OA({N},{k},{v},2), index {lam}, exhaustive column pairs")
 
 
-@pytest.mark.parametrize("q", [5, 7, 8, 9])
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
 def test_criterion_3_mds_codes(q):
     """|C| = q^5, dimension 5, d = q-4 (brute force), MDS, RS-equivalent,
     doubly extended to [q+1, 5, q-3] MDS."""
@@ -71,6 +71,8 @@ def test_criterion_3_mds_codes(q):
     assert len(np.unique(ec.codewords, axis=0)) == q**5
     c = cod.scale_to_fq(ec)
     assert c.dimension == 5
+    # every row lies in the span, so q^5 distinct rows make the whole span
+    assert len(np.unique(c.codewords, axis=0)) == q ** c.dimension
     d = cod.min_distance(c)
     assert d == q - 4
     assert c.is_mds and d == c.length - c.dimension + 1

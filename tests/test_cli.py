@@ -89,6 +89,25 @@ def test_code_doubly_extended(runner, tmp_path):
     assert meta["length"] == 6 and meta["min_distance"] == 2 and meta["mds"]
 
 
+def test_code_rs_failure_names_first_witness(runner, tmp_path, monkeypatch):
+    from qhv import codes
+
+    check = codes.rs_equivalence_check
+
+    def doctored_check(code, omega):
+        words = code.codewords.copy()
+        words[10, 6] = (words[10, 6] + 1) % code.q
+        return check(codes.FqLinearCode(code.q, code.length, words,
+                                        code.dimension, code.generator), omega)
+
+    monkeypatch.setattr(codes, "rs_equivalence_check", doctored_check)
+    res = runner.invoke(main, ["code", "--q", "7", "--out", str(tmp_path / "c7")])
+    assert res.exit_code == 1
+    assert "first at codeword 10, coordinate 6" in res.stderr
+    meta = json.loads((tmp_path / "c7.json").read_text())
+    assert "first_mismatch" not in meta["rs_equivalence"]
+
+
 def test_code_strict_small_q_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["code", "--q", "4", "--strict",
                                "--out", str(tmp_path / "c4")])

@@ -236,7 +236,7 @@ def test_rs_equivalence_q7_two_sided():
     rep = cod.rs_equivalence_check(c, ec.omega)
     assert rep.consistent and rep.mismatches == 0
     assert rep.distinct_codewords == 7**5 == rep.expected_codewords
-    assert rep.two_sided
+    assert rep.two_sided and rep.first_mismatch is None
 
 
 def test_rs_equivalence_q5_degenerate():
@@ -271,6 +271,7 @@ def test_rs_mismatch_detected_on_doctored_code():
     fake = cod.FqLinearCode(7, 7, doctored, c.dimension, c.generator)
     rep = cod.rs_equivalence_check(fake, ec.omega)
     assert rep.mismatches >= 1 and not rep.two_sided
+    assert rep.first_mismatch == (10, 6)
 
 
 # -- double extension ------------------------------------------------------------------
@@ -283,6 +284,13 @@ def test_doubly_extend(q, d2):
     assert dx.dimension == 5
     assert cod.min_distance(dx) == d2 == q - 3
     assert dx.is_mds
+
+
+def test_zero_matrix_spans_rank_zero_code():
+    ctx = field_context(7)
+    for ncols in (7, 8):
+        c = cod._fq_code(ctx, np.zeros((4, ncols), dtype=np.int32))
+        assert c.dimension == 0 and c.generator.shape == (0, ncols)
 
 
 def test_doubly_extend_zero_row():

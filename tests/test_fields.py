@@ -206,6 +206,25 @@ def test_inverse_euclid_agrees_with_tables(q):
         F.inv(0)
 
 
+def _digit_neg(F, a):
+    """Negation digit by digit down to the prime field, with no table."""
+    if isinstance(F, PrimeField):
+        return (-a) % F.p
+    return F.undigits(_digit_neg(F.base, d) for d in F.digits(a))
+
+
+@pytest.mark.parametrize("q,name", [(3, "Fq"), (3, "Fq2"), (5, "Fq2"), (7, "Fq2")],
+                         ids=["GF3", "GF9", "GF25", "GF49"])
+def test_neg_table_matches_digit_level(q, name):
+    F = getattr(field_context(q), name)
+    expect = [_digit_neg(F, a) for a in range(F.order)]
+    assert [F.neg(a) for a in range(F.order)] == expect
+    assert F.np_neg_table().tolist() == expect
+    for a in range(F.order):
+        assert [F.sub(a, b) for b in range(F.order)] == \
+            [F._add_raw(a, e) for e in expect]
+
+
 def test_element_encoding_roundtrip():
     ctx = field_context(9)
     for x in range(ctx.q2):

@@ -1,5 +1,8 @@
 import random
 
+import numpy as np
+import pytest
+
 from qhv import linalg
 from qhv.fields import field_context
 
@@ -72,3 +75,58 @@ def test_inv_matrix():
     assert prod == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         linalg.inv_matrix(Fq, [[1, 2], [2, 4]])
+
+
+def _feed(F, rows, ncols):
+    sb = linalg.SpanBuilder(F, ncols)
+    for r in rows:
+        sb.add([int(x) for x in r])
+    return sb
+
+
+def _combos(F, coeffs, basis):
+    """coeffs @ basis over F, with the field's numpy tables."""
+    add, mul = F.np_add_table(), F.np_mul_table()
+    out = np.zeros((len(coeffs), basis.shape[1]), dtype=np.int64)
+    for k in range(len(basis)):
+        out = add[out, mul[coeffs[:, k, None], basis[k]]]
+    return out
+
+
+def _matrix(F, kind, rng):
+    q = F.order
+    if kind == "full":
+        return rng.integers(0, q, (40, 6))
+    if kind == "zero":
+        return np.zeros((12, 6), dtype=np.int64)
+    low = _combos(F, rng.integers(0, q, (40, 3)), rng.integers(0, q, (3, 6)))
+    if kind == "deficient":
+        return low
+    return rng.permutation(np.concatenate([low, low[:25], low[:5]]))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+@pytest.mark.parametrize("kind", ["full", "deficient", "duplicated", "zero"])
+def test_row_space_matches_row_by_row_feed(q, kind):
+    F = field_context(q).Fq
+    m = _matrix(F, kind, np.random.default_rng(q))
+    got = linalg.row_space(F, m)
+    ref = _feed(F, m, m.shape[1])
+    assert (got.basis, got.pivots, got.rank) == (ref.basis, ref.pivots, ref.rank)
+    assert got.rank == {"full": 6, "zero": 0}.get(kind, 3)
+
+
+def test_row_space_finds_one_row_outside_a_rank_5_span():
+    F = field_context(7).Fq
+    rng = np.random.default_rng(5)
+    basis = rng.integers(0, 7, (5, 8))
+    inside = _combos(F, rng.integers(0, 7, (2000, 5)), basis)
+    assert linalg.row_space(F, inside).rank == 5
+    spanned = _feed(F, basis, 8)
+    outside = next(r for r in rng.integers(0, 7, (50, 8))
+                   if _feed(F, spanned.basis + [r], 8).rank == 6)
+    for at in (0, 1000, len(inside)):
+        m = np.insert(inside, at, outside, axis=0)
+        got = linalg.row_space(F, m)
+        assert got.rank == 6
+        assert got.basis == _feed(F, m, 8).basis
