@@ -2,18 +2,16 @@
 exactly q^{2n-2} affine points.
 """
 
-from collections import Counter
-
 from qhv import (
     build_R,
     family,
-    family_report,
     field_context,
     intersection_count,
     scan_params,
     separating_g,
     w_set,
 )
+from qhv.intersecting_family import pairwise_counts
 
 n, q = 2, 3
 ctx = field_context(q)
@@ -29,11 +27,7 @@ print("  ...")
 print()
 
 forms = family(params, R)
-hist = Counter()
-for i in range(len(forms)):
-    for j in range(i + 1, len(forms)):
-        hist[intersection_count(forms[i], forms[j])] += 1
-print(f"pairwise affine intersection counts: {dict(hist)} "
+print(f"pairwise affine intersection counts: {dict(pairwise_counts(forms))} "
       f"(expected all = q^(2n-2) = {q**(2*n-2)})")
 print(f"self-intersection (affine point count): "
       f"{intersection_count(forms[0], forms[0])}")
@@ -46,7 +40,3 @@ g = separating_g(params, P, P2, forms)
 f = next(f for f in forms if f.g == g)
 print(f"points {P} and {P2} are separated by the member with alphas "
       f"{g.alphas}: values {f.evaluate(P)} vs {f.evaluate(P2)}")
-print()
-
-report = family_report(params)
-print("machine-readable report:", report)

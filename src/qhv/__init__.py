@@ -47,7 +47,6 @@ from .intersecting_family import (
     act_on_form,
     base_form,
     family,
-    family_report,
     intersection_count,
     s_coefficients,
     separating_g,

@@ -215,7 +215,7 @@ def rs_equivalence_check(code: FqLinearCode, omega: OmegaSet) -> RSReport:
         bad[:, j] = acc != words[:, j]
     witnesses = np.argwhere(bad)
     first = tuple(int(x) for x in witnesses[0]) if len(witnesses) else None
-    distinct = len(np.unique(words, axis=0))
+    distinct = linalg.distinct_rows(words)
     return RSReport(
         checked=len(words),
         mismatches=len(witnesses),

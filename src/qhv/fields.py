@@ -280,19 +280,15 @@ class ExtensionField:
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
         self.generator: int | None = None
+        # "add", "mul", "neg" as int32 arrays, and list views of add/neg for
+        # the scalar paths (odd characteristic; even characteristic uses xor)
+        self._tables: dict[str, np.ndarray] | None = None
         self._add_table: list[list[int]] | None = None
         self._neg_table: list[int] | None = None
-        self._np_add = None
-        self._np_mul = None
-        self._np_neg = None
         if self.order <= LOG_TABLE_LIMIT:
             self._build_log_tables()
-        if not self._xor_add and self.order <= DENSE_TABLE_LIMIT:
-            self._add_table = [
-                [self._add_raw(a, b) for b in range(self.order)]
-                for a in range(self.order)
-            ]
-            self._neg_table = [row.index(0) for row in self._add_table]
+        if self.order <= DENSE_TABLE_LIMIT:
+            self._build_dense_tables()
 
     # -- raw digit-level arithmetic -------------------------------------
 
@@ -411,48 +407,45 @@ class ExtensionField:
 
     # -- dense numpy tables for vectorised verification paths -------------
 
-    def np_mul_table(self) -> np.ndarray:
-        if self._np_mul is None:
-            if self.order > DENSE_TABLE_LIMIT:
-                raise BudgetExceededError(
-                    f"dense tables disabled for order {self.order}"
-                )
-            log = np.array([0] + [self._log[a] for a in range(1, self.order)])
-            exp = np.array(self._exp, dtype=np.int64)
-            t = exp[(log[:, None] + log[None, :]) % (self.order - 1)]
-            t[0, :] = 0
-            t[:, 0] = 0
-            self._np_mul = t.astype(np.int32)
-        return self._np_mul
+    def _build_dense_tables(self) -> None:
+        """add and neg digit by digit mod p on the base-p codes, mul by logs."""
+        codes = np.arange(self.order)
+        if self._xor_add:
+            add, neg = codes[:, None] ^ codes, codes
+        else:
+            p = self.char
+            add, neg = np.zeros((self.order, self.order), np.int64), 0 * codes
+            place = 1
+            while place < self.order:
+                digit = codes // place % p
+                add += (digit[:, None] + digit) % p * place
+                neg += -digit % p * place
+                place *= p
+        log = np.array([0] + self._log[1:])
+        mul = np.array(self._exp)[(log[:, None] + log) % (self.order - 1)]
+        mul[0, :] = mul[:, 0] = 0
+        self._tables = {name: t.astype(np.int32) for name, t in
+                        (("add", add), ("mul", mul), ("neg", neg))}
+        for t in self._tables.values():
+            t.flags.writeable = False
+        if not self._xor_add:
+            self._add_table = self._tables["add"].tolist()
+            self._neg_table = self._tables["neg"].tolist()
+
+    def _dense(self, name: str) -> np.ndarray:
+        if self._tables is None:
+            raise BudgetExceededError(
+                f"dense tables disabled for order {self.order}")
+        return self._tables[name]
 
     def np_add_table(self) -> np.ndarray:
-        if self._np_add is None:
-            if self.order > DENSE_TABLE_LIMIT:
-                raise BudgetExceededError(
-                    f"dense tables disabled for order {self.order}"
-                )
-            if self._xor_add:
-                r = np.arange(self.order)
-                t = r[:, None] ^ r[None, :]
-            else:
-                t = np.array(
-                    [self._add_table[a] if self._add_table is not None
-                     else [self._add_raw(a, b) for b in range(self.order)]
-                     for a in range(self.order)]
-                )
-            self._np_add = t.astype(np.int32)
-        return self._np_add
+        return self._dense("add")
+
+    def np_mul_table(self) -> np.ndarray:
+        return self._dense("mul")
 
     def np_neg_table(self) -> np.ndarray:
-        if self._np_neg is None:
-            if self.order > DENSE_TABLE_LIMIT:
-                raise BudgetExceededError(
-                    f"dense tables disabled for order {self.order}"
-                )
-            t = np.arange(self.order) if self._xor_add else \
-                np.array(self._neg_table)
-            self._np_neg = t.astype(np.int32)
-        return self._np_neg
+        return self._dense("neg")
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ExtensionField(order={self.order}, modulus={self.modulus})"

@@ -156,8 +156,14 @@ def scan_params(ctx: FieldCtx, n: int, mode: str = "variety",
     mode "quasi_hermitian": QH-labelled pairs only (raises if none exist).
     mode "variety": QH pairs, falling back to classical a = 0.
     mode "family": QH pairs, falling back to "affine" separating pairs.
-    Supplying a and/or b pins those codes during the scan.
+    Supplying a or b pins that code during the scan.  A fully pinned pair is
+    not scanned: it goes to ``validate_params`` in mode "quasi_hermitian" and
+    to ``family_params`` (a = 0 there meaning classical) in the other modes.
     """
+    if a is not None and b is not None:
+        if mode == "quasi_hermitian":
+            return validate_params(ctx, n, a, b)
+        return family_params(ctx, n, a, b)
     a_range = [a] if a is not None else list(range(1, ctx.q2))
     b_range = [b] if b is not None else [
         x for x in range(ctx.q2) if not ctx.in_subfield(x)]

@@ -203,29 +203,3 @@ def separating_g(params: BMParams, P, P2,
     raise RuntimeError(
         "no separating form exists; the separation property is violated"
     )  # pragma: no cover
-
-
-def family_report(params: BMParams) -> dict:
-    """Family size, pairwise intersection histogram, separation status."""
-    ctx = params.ctx
-    forms = family(params)
-    mu = ctx.q ** (2 * params.n - 2)
-    histogram = pairwise_counts(forms)
-    W = w_set(ctx, params.n)
-    rows = np.unique(form_values(forms, W.points), axis=0)
-    report = {
-        "q": ctx.q,
-        "n": params.n,
-        "family_size": len(forms),
-        "expected_size": mu,
-        "pairwise_counts": {str(k): v for k, v in sorted(histogram.items())},
-        "expected_mu": mu,
-        "mutual_mu_ok": set(histogram) <= {mu},
-        "separation_ok": len(rows) == len(W),
-    }
-    report["ok"] = (
-        report["mutual_mu_ok"]
-        and report["separation_ok"]
-        and len(forms) == mu
-    )
-    return report

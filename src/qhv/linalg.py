@@ -95,6 +95,20 @@ def row_space(F, matrix: np.ndarray) -> SpanBuilder:
     return builder
 
 
+def distinct_rows(matrix) -> int:
+    """Number of distinct rows of a 2-D integer matrix.
+
+    Each row is viewed as one fixed-width byte key, and the sorted keys are
+    counted where they change; this avoids ``np.unique(axis=0)``, which
+    sorts the rows lexicographically column by column.
+    """
+    m = np.ascontiguousarray(matrix)
+    if m.size == 0:
+        return min(len(m), 1)
+    keys = np.sort(m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel())
+    return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
 def det(F, matrix: list[list[int]]) -> int:
     """Determinant by Gaussian elimination with division."""
     m = [list(r) for r in matrix]

@@ -18,8 +18,11 @@ import numpy as np
 from .intersecting_family import family, form_values, w_set
 from .fields import BudgetExceededError
 from .geometry import BMParams
+from .linalg import distinct_rows
 
 DEFAULT_CELL_BUDGET = 10**7
+#: verify_strength stops listing violations after this many
+MAX_VIOLATIONS = 1000
 
 
 @dataclass
@@ -47,8 +50,7 @@ class StrengthReport:
         return self.index is not None and not self.violations
 
 
-def verify_strength(A: OrthogonalArray, t: int,
-                    max_violations: int = 1000) -> StrengthReport:
+def verify_strength(A: OrthogonalArray, t: int) -> StrengthReport:
     """Count symbol tuples in every N x t column subset.
 
     The array has strength t iff every tuple appears exactly N / v^t times.
@@ -72,15 +74,14 @@ def verify_strength(A: OrthogonalArray, t: int,
             for sym in np.nonzero(counts != lam)[0]:
                 tup = tuple((int(sym) // v**i) % v for i in range(t - 1, -1, -1))
                 violations.append((cols, tup, int(counts[sym])))
-                if len(violations) >= max_violations:
+                if len(violations) >= MAX_VIOLATIONS:
                     return StrengthReport(t, lam, checked, violations)
     return StrengthReport(t, lam, checked, violations)
 
 
 def verify_simple(A: OrthogonalArray) -> bool:
     """True iff no two rows coincide."""
-    entries = np.asarray(A.entries)
-    return len(np.unique(entries, axis=0)) == A.runs
+    return distinct_rows(A.entries) == A.runs
 
 
 def build_oa(params: BMParams, budget: int = DEFAULT_CELL_BUDGET,

@@ -127,9 +127,7 @@ class GridInstance:
 @dataclass(frozen=True)
 class GridSpec:
     instances: tuple[GridInstance, ...]
-    point_budget: int = 10**7
-    cell_budget: int = 10**7
-    naive_pair_cap: int | None = None   # None: all pairs through the oracle
+    budget: int = 10**7   # bounds both point and array-cell enumerations
 
     @staticmethod
     def of(*nq_pairs, **kwargs) -> "GridSpec":
@@ -149,15 +147,7 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
     report: dict = {"n": n, "q": q, "checks": {}}
     ctx = field_context(q)
     try:
-        if inst.a is not None or inst.b is not None:
-            a = inst.a if inst.a is not None else 1
-            if inst.b is not None:
-                params = (geo.classical_params(ctx, n, inst.b) if a == 0
-                          else geo.family_params(ctx, n, a, inst.b))
-            else:
-                params = geo.scan_params(ctx, n, mode="family", a=a)
-        else:
-            params = geo.scan_params(ctx, n, mode="family")
+        params = geo.scan_params(ctx, n, mode="family", a=inst.a, b=inst.b)
     except ParameterError as exc:
         report["checks"]["params"] = {"ok": False, "error": str(exc)}
         report["ok"] = False
@@ -168,7 +158,7 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
 
     # variety size
     try:
-        S = geo.bm_variety(params, budget=spec.point_budget)
+        S = geo.bm_variety(params, budget=spec.budget)
         expected = geo.hermitian_size(n, q)
         _check(report, "variety_size", len(S) == expected,
                size=len(S), expected=expected)
@@ -179,7 +169,7 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
     # hyperplane characters (only promised under a QH/classical label)
     if S is not None and params.condition not in ("affine",):
         try:
-            spectrum = geo.character_spectrum(S, ctx, budget=spec.point_budget)
+            spectrum = geo.character_spectrum(S, ctx, budget=spec.budget)
             support = set(spectrum)
             expected_support = geo.expected_spectrum_support(n, q)
             _check(report, "two_character", support == expected_support,
@@ -200,8 +190,6 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
 
     zero_sets = [naive_zero_set(params, g) for g in R]
     pairs = [(i, j) for i in range(len(forms)) for j in range(i + 1, len(forms))]
-    if spec.naive_pair_cap is not None:
-        pairs = pairs[: spec.naive_pair_cap]
     agree = all(
         len(zero_sets[i] & zero_sets[j]) == intersection_count(forms[i], forms[j])
         for i, j in pairs
@@ -210,7 +198,7 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
 
     # orthogonal array
     try:
-        A = oa_mod.build_oa(params, budget=spec.cell_budget, verify=False)
+        A = oa_mod.build_oa(params, budget=spec.budget, verify=False)
         strength = oa_mod.verify_strength(A, 2)
         simple = oa_mod.verify_simple(A)
         lam = q ** (2 * n - 3)
@@ -224,7 +212,7 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
 
     # codes only exist in the n = 3 ambient with q > 4
     if n == 3 and q > 4:
-        ec = codes_mod.build_code(params, budget=spec.cell_budget)
+        ec = codes_mod.build_code(params, budget=spec.budget)
         c = codes_mod.scale_to_fq(ec)
         d = codes_mod.min_distance(c)
         rs = codes_mod.rs_equivalence_check(c, ec.omega)
@@ -248,5 +236,5 @@ def run_grid(spec: GridSpec = DEFAULT_GRID) -> dict:
     return {
         "instances": instances,
         "ok": all(i["ok"] for i in instances),
-        "budgets": {"points": spec.point_budget, "cells": spec.cell_budget},
+        "budgets": {"points": spec.budget, "cells": spec.budget},
     }

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from qhv.fields import (
@@ -223,6 +224,38 @@ def test_neg_table_matches_digit_level(q, name):
     for a in range(F.order):
         assert [F.sub(a, b) for b in range(F.order)] == \
             [F._add_raw(a, e) for e in expect]
+
+
+# (q, attribute) of a field context holding GF(order), keyed by order
+TABLE_FIELDS = {2: (2, "Fq"), 4: (2, "Fq2"), 8: (8, "Fq"), 9: (3, "Fq2"),
+                16: (4, "Fq2"), 25: (5, "Fq2"), 27: (27, "Fq"), 49: (7, "Fq2"),
+                64: (8, "Fq2"), 81: (9, "Fq2")}
+
+
+@pytest.mark.parametrize("order", sorted(TABLE_FIELDS), ids=lambda o: f"GF{o}")
+def test_dense_tables_match_digit_level(order):
+    q, name = TABLE_FIELDS[order]
+    F = getattr(field_context(q), name)
+    assert F.order == order
+    add, mul, neg = F.np_add_table(), F.np_mul_table(), F.np_neg_table()
+    assert add.dtype == mul.dtype == neg.dtype == np.int32
+    assert add.shape == mul.shape == (order, order) and neg.shape == (order,)
+    elems = range(order)
+    assert add.tolist() == [[F._add_raw(a, b) for b in elems] for a in elems]
+    assert mul.tolist() == [[F._mul_raw(a, b) for b in elems] for a in elems]
+    assert neg.tolist() == [_digit_neg(F, a) for a in elems]
+    assert [[F.add(a, b) for b in elems] for a in elems] == add.tolist()
+    assert [F.neg(a) for a in elems] == neg.tolist()
+    assert [[F.sub(a, b) for b in elems] for a in elems] == \
+        add[:, neg].tolist()
+
+
+def test_dense_tables_refused_above_limit():
+    F = field_context(37).Fq2
+    assert F.order == 1369
+    for table in (F.np_add_table, F.np_mul_table, F.np_neg_table):
+        with pytest.raises(BudgetExceededError):
+            table()
 
 
 def test_element_encoding_roundtrip():

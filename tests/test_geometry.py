@@ -91,6 +91,31 @@ def test_n_below_two_rejected(make):
         make(field_context(3))
 
 
+def _outcome(make):
+    try:
+        return make()
+    except geo.ParameterError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("mode", ["variety", "family", "quasi_hermitian"])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
+def test_pinned_scan_is_the_direct_check(n, q, mode):
+    # a pinned pair is not scanned: scan_params gives what the direct check
+    # gives, a = 0 and b in GF(q) included, error messages and all
+    ctx = field_context(q)
+    direct = geo.validate_params if mode == "quasi_hermitian" else geo.family_params
+    outcomes = []
+    for a, b in product(range(ctx.q2), repeat=2):
+        got = _outcome(lambda: geo.scan_params(ctx, n, mode, a=a, b=b))
+        assert got == _outcome(lambda: direct(ctx, n, a, b)), (a, b)
+        outcomes.append(got)
+    assert any(isinstance(o, str) for o in outcomes)
+    # no QH-labelled pair exists at n = 2, q in {2, 3}
+    no_qh_pair = mode == "quasi_hermitian" and n == 2
+    assert any(isinstance(o, geo.BMParams) for o in outcomes) != no_qh_pair
+
+
 def test_separating_value_zero_rejected():
     # q=3: a with norm 1 makes the separation value vanish
     ctx = field_context(3)

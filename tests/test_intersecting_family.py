@@ -196,14 +196,6 @@ def test_form_values_match_naive_oracle(n, q):
             assert values[r, c] == naive_form_value(params, g, pt)
 
 
-def test_family_report():
-    report = fam.family_report(_params(2, 3))
-    assert report["ok"]
-    assert report["family_size"] == 9
-    assert report["pairwise_counts"] == {"9": 36}
-    assert report["separation_ok"]
-
-
 def test_zero_set_of_pullback_is_preimage():
     # V(F^g) = g^{-1} V(F) as affine point sets
     ctx = field_context(2)

@@ -130,3 +130,13 @@ def test_row_space_finds_one_row_outside_a_rank_5_span():
         got = linalg.row_space(F, m)
         assert got.rank == 6
         assert got.basis == _feed(F, m, 8).basis
+
+
+@pytest.mark.parametrize("shape", [(200, 4), (50, 1), (1, 6), (300, 9)],
+                         ids=["tall", "one_column", "one_row", "wide"])
+def test_distinct_rows_matches_unique(shape):
+    rng = np.random.default_rng(shape[0] * shape[1])
+    for levels in (2, 3):
+        m = rng.integers(0, levels, shape).astype(np.int16)
+        m = np.concatenate([m, m[::3]])  # duplicated rows on top of chance ones
+        assert linalg.distinct_rows(m) == len(np.unique(m, axis=0))

@@ -1,6 +1,11 @@
+import json
+
+from click.testing import CliRunner
+
 from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
+from qhv.cli import main
 from qhv.fields import field_context
 from qhv.oracles import (
     GridInstance,
@@ -70,7 +75,18 @@ def test_grid_records_bad_b_instead_of_raising():
     assert "GF(q)" in inst["checks"]["params"]["error"]
 
 
-def test_grid_pair_cap():
-    spec = GridSpec((GridInstance(2, 3),), naive_pair_cap=5)
-    report = run_grid(spec)
-    assert report["instances"][0]["checks"]["oracle_agreement"]["pairs_checked"] == 5
+def test_grid_instance_with_only_b_picks_the_cli_pair(tmp_path):
+    # a is scanned as `qhv oa --b` scans it, not fixed at a = 1
+    ctx = field_context(3)
+    picked = set()
+    for b in (x for x in range(ctx.q2) if not ctx.in_subfield(x)):
+        out = tmp_path / f"oa_b{b}"
+        res = CliRunner().invoke(main, ["oa", "--q", "3", "--n", "2",
+                                        "--b", str(b), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        recorded = json.loads(out.with_suffix(".json").read_text())["params"]
+        inst = run_grid(GridSpec((GridInstance(2, 3, b=b),)))["instances"][0]
+        assert inst["ok"]
+        assert inst["params"] == {k: recorded[k] for k in ("a", "b", "condition")}
+        picked.add(inst["params"]["a"])
+    assert picked - {1}
