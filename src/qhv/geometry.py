@@ -157,13 +157,16 @@ def scan_params(ctx: FieldCtx, n: int, mode: str = "variety",
     mode "variety": QH pairs, falling back to classical a = 0.
     mode "family": QH pairs, falling back to "affine" separating pairs.
     Supplying a or b pins that code during the scan.  A fully pinned pair is
-    not scanned: it goes to ``validate_params`` in mode "quasi_hermitian" and
-    to ``family_params`` (a = 0 there meaning classical) in the other modes.
+    not scanned: it goes to ``validate_params`` in mode "quasi_hermitian", to
+    ``classical_params`` (a = 0) or ``validate_params`` in mode "variety", and
+    to ``family_params`` (a = 0 there meaning classical) in mode "family".
     """
     if a is not None and b is not None:
-        if mode == "quasi_hermitian":
-            return validate_params(ctx, n, a, b)
-        return family_params(ctx, n, a, b)
+        if mode == "family":
+            return family_params(ctx, n, a, b)
+        if mode == "variety" and a == 0:
+            return classical_params(ctx, n, b)
+        return validate_params(ctx, n, a, b)
     a_range = [a] if a is not None else list(range(1, ctx.q2))
     b_range = [b] if b is not None else [
         x for x in range(ctx.q2) if not ctx.in_subfield(x)]
@@ -253,8 +256,8 @@ class PointSet:
 
     def export_lines(self, ctx: FieldCtx) -> list[str]:
         """One point per line; elements as comma-joined GF(p) digit vectors."""
-        return [" ".join(ctx.format_element(c) for c in pt)
-                for pt in self.points]
+        names = [ctx.format_element(c) for c in range(ctx.q2)]
+        return [" ".join([names[c] for c in pt]) for pt in self.points]
 
 
 def point_set(n: int, pts) -> PointSet:
@@ -326,25 +329,54 @@ def bm_variety(params: BMParams, budget: int = DEFAULT_POINT_BUDGET) -> PointSet
 # hyperplane characters
 # ---------------------------------------------------------------------------
 
+def _prefix_sums(cols, add, mul, order: int):
+    """s = sum_{i<n} h_i x_i for every normalized dual prefix (h_0..h_{n-1}).
+
+    ``cols`` are the n coordinate columns x_0..x_{n-1} of the points.  The
+    prefixes are walked depth first, so each partial sum is computed once and
+    shared by every prefix that extends it.
+    """
+    n = len(cols)
+
+    def walk(i, s):
+        if i == n:
+            yield s
+            return
+        yield from walk(i + 1, s)
+        for c in range(1, order):
+            yield from walk(i + 1, add[s, mul[c][cols[i]]])
+
+    for lead in range(n):
+        yield from walk(lead + 1, cols[lead])
+
+
 def character_spectrum(S: PointSet, ctx: FieldCtx,
                        budget: int = DEFAULT_POINT_BUDGET) -> Counter:
     """Multiset {|S meet H| : H hyperplane of PG(n, q^2)} as a Counter.
 
-    Hyperplanes run over dual coordinates with the same normalization as
-    points; the output is independent of evaluation order.
+    Hyperplanes h, in dual coordinates normalized like points, are grouped
+    by their prefix (h_0..h_{n-1}); h_n is free within a group.  With
+    s = sum_{i<n} h_i x_i, a point with x_n != 0 lies on exactly one
+    hyperplane of the group, the one with h_n = -s/x_n, so one bincount
+    counts all q^2 of them; a point with x_n = 0 lies on every one of them
+    when s = 0 and on none otherwise.  The zero prefix leaves the single
+    hyperplane (0, ..., 0, 1).  Every hyperplane gets an exact count from
+    every point.
     """
-    n = S.n
-    if num_projective_points(ctx.q2, n) > budget:
+    n, q2 = S.n, ctx.q2
+    if num_projective_points(q2, n) > budget:
         raise BudgetExceededError("hyperplane enumeration over budget")
-    pts = np.array(S.points, dtype=np.int64)
-    mul = ctx.Fq2.np_mul_table()
-    add = ctx.Fq2.np_add_table()
-    spectrum: Counter = Counter()
-    cols = [pts[:, i] for i in range(n + 1)]
-    for h in projective_points(ctx.Fq2, n):
-        acc = mul[h[0]][cols[0]]
-        for i in range(1, n + 1):
-            if h[i]:
-                acc = add[acc, mul[h[i]][cols[i]]]
-        spectrum[int(np.count_nonzero(acc == 0))] += 1
+    F = ctx.Fq2
+    add, mul, neg = F.np_add_table(), F.np_mul_table(), F.np_neg_table()
+    pts = np.array(S.points, dtype=np.intp).reshape(len(S), n + 1)
+    pts = pts[np.argsort(pts[:, n] == 0, kind="stable")]  # x_n != 0 first
+    m = int(np.count_nonzero(pts[:, n]))
+    inv = np.array([0] + [F.inv(x) for x in range(1, q2)])
+    slope = neg[inv[pts[:m, n]]]  # h_n = s * (-1/x_n)
+    spectrum = Counter({len(pts) - m: 1})  # the hyperplane (0, ..., 0, 1)
+    cols = [pts[:, i] for i in range(n)]
+    for s in _prefix_sums(cols, add, mul, q2):
+        counts = np.bincount(mul[s[:m], slope], minlength=q2)
+        counts += np.count_nonzero(s[m:] == 0)
+        spectrum.update(counts.tolist())
     return spectrum

@@ -98,7 +98,8 @@ def test_criterion_3_mds_codes(q):
           f"[{q},5,{d}] MDS, RS-equivalent two-sided, extended [{q+1},5,{d2}] MDS")
 
 
-CHARACTER_GRID = [(2, 3), (2, 4), (2, 5), (3, 3)]
+CHARACTER_GRID = [(2, 3), (2, 4), (2, 5), (3, 3), (3, 4), (3, 5), (4, 3),
+                  (6, 2)]
 
 
 @pytest.mark.parametrize("n,q", CHARACTER_GRID)

@@ -151,8 +151,10 @@ def test_byte_identical_reruns(runner, tmp_path):
     (["oa", "--q", "2", "--budget", "-1"], None),
     (["variety", "--q", "2"], "-5"),
     (["code", "--q", "5"], "x"),
+    (["variety", "--q", "3", "--n", "2", "--a", "4", "--b", "3"], None),
 ], ids=["grid-q6", "grid-n1", "grid-syntax", "env-abc", "env-negative",
-        "grid-negative", "oa-negative", "variety-env-negative", "code-env-abc"])
+        "grid-negative", "oa-negative", "variety-env-negative", "code-env-abc",
+        "variety-affine-pair"])
 def test_bad_input_exits_2(runner, tmp_path, monkeypatch, args, env):
     if env is not None:
         monkeypatch.setenv("QHV_BUDGET", env)

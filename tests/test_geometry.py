@@ -102,15 +102,25 @@ def _outcome(make):
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_pinned_scan_is_the_direct_check(n, q, mode):
     # a pinned pair is not scanned: scan_params gives what the direct check
-    # gives, a = 0 and b in GF(q) included, error messages and all
+    # gives, a = 0 and b in GF(q) included, error messages and all; a variety
+    # takes only QH-labelled or classical pairs, never an "affine" one
     ctx = field_context(q)
-    direct = geo.validate_params if mode == "quasi_hermitian" else geo.family_params
+
+    def direct(ctx, n, a, b):
+        if mode == "family":
+            return geo.family_params(ctx, n, a, b)
+        if mode == "variety" and a == 0:
+            return geo.classical_params(ctx, n, b)
+        return geo.validate_params(ctx, n, a, b)
+
     outcomes = []
     for a, b in product(range(ctx.q2), repeat=2):
         got = _outcome(lambda: geo.scan_params(ctx, n, mode, a=a, b=b))
         assert got == _outcome(lambda: direct(ctx, n, a, b)), (a, b)
         outcomes.append(got)
     assert any(isinstance(o, str) for o in outcomes)
+    labels = {o.condition for o in outcomes if isinstance(o, geo.BMParams)}
+    assert ("affine" in labels) == (mode == "family" and n == 2)
     # no QH-labelled pair exists at n = 2, q in {2, 3}
     no_qh_pair = mode == "quasi_hermitian" and n == 2
     assert any(isinstance(o, geo.BMParams) for o in outcomes) != no_qh_pair

@@ -1,16 +1,20 @@
 import json
+import random
+from collections import Counter
 
+import pytest
 from click.testing import CliRunner
 
 from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
 from qhv.cli import main
-from qhv.fields import field_context
+from qhv.fields import BudgetExceededError, field_context
 from qhv.oracles import (
     GridInstance,
     GridSpec,
     naive_base_eval,
+    naive_character_spectrum,
     naive_form_value,
     naive_point_image,
     run_grid,
@@ -90,3 +94,63 @@ def test_grid_instance_with_only_b_picks_the_cli_pair(tmp_path):
         assert inst["params"] == {k: recorded[k] for k in ("a", "b", "condition")}
         picked.add(inst["params"]["a"])
     assert picked - {1}
+
+
+def _variety(n, q):
+    return geo.bm_variety(geo.scan_params(field_context(q), n, mode="variety"))
+
+
+def _space(n, q):
+    return list(geo.projective_points(field_context(q).Fq2, n))
+
+
+SPECTRUM_INPUTS = {
+    **{f"variety-{n}-{q}": (q, lambda n=n, q=q: _variety(n, q))
+       for n, q in [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3)]},
+    # QH2 fails for every pair at (2, 3): not a two-character set
+    "affine-2-3": (3, lambda: geo.bm_variety(
+        geo.family_params(field_context(3), 2, 4, 3))),
+    "full-PG(2,4)": (2, lambda: geo.point_set(2, _space(2, 2))),
+    "random-PG(3,4)": (2, lambda: geo.point_set(
+        3, random.Random(11).sample(_space(3, 2), 30))),
+    "x3-zero-PG(3,4)": (2, lambda: geo.point_set(
+        3, [p for p in _space(3, 2) if p[3] == 0])),
+    "empty-PG(2,9)": (3, lambda: geo.point_set(2, [])),
+}
+
+
+@pytest.mark.parametrize("name", SPECTRUM_INPUTS)
+def test_character_spectrum_matches_naive_oracle(name):
+    q, make = SPECTRUM_INPUTS[name]
+    ctx = field_context(q)
+    S = make()
+    naive = naive_character_spectrum(S, ctx, budget=10**6)
+    assert geo.character_spectrum(S, ctx) == naive
+    assert sum(naive.values()) == geo.num_projective_points(ctx.q2, S.n)
+    if name.startswith("affine"):
+        assert set(naive) != geo.expected_spectrum_support(2, q)
+    if name.startswith("empty"):
+        assert naive == Counter({0: 91})
+
+
+def test_naive_character_spectrum_budget():
+    S = _variety(2, 3)  # 28 points, 91 lines
+    ctx = field_context(3)
+    assert naive_character_spectrum(S, ctx, budget=91 * 28)
+    with pytest.raises(BudgetExceededError):
+        naive_character_spectrum(S, ctx, budget=91 * 28 - 1)
+
+
+def test_grid_oracle_skipped_over_budget():
+    # (2, 2): 4 forms x 16 affine points = 64 oracle evaluations; the variety
+    # (8 affine points), 21 lines and 32 array cells fit either budget
+    ok = run_grid(GridSpec.of((2, 2), budget=64))["instances"][0]
+    assert ok["ok"] and ok["checks"]["oracle_agreement"]["pairs_checked"] == 6
+    inst = run_grid(GridSpec.of((2, 2), budget=63))["instances"][0]
+    assert not inst["ok"]
+    assert inst["checks"]["oracle_agreement"] == {
+        "ok": False,
+        "skipped": "oracle zero sets would take 64 form evaluations, "
+                   "budget is 63"}
+    assert all(c["ok"] for name, c in inst["checks"].items()
+               if name != "oracle_agreement")
