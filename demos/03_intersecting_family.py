@@ -11,7 +11,6 @@ from qhv import (
     separating_g,
     w_set,
 )
-from qhv.intersecting_family import pairwise_counts
 
 n, q = 2, 3
 ctx = field_context(q)
@@ -27,14 +26,15 @@ print("  ...")
 print()
 
 forms = family(params, R)
-print(f"pairwise affine intersection counts: {dict(pairwise_counts(forms))} "
-      f"(expected all = q^(2n-2) = {q**(2*n-2)})")
-print(f"self-intersection (affine point count): "
-      f"{intersection_count(forms[0], forms[0])}")
+counts = intersection_count(forms)
+print("affine intersection counts, member by member:")
+print(counts)
+print(f"off the diagonal all = q^(2n-2) = {q**(2*n-2)}; on it the affine "
+      f"point count q^(2n-1) = {q**(2*n-1)}")
 print()
 
 # the separation property behind simplicity of the orthogonal array
-W = list(w_set(ctx, n))
+W = [tuple(row) for row in w_set(ctx, n).tolist()]
 P, P2 = W[0], W[1]
 g = separating_g(params, P, P2, forms)
 f = next(f for f in forms if f.g == g)

@@ -43,7 +43,6 @@ from .geometry import (
 from .collineations import Collineation, RSet, build_R, in_psi, psi_group
 from .intersecting_family import (
     AffineForm,
-    WSet,
     act_on_form,
     base_form,
     family,

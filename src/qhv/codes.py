@@ -107,7 +107,7 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
     for w1, w2 in omega.pairs:
         an = ctx.unique_root_in_transversal(affine_rhs(params, (w1, w2)))
         forms.append(act_on_form(Collineation((w1, w2, an), (0, 0)), base))
-    domain = np.array(w_set(ctx, 3).points, dtype=np.int32)
+    domain = w_set(ctx, 3)
     words = form_values(forms, domain)
     return EvalCode(params, omega, domain, words)
 
@@ -245,8 +245,9 @@ def doubly_extend(code: EvalCode) -> FqLinearCode:
     bqmb = F.sub(frob[params.b], params.b)
     c1 = F.sub(F.mul(F.mul(two, frob[params.a]), epsq), F.mul(bqmb, eps))
     c2 = F.add(F.mul(F.mul(two, params.a), eps), F.mul(bqmb, epsq))
-    ext = [F.sub(F.mul(c1, frob[y]), F.mul(c2, y)) for y in range(ctx.q2)]
-    col = np.array([ext[y] for y in code.domain[:, 1]], dtype=np.int32)
+    ext = np.array([F.sub(F.mul(c1, frob[y]), F.mul(c2, y)) for y in range(ctx.q2)],
+                   dtype=np.int32)
+    col = ext[code.domain[:, 1]]
     words = np.concatenate([code.codewords, col[:, None]], axis=1)
     return _fq_code(ctx, words)
 

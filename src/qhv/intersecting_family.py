@@ -9,10 +9,7 @@ members share exactly q^{2n-2} affine points.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations, product
 
 import numpy as np
 
@@ -92,28 +89,18 @@ def family(params: BMParams, rset: RSet | None = None) -> list[AffineForm]:
     return forms
 
 
-@dataclass(frozen=True)
-class WSet:
-    """Reference grid: x_0 = 1, x_1..x_{n-1} free, x_n in the transversal."""
+def w_set(ctx: FieldCtx, n: int) -> np.ndarray:
+    """Reference grid x_0 = 1, x_n in the transversal: q^{2n-1} x n, int32.
 
-    n: int
-    points: tuple[tuple[int, ...], ...]
-
-    def __len__(self) -> int:
-        return len(self.points)
-
-    def __iter__(self):
-        return iter(self.points)
-
-
-def w_set(ctx: FieldCtx, n: int) -> WSet:
-    """All q^{2n-1} rows in lexicographic order (x_n by transversal order)."""
-    pts = tuple(
-        head + (xn,)
-        for head in product(range(ctx.q2), repeat=n - 1)
-        for xn in ctx.transversal
-    )
-    return WSet(n, pts)
+    Rows run lexicographically in (x_1, ..., x_{n-1}), x_n by transversal
+    order.
+    """
+    heads = np.indices((ctx.q2,) * (n - 1)).reshape(n - 1, -1).T
+    C = len(ctx.transversal)
+    grid = np.empty((len(heads) * C, n), dtype=np.int32)
+    grid[:, :-1] = np.repeat(heads, C, axis=0)
+    grid[:, -1] = np.tile(ctx.transversal, len(heads))
+    return grid
 
 
 def form_values(forms: list[AffineForm], points) -> np.ndarray:
@@ -145,35 +132,24 @@ def form_values(forms: list[AffineForm], points) -> np.ndarray:
     return add[values, w]
 
 
-@lru_cache(maxsize=512)
-def _tail_profile(form: AffineForm) -> tuple[int, ...]:
-    """Values of the x_n-free part over all (x_1..x_{n-1}), fixed order.
+def intersection_count(forms: list[AffineForm]) -> np.ndarray:
+    """k x k matrix of common affine zeros, via the coset-matching reduction.
 
-    For each head the affine solutions in x_n form the Artin-Schreier coset
-    determined by this value, so two forms agree on a head's fibre exactly
-    when the profiles match there.
+    For each head (x_1..x_{n-1}) the affine solutions in x_n form the
+    Artin-Schreier coset determined by the x_n-free part of the form, so two
+    forms share a head's q zeros exactly when their tail profiles agree
+    there.  Entry (i, j) is q times the number of such heads: q^{2n-1} on
+    the diagonal and q^{2n-2} between distinct family members.
     """
-    ctx, n = form.params.ctx, form.params.n
-    heads = [head + (0,) for head in product(range(ctx.q2), repeat=n - 1)]
-    return tuple(form_values([form], heads)[:, 0].tolist())
-
-
-def intersection_count(f1: AffineForm, f2: AffineForm) -> int:
-    """Number of common affine zeros, via the coset-matching reduction.
-
-    Equals q^{2n-1} when the forms coincide and q^{2n-2} for distinct family
-    members.
-    """
-    if f1.params is not f2.params and f1.params != f2.params:
+    params = forms[0].params
+    if any(f.params is not params and f.params != params for f in forms):
         raise ValueError("forms must share parameters")
-    q = f1.params.ctx.q
-    p1, p2 = _tail_profile(f1), _tail_profile(f2)
-    return q * sum(a == b for a, b in zip(p1, p2))
-
-
-def pairwise_counts(forms: list[AffineForm]) -> Counter:
-    """Histogram of ``intersection_count`` over all unordered pairs."""
-    return Counter(intersection_count(f1, f2) for f1, f2 in combinations(forms, 2))
+    ctx = params.ctx
+    # one row per head, x_n = transversal[0] = 0
+    profiles = form_values(forms, w_set(ctx, params.n)[::ctx.q])
+    agree = [np.count_nonzero(profiles == profiles[:, [i]], axis=0)
+             for i in range(len(forms))]
+    return ctx.q * np.array(agree)
 
 
 def s_coefficients(params: BMParams, g: Collineation, g2: Collineation) -> tuple[int, ...]:

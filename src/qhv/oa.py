@@ -54,28 +54,36 @@ def verify_strength(A: OrthogonalArray, t: int) -> StrengthReport:
     """Count symbol tuples in every N x t column subset.
 
     The array has strength t iff every tuple appears exactly N / v^t times.
-    Violations are reported, not raised.
+    The subsets are taken a (t-1)-column prefix at a time, in lexicographic
+    order: with key = the prefix symbols read base v, one bincount over
+    (j - last - 1) v^t + key v + E[:, j] counts every t-subset that extends
+    the prefix by a later column j.  Violations are reported, not raised, in
+    (columns, symbol tuple) order, up to ``MAX_VIOLATIONS``.
     """
-    if t > A.factors:
-        raise ValueError("strength exceeds the number of columns")
-    N, v = A.runs, A.levels
+    if not 1 <= t <= A.factors:
+        raise ValueError("strength must lie between 1 and the number of columns")
+    N, k, v = A.runs, A.factors, A.levels
     if N % v**t:
         return StrengthReport(t, None, 0, [((), (), N)])
     lam = N // v**t
     entries = np.asarray(A.entries)
+    weights = v ** np.arange(t - 2, -1, -1)
     violations = []
     checked = 0
-    weights = v ** np.arange(t - 1, -1, -1)
-    for cols in combinations(range(A.factors), t):
-        checked += 1
-        codes = entries[:, cols] @ weights
-        counts = np.bincount(codes, minlength=v**t)
-        if not np.all(counts == lam):
-            for sym in np.nonzero(counts != lam)[0]:
-                tup = tuple((int(sym) // v**i) % v for i in range(t - 1, -1, -1))
-                violations.append((cols, tup, int(counts[sym])))
-                if len(violations) >= MAX_VIOLATIONS:
-                    return StrengthReport(t, lam, checked, violations)
+    for prefix in combinations(range(k - 1), t - 1):
+        last = prefix[-1] if prefix else -1
+        later = entries[:, last + 1:]
+        m = later.shape[1]
+        cells = (entries[:, list(prefix)] @ weights * v)[:, None] + later
+        cells += np.arange(m) * v**t
+        counts = np.bincount(cells.ravel(), minlength=m * v**t)
+        for pos in np.flatnonzero(counts != lam).tolist():
+            j, sym = divmod(pos, v**t)
+            tup = tuple(sym // v**i % v for i in range(t - 1, -1, -1))
+            violations.append((prefix + (last + 1 + j,), tup, int(counts[pos])))
+            if len(violations) >= MAX_VIOLATIONS:
+                return StrengthReport(t, lam, checked + j + 1, violations)
+        checked += m
     return StrengthReport(t, lam, checked, violations)
 
 
@@ -93,7 +101,7 @@ def build_oa(params: BMParams, budget: int = DEFAULT_CELL_BUDGET,
     if N * k > budget:
         raise BudgetExceededError(
             f"array would have {N * k} cells, budget is {budget}")
-    values = form_values(family(params), w_set(ctx, n).points)
+    values = form_values(family(params), w_set(ctx, n))
     level = np.full(ctx.q2, -1, dtype=np.int16)
     level[list(ctx.t0)] = np.arange(q)
     entries = level[values]

@@ -12,11 +12,13 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
+import numpy as np
+
 from . import codes as codes_mod
 from . import geometry as geo
 from . import oa as oa_mod
 from .collineations import Collineation, build_R, to_matrix
-from .intersecting_family import family, intersection_count, pairwise_counts
+from .intersecting_family import family, intersection_count
 from .fields import BudgetExceededError, FieldCtx, field_context
 from .geometry import BMParams, ParameterError
 
@@ -210,7 +212,8 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
     forms = family(params, R)
     mu = q ** (2 * n - 2)
     _check(report, "family_size", len(forms) == mu, size=len(forms), expected=mu)
-    counts = pairwise_counts(forms)
+    mu_matrix = intersection_count(forms)
+    counts = Counter(mu_matrix[np.triu_indices(len(forms), 1)].tolist())
     _check(report, "mutual_mu", set(counts) <= {mu},
            histogram={str(k): v for k, v in sorted(counts.items())},
            expected_mu=mu)
@@ -221,15 +224,16 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
                skipped=f"oracle zero sets would take {evals} form "
                        f"evaluations, budget is {spec.budget}")
     else:
-        zero_sets = [naive_zero_set(params, g) for g in R]
-        pairs = [(i, j) for i in range(len(forms))
-                 for j in range(i + 1, len(forms))]
-        agree = all(
-            len(zero_sets[i] & zero_sets[j])
-            == intersection_count(forms[i], forms[j])
-            for i, j in pairs
-        )
-        _check(report, "oracle_agreement", agree, pairs_checked=len(pairs))
+        # zero-set incidence, forms x affine points; its Gram matrix counts
+        # every common zero, the diagonal included
+        point_index = {pt: i for i, pt in
+                       enumerate(product(range(ctx.q2), repeat=n))}
+        incidence = np.zeros((len(R), len(point_index)), dtype=np.int32)
+        for row, g in zip(incidence, R):
+            row[[point_index[pt] for pt in naive_zero_set(params, g)]] = 1
+        agree = np.array_equal(incidence @ incidence.T, mu_matrix)
+        _check(report, "oracle_agreement", agree,
+               pairs_checked=len(forms) * (len(forms) - 1) // 2)
 
     # orthogonal array
     try:

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from qhv import collineations as col
@@ -69,7 +70,7 @@ def test_values_on_w_are_trace_zero():
     for n, q in [(2, 2), (2, 3), (3, 2)]:
         ctx = field_context(q)
         params = _params(n, q)
-        W = fam.w_set(ctx, n)
+        W = fam.w_set(ctx, n).tolist()
         for f in fam.family(params):
             for pt in W:
                 assert ctx.trace(f.evaluate(pt)) == 0
@@ -78,10 +79,20 @@ def test_values_on_w_are_trace_zero():
 def test_w_set_shape():
     ctx = field_context(3)
     W = fam.w_set(ctx, 2)
-    assert len(W) == 27 == len(set(W.points))
+    assert W.shape == (27, 2) and W.dtype == np.int32
+    assert len({tuple(pt) for pt in W.tolist()}) == 27
     C = set(ctx.transversal)
-    for pt in W:
-        assert len(pt) == 2 and pt[-1] in C
+    for pt in W.tolist():
+        assert pt[-1] in C
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 4), (3, 3)])
+def test_w_set_row_order(n, q):
+    # heads lexicographic, x_n by transversal order
+    ctx = field_context(q)
+    expected = [list(head) + [xn] for head in product(range(q * q), repeat=n - 1)
+                for xn in ctx.transversal]
+    assert fam.w_set(ctx, n).tolist() == expected
 
 
 # -- intersection counts --------------------------------------------------------
@@ -89,20 +100,19 @@ def test_w_set_shape():
 @pytest.mark.parametrize("n,q,mu", [(2, 2, 4), (2, 3, 9), (3, 2, 16)])
 def test_intersection_counts(n, q, mu):
     params = _params(n, q)
-    forms = fam.family(params)
-    for i, f in enumerate(forms):
-        assert fam.intersection_count(f, f) == q ** (2 * n - 1)
-        for g in forms[i + 1:]:
-            assert fam.intersection_count(f, g) == mu
+    counts = fam.intersection_count(fam.family(params))
+    expected = np.full((mu, mu), mu)
+    np.fill_diagonal(expected, q ** (2 * n - 1))
+    assert np.array_equal(counts, expected)
 
 
 def test_intersection_count_matches_naive_double_loop():
     params = _params(2, 3)
     R = col.build_R(params)
-    forms = fam.family(params, R)
+    counts = fam.intersection_count(fam.family(params, R))
     for i in (0, 3):
         for j in (1, 5, 8):
-            assert fam.intersection_count(forms[i], forms[j]) == \
+            assert counts[i, j] == \
                 naive_intersection_count(params, R.elements[i], R.elements[j])
 
 
@@ -110,7 +120,7 @@ def test_intersection_requires_shared_params():
     f1 = fam.family(_params(2, 2))[0]
     f2 = fam.family(_params(2, 3))[0]
     with pytest.raises(ValueError):
-        fam.intersection_count(f1, f2)
+        fam.intersection_count([f1, f2])
 
 
 # -- s-coefficients ---------------------------------------------------------------
@@ -144,7 +154,7 @@ def test_separating_g_all_pairs(n, q):
     ctx = field_context(q)
     params = _params(n, q)
     forms = fam.family(params)
-    W = list(fam.w_set(ctx, n))
+    W = fam.w_set(ctx, n).tolist()
     assert len(W) == q ** (2 * n - 1)
     for i, P in enumerate(W):
         for P2 in W[i + 1:]:
@@ -162,7 +172,7 @@ def test_separating_g_equal_points_rejected():
 def test_separating_g_deterministic_first_hit():
     params = _params(2, 3)
     forms = fam.family(params)
-    W = list(fam.w_set(params.ctx, 2))
+    W = fam.w_set(params.ctx, 2).tolist()
     P, P2 = W[0], W[5]
     g = fam.separating_g(params, P, P2, forms)
     for f in forms:
@@ -176,7 +186,8 @@ def test_row_map_injective(n, q):
     ctx = field_context(q)
     params = _params(n, q)
     forms = fam.family(params)
-    rows = {tuple(f.evaluate(p) for f in forms) for p in fam.w_set(ctx, n)}
+    W = fam.w_set(ctx, n).tolist()
+    rows = {tuple(f.evaluate(p) for f in forms) for p in W}
     assert len(rows) == q ** (2 * n - 1)
 
 

@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -58,6 +59,52 @@ def test_constant_column_breaks_strength():
     assert {(c, s) for c, s, _ in rep.violations} == {(c, s) for c, s, _ in naive}
 
 
+def _doctored(A):
+    """The built array's entries and copies that break strength in different ways."""
+    q = A.levels
+    rng = np.random.default_rng(A.runs)
+    flipped = A.entries.copy()
+    rows = rng.integers(A.runs, size=5)
+    cols = rng.integers(A.factors, size=5)
+    flipped[rows, cols] = (flipped[rows, cols] + 1) % q
+    constant = A.entries.copy()
+    constant[:, A.factors // 2] = q - 1
+    zero = np.zeros_like(A.entries)
+    return {"built": A.entries, "flipped": flipped, "constant": constant,
+            "zero": zero}
+
+
+@pytest.mark.parametrize("t", [1, 2, 3])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_strength_matches_naive_oracle(n, q, t):
+    A = _build(n, q)
+    for name, entries in _doctored(A).items():
+        arr = oam.OrthogonalArray(A.runs, A.factors, q, 2, A.index, entries,
+                                  A.level_map)
+        rep = oam.verify_strength(arr, t)
+        naive = naive_strength_violations(entries, q, t)
+        assert rep.violations == naive[:oam.MAX_VIOLATIONS], name
+        assert rep.index == A.runs // q**t
+        subsets = list(combinations(range(A.factors), t))
+        if len(naive) < oam.MAX_VIOLATIONS:
+            assert rep.subsets_checked == len(subsets), name
+        else:  # stopped inside the subset of the last listed violation
+            last_cols = naive[oam.MAX_VIOLATIONS - 1][0]
+            assert rep.subsets_checked == subsets.index(last_cols) + 1, name
+
+
+@pytest.mark.parametrize("n,q,checked", [(2, 4, 63), (3, 3, 112)])
+def test_strength_stops_at_violation_cap(n, q, checked):
+    A = _build(n, q)
+    zero = oam.OrthogonalArray(A.runs, A.factors, q, 2, A.index,
+                               np.zeros_like(A.entries), A.level_map)
+    rep = oam.verify_strength(zero, 2)
+    assert len(rep.violations) == oam.MAX_VIOLATIONS
+    assert rep.subsets_checked == checked
+    assert rep.violations[0] == ((0, 1), (0, 0), A.runs)
+    assert rep.violations[1] == ((0, 1), (0, 1), 0)
+
+
 def test_simple_and_duplicated_row():
     A = _build(2, 2)
     assert oam.verify_simple(A)
@@ -69,8 +116,9 @@ def test_simple_and_duplicated_row():
 
 def test_strength_beyond_columns_rejected():
     A = _build(2, 2)
-    with pytest.raises(ValueError):
-        oam.verify_strength(A, 5)
+    for t in (5, 0, -1):
+        with pytest.raises(ValueError):
+            oam.verify_strength(A, t)
 
 
 def test_budget():
@@ -88,7 +136,7 @@ def test_raw_values_trace_zero_via_level_map(n, q):
     from qhv.intersecting_family import family, w_set
 
     forms = family(params)
-    W = list(w_set(ctx, n))
+    W = w_set(ctx, n).tolist()
     for i, pt in enumerate(W):
         for j, f in enumerate(forms):
             assert f.evaluate(pt) == A.level_map[A.entries[i, j]]
