@@ -3,7 +3,7 @@
 import numpy as np
 
 from qhv import build_oa, field_context, scan_params, verify_simple, verify_strength
-from qhv.oa import oa_sidecar, write_oa
+from qhv.oa import oa_csv_bytes, oa_sidecar, write_oa
 
 n, q = 2, 3
 params = scan_params(field_context(q), n, mode="family")
@@ -31,7 +31,7 @@ print()
 
 paths = write_oa(A, "oa_demo", report, simple)
 print("wrote:", *paths)
-print("sidecar keys:", sorted(oa_sidecar(A, report, simple)))
+print("sidecar keys:", sorted(oa_sidecar(A, oa_csv_bytes(A), report, simple)))
 
 # a bigger instance, still exact
 params = scan_params(field_context(3), 3, mode="family")

@@ -17,7 +17,7 @@ import click
 from . import codes as codes_mod
 from . import geometry as geo
 from . import oa as oa_mod
-from .fields import BudgetExceededError, field_context
+from .fields import DEFAULT_BUDGET, BudgetExceededError, field_context
 from .oracles import GridInstance, GridSpec, run_grid
 
 EXIT_OK = 0
@@ -29,13 +29,13 @@ BUDGET_ENV = "QHV_BUDGET"
 
 
 def _budget(override: int | None) -> int:
-    """--budget, else QHV_BUDGET, else 10^7; ValueError unless an int >= 0."""
+    """--budget, else QHV_BUDGET, else DEFAULT_BUDGET; ValueError unless >= 0."""
     if override is not None:
         value = override
     else:
         env = os.environ.get(BUDGET_ENV)
         try:
-            value = int(env) if env else 10**7
+            value = int(env) if env else DEFAULT_BUDGET
         except ValueError:
             raise ValueError(f"{BUDGET_ENV}={env!r} is not an integer") from None
     if value < 0:
@@ -143,8 +143,9 @@ def oa(q, n, a, b, out, fmt, budget):
     ok = strength.ok and strength.index == A.index and simple
     base = out or f"oa_q{q}_n{n}"
     if fmt == "json":
-        payload = oa_mod.oa_sidecar(A, strength, simple, cfg)
-        payload["entries"] = [[int(x) for x in row] for row in A.entries]
+        payload = oa_mod.oa_sidecar(A, oa_mod.oa_csv_bytes(A), strength,
+                                    simple, cfg)
+        payload["entries"] = A.entries.tolist()
         _write_json(base + ".json", payload)
         click.echo(base + ".json")
     else:

@@ -24,11 +24,9 @@ import numpy as np
 
 from . import linalg
 from .collineations import Collineation
-from .fields import BudgetExceededError, FieldCtx
+from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .geometry import BMParams, affine_rhs
 from .intersecting_family import act_on_form, base_form, form_values, w_set
-
-DEFAULT_CODEWORD_BUDGET = 10**7
 
 
 @dataclass(frozen=True)
@@ -64,14 +62,15 @@ def omega_set(ctx: FieldCtx) -> OmegaSet:
 
 
 def check_luc1(ctx: FieldCtx, omega: OmegaSet, indices) -> bool:
-    """Nonsingularity of the 5x5 matrix with rows (1, w1, w2, w1^q, w2^q)."""
+    """Whether the five rows (1, w1, w2, w1^q, w2^q) are linearly independent."""
     rows = []
     for i in indices:
         w1, w2 = omega.pairs[i]
         rows.append([1, w1, w2, ctx.frob[w1], ctx.frob[w2]])
     if len(rows) != 5:
         raise ValueError("exactly five indices required")
-    return linalg.det(ctx.Fq2, rows) != 0
+    span = linalg.SpanBuilder(ctx.Fq2, 5)
+    return all(span.add(row) for row in rows)
 
 
 @dataclass
@@ -88,7 +87,7 @@ class EvalCode:
 
 
 def build_code(params: BMParams, omega: OmegaSet | None = None,
-               budget: int = DEFAULT_CODEWORD_BUDGET) -> EvalCode:
+               budget: int = DEFAULT_BUDGET) -> EvalCode:
     """Evaluate the q twisted-cubic forms over W, in W order."""
     ctx = params.ctx
     if params.n != 3:
@@ -97,10 +96,7 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
     if q**5 * q > budget:
         raise BudgetExceededError("codeword table over budget")
     if omega is None:
-        with warnings.catch_warnings():
-            if q > 4:
-                warnings.simplefilter("error")
-            omega = omega_set(ctx)
+        omega = omega_set(ctx)
     # column i is the family form pulled back along the i-th Omega pair
     base = base_form(params)
     forms = []
@@ -147,7 +143,7 @@ def scale_to_fq(code: EvalCode) -> FqLinearCode:
 
 
 def min_distance(code: FqLinearCode,
-                 budget: int = DEFAULT_CODEWORD_BUDGET) -> int:
+                 budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight over the nonzero codewords (the code is linear)."""
     if code.codewords.shape[0] > budget:
         raise BudgetExceededError("codeword scan over budget")
@@ -257,13 +253,14 @@ def doubly_extend(code: EvalCode) -> FqLinearCode:
 # ---------------------------------------------------------------------------
 
 def generator_matrix_text(code: FqLinearCode) -> str:
-    lines = [" ".join(str(int(x)) for x in row) for row in code.generator]
+    lines = [" ".join(map(str, row)) for row in code.generator.tolist()]
     return "\n".join(lines) + "\n"
 
 
-def code_metadata(code: FqLinearCode, eval_code: EvalCode,
+def code_metadata(code: FqLinearCode, eval_code: EvalCode, genmat: str,
                   rs_report: RSReport | None = None,
                   extra_meta: dict | None = None) -> dict:
+    """Metadata for the code and its generator matrix text ``genmat``."""
     ctx = eval_code.params.ctx
     meta = {
         "q": code.q,
@@ -282,8 +279,7 @@ def code_metadata(code: FqLinearCode, eval_code: EvalCode,
         "theta": ctx.theta,
         "omega_pairs": [list(p) for p in eval_code.omega.pairs],
         "evaluation_points": list(eval_code.omega.psi),
-        "generator_sha256": hashlib.sha256(
-            generator_matrix_text(code).encode()).hexdigest(),
+        "generator_sha256": hashlib.sha256(genmat.encode()).hexdigest(),
     }
     if rs_report is not None:
         meta["rs_equivalence"] = {
@@ -303,19 +299,20 @@ def write_code(code: FqLinearCode, eval_code: EvalCode, base_path: str,
                dump_codewords: bool = False) -> list[str]:
     paths = []
     gen_path = base_path + ".genmat.txt"
+    genmat = generator_matrix_text(code)
     with open(gen_path, "w") as fh:
-        fh.write(generator_matrix_text(code))
+        fh.write(genmat)
     paths.append(gen_path)
     json_path = base_path + ".json"
     with open(json_path, "w") as fh:
-        json.dump(code_metadata(code, eval_code, rs_report, extra_meta),
+        json.dump(code_metadata(code, eval_code, genmat, rs_report, extra_meta),
                   fh, indent=2, sort_keys=True)
         fh.write("\n")
     paths.append(json_path)
     if dump_codewords:
         words_path = base_path + ".codewords.txt"
         with open(words_path, "w") as fh:
-            for row in code.codewords:
-                fh.write(" ".join(str(int(x)) for x in row) + "\n")
+            for row in code.codewords.tolist():
+                fh.write(" ".join(map(str, row)) + "\n")
         paths.append(words_path)
     return paths

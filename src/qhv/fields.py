@@ -18,10 +18,10 @@ from functools import lru_cache
 
 import numpy as np
 
-#: largest field order for which discrete-log tables are precomputed
-LOG_TABLE_LIMIT = 1 << 16
-#: largest field order for which dense order x order operation tables are built
+#: largest field order; every field builds dense order x order tables
 DENSE_TABLE_LIMIT = 1 << 10
+#: default bound on every enumeration (points, array cells, codewords, ...)
+DEFAULT_BUDGET = 10**7
 
 
 class BudgetExceededError(RuntimeError):
@@ -261,10 +261,12 @@ def smallest_irreducible(F, degree: int) -> tuple[int, ...]:
 class ExtensionField:
     """GF(base.order^degree) as base[x]/(modulus), elements as int codes.
 
-    The code of sum(c_i x^i) is sum(code(c_i) * base.order^i).  Discrete-log
-    tables back multiplication, inversion and exponentiation whenever the
-    order allows; extended-Euclid inversion is kept alongside as the table-free
-    reference (`inv_euclid`).
+    The code of sum(c_i x^i) is sum(code(c_i) * base.order^i).  Orders above
+    ``DENSE_TABLE_LIMIT`` are refused; every field builds discrete-log tables
+    for multiplication, inversion and exponentiation, and dense tables for
+    addition and negation.  The digit-level ``_add_raw``, ``_mul_raw``,
+    ``_pow_raw`` and extended-Euclid ``inv_euclid`` are the table-free
+    references the tables are built from and tested against.
     """
 
     def __init__(self, base, modulus: tuple[int, ...]):
@@ -274,21 +276,15 @@ class ExtensionField:
         self.modulus = tuple(modulus)
         self.degree = len(modulus) - 1
         self.order = base.order**self.degree
+        if self.order > DENSE_TABLE_LIMIT:
+            raise BudgetExceededError(
+                f"field order {self.order} exceeds the desk-scale limit "
+                f"{DENSE_TABLE_LIMIT}")
         self.char = base.char
         self._b = base.order
         self._xor_add = self.char == 2
-        self._exp: list[int] | None = None
-        self._log: list[int] | None = None
-        self.generator: int | None = None
-        # "add", "mul", "neg" as int32 arrays, and list views of add/neg for
-        # the scalar paths (odd characteristic; even characteristic uses xor)
-        self._tables: dict[str, np.ndarray] | None = None
-        self._add_table: list[list[int]] | None = None
-        self._neg_table: list[int] | None = None
-        if self.order <= LOG_TABLE_LIMIT:
-            self._build_log_tables()
-        if self.order <= DENSE_TABLE_LIMIT:
-            self._build_dense_tables()
+        self._build_log_tables()
+        self._build_dense_tables()
 
     # -- raw digit-level arithmetic -------------------------------------
 
@@ -355,17 +351,12 @@ class ExtensionField:
     def add(self, a: int, b: int) -> int:
         if self._xor_add:
             return a ^ b
-        if self._add_table is not None:
-            return self._add_table[a][b]
-        return self._add_raw(a, b)
+        return self._add_table[a][b]
 
     def neg(self, a: int) -> int:
         if self._xor_add:
             return a
-        if self._neg_table is not None:
-            return self._neg_table[a]
-        F = self.base
-        return self.undigits(F.neg(x) for x in self.digits(a))
+        return self._neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
         if self._xor_add:
@@ -373,18 +364,14 @@ class ExtensionField:
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self._exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
-        return self._mul_raw(a, b)
+        if a == 0 or b == 0:
+            return 0
+        return self._exp[(self._log[a] + self._log[b]) % (self.order - 1)]
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        if self._exp is not None:
-            return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
-        return self.inv_euclid(a)
+        return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
 
     def inv_euclid(self, a: int) -> int:
         """Inverse by extended Euclid on polynomial representatives."""
@@ -401,9 +388,7 @@ class ExtensionField:
             return self.inv(self.pow(a, -e))
         if a == 0:
             return 1 if e == 0 else 0
-        if self._exp is not None:
-            return self._exp[(self._log[a] * e) % (self.order - 1)]
-        return self._pow_raw(a, e)
+        return self._exp[(self._log[a] * e) % (self.order - 1)]
 
     # -- dense numpy tables for vectorised verification paths -------------
 
@@ -429,23 +414,18 @@ class ExtensionField:
         for t in self._tables.values():
             t.flags.writeable = False
         if not self._xor_add:
+            # list views for the scalar paths; even characteristic uses xor
             self._add_table = self._tables["add"].tolist()
             self._neg_table = self._tables["neg"].tolist()
 
-    def _dense(self, name: str) -> np.ndarray:
-        if self._tables is None:
-            raise BudgetExceededError(
-                f"dense tables disabled for order {self.order}")
-        return self._tables[name]
-
     def np_add_table(self) -> np.ndarray:
-        return self._dense("add")
+        return self._tables["add"]
 
     def np_mul_table(self) -> np.ndarray:
-        return self._dense("mul")
+        return self._tables["mul"]
 
     def np_neg_table(self) -> np.ndarray:
-        return self._dense("neg")
+        return self._tables["neg"]
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"ExtensionField(order={self.order}, modulus={self.modulus})"
@@ -483,9 +463,9 @@ class FieldCtx:
 
     def __init__(self, q: int):
         p, h = prime_power(q)
-        if q * q > LOG_TABLE_LIMIT:
+        if q * q > DENSE_TABLE_LIMIT:
             raise BudgetExceededError(
-                f"q^2 = {q * q} exceeds the desk-scale limit {LOG_TABLE_LIMIT}"
+                f"q^2 = {q * q} exceeds the desk-scale limit {DENSE_TABLE_LIMIT}"
             )
         self.p = p
         self.h = h
@@ -499,6 +479,7 @@ class FieldCtx:
         F = self.Fq2
 
         self.frob = [F.pow(x, q) for x in range(self.q2)]
+        self._np_frob = np.array(self.frob, dtype=np.int32)
 
         self.epsilon = self._pick_epsilon()
         self.a0 = F.add(self.epsilon, self.frob[self.epsilon])
@@ -518,7 +499,6 @@ class FieldCtx:
 
         self.omega = self.Fq.generator  # canonical primitive element of GF(q)
 
-        self._np_frob: np.ndarray | None = None
         self._check_construction()
 
     # -- construction sanity ---------------------------------------------
@@ -634,8 +614,6 @@ class FieldCtx:
         }
 
     def np_frob(self) -> np.ndarray:
-        if self._np_frob is None:
-            self._np_frob = np.array(self.frob, dtype=np.int32)
         return self._np_frob
 
     def __repr__(self) -> str:  # pragma: no cover

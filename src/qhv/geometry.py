@@ -22,9 +22,7 @@ from itertools import product
 
 import numpy as np
 
-from .fields import BudgetExceededError, FieldCtx, absolute_trace
-
-DEFAULT_POINT_BUDGET = 10**7
+from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, absolute_trace
 
 
 class ParameterError(ValueError):
@@ -129,6 +127,10 @@ def family_params(ctx: FieldCtx, n: int, a: int, b: int) -> BMParams:
     Tries the two-character conditions first.  When none applies (this
     happens, e.g., for every pair at n = 2, q in {2, 3}) the pair is still
     accepted provided the separation value is nonzero, labelled "affine".
+    The QH conditions are sufficient for two characters, not necessary: at
+    (n, q) = (2, 2) all 6 "affine" pairs are two-character sets (QH3 never
+    holds at q = 2, where the absolute trace is the identity), while at
+    (2, 3) none of the 24 is.
     """
     if n < 2:
         raise ParameterError("ambient dimension n must be >= 2")
@@ -291,7 +293,7 @@ def affine_rhs(params: BMParams, head) -> int:
     return ctx.Fq2.neg(bab_affine_eval(params, tuple(head) + (0,)))
 
 
-def affine_points(params: BMParams, budget: int = DEFAULT_POINT_BUDGET):
+def affine_points(params: BMParams, budget: int = DEFAULT_BUDGET):
     """The q^{2n-1} affine points of the variety, lexicographic in (x_1..x_n)."""
     ctx, n = params.ctx, params.n
     if ctx.q ** (2 * n - 1) > budget:
@@ -319,7 +321,7 @@ def cone_at_infinity(ctx: FieldCtx, n: int) -> list[tuple[int, ...]]:
     return out
 
 
-def bm_variety(params: BMParams, budget: int = DEFAULT_POINT_BUDGET) -> PointSet:
+def bm_variety(params: BMParams, budget: int = DEFAULT_BUDGET) -> PointSet:
     """Affine zero set glued with the cone at infinity, as projective points."""
     affine = [(1,) + pt for pt in affine_points(params, budget)]
     return point_set(params.n, affine + cone_at_infinity(params.ctx, params.n))
@@ -351,7 +353,7 @@ def _prefix_sums(cols, add, mul, order: int):
 
 
 def character_spectrum(S: PointSet, ctx: FieldCtx,
-                       budget: int = DEFAULT_POINT_BUDGET) -> Counter:
+                       budget: int = DEFAULT_BUDGET) -> Counter:
     """Multiset {|S meet H| : H hyperplane of PG(n, q^2)} as a Counter.
 
     Hyperplanes h, in dual coordinates normalized like points, are grouped

@@ -1,38 +1,12 @@
-"""Dense exact linear algebra over a field object (int-coded entries)."""
+"""Dense exact linear algebra over a field object (int-coded entries).
+
+`SpanBuilder` is the one Gaussian elimination: ranks, spans and inverses
+all go through it.
+"""
 
 from __future__ import annotations
 
 import numpy as np
-
-
-def row_reduce(F, rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Reduced row echelon form. Returns (nonzero rows, pivot columns)."""
-    rows = [list(r) for r in rows]
-    if not rows:
-        return [], []
-    ncols = len(rows[0])
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = F.inv(rows[r][c])
-        rows[r] = [F.mul(inv, x) for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
 
 
 class SpanBuilder:
@@ -109,33 +83,16 @@ def distinct_rows(matrix) -> int:
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
-def det(F, matrix: list[list[int]]) -> int:
-    """Determinant by Gaussian elimination with division."""
-    m = [list(r) for r in matrix]
-    n = len(m)
-    d = 1
-    for c in range(n):
-        piv = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if piv is None:
-            return 0
-        if piv != c:
-            m[c], m[piv] = m[piv], m[c]
-            d = F.neg(d)
-        d = F.mul(d, m[c][c])
-        inv = F.inv(m[c][c])
-        for i in range(c + 1, n):
-            if m[i][c] != 0:
-                f = F.mul(inv, m[i][c])
-                m[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(m[i], m[c])]
-    return d
-
-
 def inv_matrix(F, matrix: list[list[int]]) -> list[list[int]]:
-    """Inverse of a square matrix; raises ValueError if singular."""
+    """Inverse of a square matrix; raises ValueError if singular.
+
+    [M | I] always has rank n, and its RREF is [I | M^-1] exactly when the
+    pivots are the columns 0..n-1 of M.
+    """
     n = len(matrix)
-    aug = [list(r) + [1 if i == j else 0 for j in range(n)]
-           for i, r in enumerate(matrix)]
-    red, pivots = row_reduce(F, aug)
-    if pivots[:n] != list(range(n)):
+    builder = SpanBuilder(F, 2 * n)
+    for i, row in enumerate(matrix):
+        builder.add(list(row) + [int(i == j) for j in range(n)])
+    if builder.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [row[n:] for row in builder.basis]

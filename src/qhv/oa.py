@@ -10,17 +10,16 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from .intersecting_family import family, form_values, w_set
-from .fields import BudgetExceededError
+from .fields import DEFAULT_BUDGET, BudgetExceededError
 from .geometry import BMParams
 from .linalg import distinct_rows
 
-DEFAULT_CELL_BUDGET = 10**7
 #: verify_strength stops listing violations after this many
 MAX_VIOLATIONS = 1000
 
@@ -35,7 +34,6 @@ class OrthogonalArray:
     entries: np.ndarray       # N x k over 0..v-1
     level_map: tuple[int, ...]  # level i <-> trace-zero element level_map[i]
     params: BMParams | None = None
-    meta: dict = field(default_factory=dict)
 
 
 @dataclass
@@ -92,7 +90,7 @@ def verify_simple(A: OrthogonalArray) -> bool:
     return distinct_rows(A.entries) == A.runs
 
 
-def build_oa(params: BMParams, budget: int = DEFAULT_CELL_BUDGET,
+def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET,
              verify: bool = True) -> OrthogonalArray:
     """Construct and (by default) fully verify the array for these parameters."""
     ctx, n, q = params.ctx, params.n, params.ctx.q
@@ -119,8 +117,6 @@ def build_oa(params: BMParams, budget: int = DEFAULT_CELL_BUDGET,
         entries=entries,
         level_map=ctx.t0,
         params=params,
-        meta={"n": n, "q": q, "a": params.a, "b": params.b,
-              "condition": params.condition},
     )
     if verify:
         rep = verify_strength(A, 2)
@@ -136,15 +132,16 @@ def build_oa(params: BMParams, budget: int = DEFAULT_CELL_BUDGET,
 # ---------------------------------------------------------------------------
 
 def oa_csv_bytes(A: OrthogonalArray) -> bytes:
-    lines = [",".join(str(int(x)) for x in row) for row in np.asarray(A.entries)]
+    lines = [",".join(map(str, row)) for row in A.entries.tolist()]
     return ("\n".join(lines) + "\n").encode()
 
 
-def oa_sidecar(A: OrthogonalArray, strength: StrengthReport, simple: bool,
-               extra_meta: dict | None = None) -> dict:
-    """Metadata for the array, recording the caller's verification verdicts."""
+def oa_sidecar(A: OrthogonalArray, csv: bytes, strength: StrengthReport,
+               simple: bool, extra_meta: dict | None = None) -> dict:
+    """Metadata for the array and its CSV bytes, recording the caller's
+    verification verdicts."""
     ctx = A.params.ctx if A.params is not None else None
-    digest = hashlib.sha256(oa_csv_bytes(A)).hexdigest()
+    digest = hashlib.sha256(csv).hexdigest()
     sidecar = {
         "N": A.runs,
         "k": A.factors,
@@ -182,9 +179,11 @@ def write_oa(A: OrthogonalArray, base_path: str, strength: StrengthReport,
     """Write <base>.csv and <base>.json; returns the two paths."""
     csv_path = base_path + ".csv"
     json_path = base_path + ".json"
+    csv = oa_csv_bytes(A)
     with open(csv_path, "wb") as fh:
-        fh.write(oa_csv_bytes(A))
+        fh.write(csv)
     with open(json_path, "w") as fh:
-        json.dump(oa_sidecar(A, strength, simple, extra_meta), fh, indent=2, sort_keys=True)
+        json.dump(oa_sidecar(A, csv, strength, simple, extra_meta), fh,
+                  indent=2, sort_keys=True)
         fh.write("\n")
     return csv_path, json_path

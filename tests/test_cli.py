@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -170,3 +171,75 @@ def test_grid_field_beyond_table_limit_exits_3(runner, tmp_path):
                                "--out", str(tmp_path / "g")])
     assert res.exit_code == 3
     assert isinstance(res.exception, SystemExit)
+
+
+@pytest.mark.parametrize("args", [
+    ["variety", "--q", "37"],
+    ["oa", "--q", "37", "--n", "2"],
+    ["code", "--q", "37"],
+    ["grid", "--instances", "2,37"],
+], ids=["variety", "oa", "code", "grid"])
+def test_field_above_dense_limit_exits_3(runner, tmp_path, args):
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "x")])
+    assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+def test_grid_budget_skips_code_without_traceback(runner, tmp_path):
+    res = runner.invoke(main, ["grid", "--instances", "3,5", "--budget", "1000",
+                               "--out", str(tmp_path / "g")])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    checks = json.loads((tmp_path / "g.json").read_text())["instances"][0]["checks"]
+    for name in ("variety_size", "two_character", "mutual_mu",
+                 "oracle_agreement", "oa", "code"):
+        assert not checks[name]["ok"] and "skipped" in checks[name], name
+
+
+@pytest.mark.parametrize("budget,runs_mu", [(6560, False), (6561, True)])
+def test_grid_budget_bounds_intersection_matrix(runner, tmp_path, budget, runs_mu):
+    # k = 81 forms at (3,3), so the k x k matrix needs a budget of 6561
+    res = runner.invoke(main, ["grid", "--instances", "3,3", "--budget",
+                               str(budget), "--out", str(tmp_path / "g")])
+    assert res.exit_code == 1  # the array is over this budget either way
+    checks = json.loads((tmp_path / "g.json").read_text())["instances"][0]["checks"]
+    assert checks["oa"]["skipped"]
+    assert ("skipped" not in checks["mutual_mu"]) == runs_mu
+    assert checks["mutual_mu"]["ok"] == runs_mu
+    # the oracle is skipped anyway, for its evaluation count when mu runs
+    reason = checks["oracle_agreement"]["skipped"]
+    assert ("intersection matrix" in reason) != runs_mu
+
+
+# sha256 of every file each call writes; a changed byte must be deliberate
+GOLDEN = {
+    "oa_csv": (["oa", "--q", "3", "--n", "2"], {
+        "oa_csv.csv": "bdd6de608747dab9e7a6218fa1b6f185b341fcdd44e606ae85bd445e517a7933",
+        "oa_csv.json": "8d8207415d3413c55933fd50a87a93d3aa5660b2a8fbf74112517249d42555e2",
+    }),
+    "oa_json": (["oa", "--q", "3", "--n", "2", "--format", "json"], {
+        "oa_json.json": "d1efd3ff601aceebce6a00aa4bd2758b316561e3b228d3a9e2292e54e90415ef",
+    }),
+    "code7": (["code", "--q", "7", "--doubly-extend", "--dump-codewords"], {
+        "code7.codewords.txt": "5c0e1197405a07bf5447376b8ef54a7778929246c4ab81a2abe09efd3d839dce",
+        "code7.genmat.txt": "b35d34ef4eb3dc8c9613a8566bd6253398653c132aa6222bfb623f80f22d4334",
+        "code7.json": "ca1820b97d684ad3c8818bf54de88807ea3dc709e4d8c573f7167578da2ae527",
+    }),
+    "var": (["variety", "--q", "3", "--n", "2"], {
+        "var.json": "4ea816f4c698f16a06cb7698faa4f684859d4a6cdeeacda3aa32a856a7cfaea5",
+        "var.points.txt": "7cd98b38e5e9927856fe38af37bff92c623da4f4239e94493e49c09207e24104",
+    }),
+}
+
+
+@pytest.mark.parametrize("out", sorted(GOLDEN))
+def test_artifacts_match_golden_digests(runner, tmp_path, monkeypatch, out):
+    # the out prefix is written into the JSON, so it stays relative
+    args, digests = GOLDEN[out]
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, args + ["--out", out])
+    assert res.exit_code == 0, res.output
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in tmp_path.iterdir()} == digests

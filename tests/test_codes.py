@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -328,8 +329,8 @@ def test_write_code_deterministic(tmp_path):
     p1 = cod.write_code(c, ec, str(tmp_path / "one"), rep)
     p2 = cod.write_code(c, ec, str(tmp_path / "two"), rep)
     for a, b in zip(p1, p2):
-        assert open(a, "rb").read() == open(b, "rb").read()
-    meta = cod.code_metadata(c, ec, rep)
+        assert Path(a).read_bytes() == Path(b).read_bytes()
+    meta = cod.code_metadata(c, ec, cod.generator_matrix_text(c), rep)
     assert meta["dimension"] == 5 and meta["min_distance"] == 1
     assert meta["rs_equivalence"]["two_sided"]
 
@@ -339,7 +340,7 @@ def test_codeword_dump(tmp_path):
     ec = _code(q)
     c = cod.scale_to_fq(ec)
     paths = cod.write_code(c, ec, str(tmp_path / "dump"), dump_codewords=True)
-    words = open(paths[-1]).read().strip().split("\n")
+    words = Path(paths[-1]).read_text().strip().split("\n")
     assert len(words) == 5**5
 
 

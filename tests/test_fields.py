@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from qhv import fields
 from qhv.fields import (
+    DENSE_TABLE_LIMIT,
     BudgetExceededError,
+    ExtensionField,
     FieldCtx,
     PrimeField,
     absolute_trace,
@@ -248,14 +251,26 @@ def test_dense_tables_match_digit_level(order):
     assert [F.neg(a) for a in elems] == neg.tolist()
     assert [[F.sub(a, b) for b in elems] for a in elems] == \
         add[:, neg].tolist()
+    assert [[F.mul(a, b) for b in elems] for a in elems] == mul.tolist()
+    assert [F.inv(a) for a in elems[1:]] == [F.inv_euclid(a) for a in elems[1:]]
+    for e in (0, 1, 2, F.char, order - 2, order - 1, order, 3 * order + 5):
+        assert [F.pow(a, e) for a in elems] == [F._pow_raw(a, e) for a in elems]
 
 
-def test_dense_tables_refused_above_limit():
-    F = field_context(37).Fq2
-    assert F.order == 1369
-    for table in (F.np_add_table, F.np_mul_table, F.np_neg_table):
-        with pytest.raises(BudgetExceededError):
-            table()
+def test_dense_tables_refused_above_limit(monkeypatch):
+    F = FieldCtx(32).Fq2
+    assert F.order == DENSE_TABLE_LIMIT
+    assert F.np_mul_table().shape == (DENSE_TABLE_LIMIT, DENSE_TABLE_LIMIT)
+    with pytest.raises(BudgetExceededError):
+        ExtensionField(PrimeField(37), (2, 0, 1))  # order 1369
+
+    def no_search(*args):
+        raise AssertionError("moduli searched for a refused order")
+
+    # the context refuses before it searches for moduli
+    monkeypatch.setattr(fields, "smallest_irreducible", no_search)
+    with pytest.raises(BudgetExceededError):
+        FieldCtx(37)
 
 
 def test_element_encoding_roundtrip():

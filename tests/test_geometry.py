@@ -177,6 +177,22 @@ def test_unital_sweep_matches_conditions(q):
                 assert not actual, (q, a, b)
 
 
+@pytest.mark.parametrize("q,affine,two_character", [(2, 6, 6), (3, 24, 0)])
+def test_affine_pair_counts(q, affine, two_character):
+    """QH conditions are sufficient, not necessary: every "affine" pair at
+    q = 2 is two-character, none at q = 3."""
+    ctx = field_context(q)
+    labels = []
+    for a, b in product(range(1, ctx.q2), range(ctx.q, ctx.q2)):
+        try:
+            params = geo.family_params(ctx, 2, a, b)
+        except geo.ParameterError:
+            continue
+        if params.condition == "affine":
+            labels.append(_is_two_character(ctx, params))
+    assert (len(labels), sum(labels)) == (affine, two_character)
+
+
 def test_classical_always_two_character():
     for n, q in [(2, 3), (2, 4), (3, 2), (3, 3)]:
         ctx = field_context(q)

@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -7,38 +8,42 @@ from qhv import linalg
 from qhv.fields import field_context
 
 
-def test_det_matches_permutation_expansion():
-    from itertools import permutations
-
-    Fq = field_context(5).Fq
-    rng = random.Random(1)
-    for _ in range(25):
-        m = [[rng.randrange(5) for _ in range(3)] for _ in range(3)]
-        expect = 0
-        for perm in permutations(range(3)):
-            sgn = 1
-            for i in range(3):
-                for j in range(i + 1, 3):
-                    if perm[i] > perm[j]:
-                        sgn = -sgn
-            term = 1
-            for i in range(3):
-                term = Fq.mul(term, m[i][perm[i]])
-            term = term if sgn == 1 else Fq.neg(term)
-            expect = Fq.add(expect, term)
-        assert linalg.det(Fq, m) == expect
+def _permutation_det(F, m):
+    """Determinant by the Leibniz expansion over all permutations."""
+    n = len(m)
+    total = 0
+    for perm in permutations(range(n)):
+        inversions = sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        term = 1
+        for i in range(n):
+            term = F.mul(term, m[i][perm[i]])
+        total = F.add(total, F.neg(term) if inversions % 2 else term)
+    return total
 
 
-def test_row_reduce_and_span():
+@pytest.mark.parametrize("q,size", [(2, 4), (4, 3), (5, 3), (7, 4)])
+def test_independence_matches_permutation_determinant(q, size):
+    Fq = field_context(q).Fq
+    rng = random.Random(q * size)
+    seen = set()
+    for _ in range(40):
+        m = [[rng.randrange(q) for _ in range(size)] for _ in range(size)]
+        span = linalg.SpanBuilder(Fq, size)
+        independent = all(span.add(r) for r in m)
+        assert independent == (_permutation_det(Fq, m) != 0)
+        seen.add(independent)
+    assert seen == {True, False}
+
+
+def test_span_builder_rref_and_dependence():
     Fq = field_context(7).Fq
-    rows = [[1, 2, 3], [2, 4, 6], [0, 1, 1]]
-    red, pivots = linalg.row_reduce(Fq, rows)
-    assert len(red) == 2 and pivots == [0, 1]
     sb = linalg.SpanBuilder(Fq, 3)
-    for r in rows:
-        sb.add(r)
+    assert [sb.add(r) for r in ([1, 2, 3], [2, 4, 6], [0, 1, 1])] == \
+        [True, False, True]
     assert sb.rank == 2
+    assert sb.basis == [[1, 0, 1], [0, 1, 1]] and sb.pivots == [0, 1]
     assert not sb.add([3, 6, 2])  # = 3*(1,2,3) mod 7, dependent
+
 
 def test_span_builder_exact_rank():
     Fq = field_context(3).Fq
@@ -59,22 +64,42 @@ def test_span_builder_exact_rank():
         assert 3**sb.rank == len(span)
 
 
-def test_inv_matrix():
-    import pytest
+def _matmul(F, a, b):
+    return [[_dot(F, row, col) for col in zip(*b)] for row in a]
 
+
+def _dot(F, u, v):
+    acc = 0
+    for x, y in zip(u, v):
+        acc = F.add(acc, F.mul(x, y))
+    return acc
+
+
+def test_inv_matrix():
     Fq = field_context(7).Fq
     m = [[1, 2], [3, 4]]
-    inv = linalg.inv_matrix(Fq, m)
-    prod = [[0, 0], [0, 0]]
-    for i in range(2):
-        for j in range(2):
-            acc = 0
-            for k in range(2):
-                acc = Fq.add(acc, Fq.mul(m[i][k], inv[k][j]))
-            prod[i][j] = acc
-    assert prod == [[1, 0], [0, 1]]
+    assert _matmul(Fq, m, linalg.inv_matrix(Fq, m)) == [[1, 0], [0, 1]]
     with pytest.raises(ValueError):
         linalg.inv_matrix(Fq, [[1, 2], [2, 4]])
+
+
+@pytest.mark.parametrize("q", [4, 5, 8])
+def test_inv_matrix_agrees_with_permutation_determinant(q):
+    Fq = field_context(q).Fq
+    rng = random.Random(q)
+    identity = [[int(i == j) for j in range(4)] for i in range(4)]
+    seen = set()
+    for _ in range(30):
+        m = [[rng.randrange(q) for _ in range(4)] for _ in range(4)]
+        singular = _permutation_det(Fq, m) == 0
+        if singular:
+            with pytest.raises(ValueError):
+                linalg.inv_matrix(Fq, m)
+        else:
+            inv = linalg.inv_matrix(Fq, m)
+            assert _matmul(Fq, m, inv) == _matmul(Fq, inv, m) == identity
+        seen.add(singular)
+    assert seen == {True, False}
 
 
 def _feed(F, rows, ncols):
