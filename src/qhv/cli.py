@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+import warnings
 from contextlib import contextmanager
 
 import click
@@ -179,10 +180,10 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     with _exit_on_bad_input():
         ctx = field_context(q)
         params = _params(ctx, 3, a, b, mode="family")
-        import warnings
-
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore" if q <= 4 else "default")
+            # omega_set warns for q <= 4; the --strict check above and the
+            # stderr line below already cover it
+            warnings.simplefilter("ignore")
             ec = codes_mod.build_code(params, budget=_budget(budget))
     c = codes_mod.scale_to_fq(ec)
     d = codes_mod.min_distance(c)

@@ -94,7 +94,8 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
         raise ValueError("the code construction lives in PG(3, q^2)")
     q = ctx.q
     if q**5 * q > budget:
-        raise BudgetExceededError("codeword table over budget")
+        raise BudgetExceededError(
+            f"codeword table would have {q**5 * q} cells, budget is {budget}")
     if omega is None:
         omega = omega_set(ctx)
     # column i is the family form pulled back along the i-th Omega pair
@@ -145,8 +146,10 @@ def scale_to_fq(code: EvalCode) -> FqLinearCode:
 def min_distance(code: FqLinearCode,
                  budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight over the nonzero codewords (the code is linear)."""
-    if code.codewords.shape[0] > budget:
-        raise BudgetExceededError("codeword scan over budget")
+    rows = code.codewords.shape[0]
+    if rows > budget:
+        raise BudgetExceededError(
+            f"codeword scan would read {rows} codewords, budget is {budget}")
     weights = np.count_nonzero(code.codewords, axis=1)
     nz = weights[weights > 0]
     d = int(nz.min())

@@ -296,8 +296,10 @@ def affine_rhs(params: BMParams, head) -> int:
 def affine_points(params: BMParams, budget: int = DEFAULT_BUDGET):
     """The q^{2n-1} affine points of the variety, lexicographic in (x_1..x_n)."""
     ctx, n = params.ctx, params.n
-    if ctx.q ** (2 * n - 1) > budget:
-        raise BudgetExceededError("affine point enumeration over budget")
+    count = ctx.q ** (2 * n - 1)
+    if count > budget:
+        raise BudgetExceededError(
+            f"affine enumeration would give {count} points, budget is {budget}")
     pts = []
     for head in product(range(ctx.q2), repeat=n - 1):
         d = affine_rhs(params, head)
@@ -366,8 +368,10 @@ def character_spectrum(S: PointSet, ctx: FieldCtx,
     every point.
     """
     n, q2 = S.n, ctx.q2
-    if num_projective_points(q2, n) > budget:
-        raise BudgetExceededError("hyperplane enumeration over budget")
+    hyperplanes = num_projective_points(q2, n)
+    if hyperplanes > budget:
+        raise BudgetExceededError(f"hyperplane enumeration would take "
+                                  f"{hyperplanes} hyperplanes, budget is {budget}")
     F = ctx.Fq2
     add, mul, neg = F.np_add_table(), F.np_mul_table(), F.np_neg_table()
     pts = np.array(S.points, dtype=np.intp).reshape(len(S), n + 1)

@@ -14,7 +14,7 @@ from qhv import geometry as geo
 from qhv import oa as oam
 from qhv.fields import field_context
 from qhv.linalg import distinct_rows
-from qhv.oracles import DEFAULT_GRID, run_grid
+from qhv.oracles import DEFAULT_GRID, GridSpec, run_grid
 
 FAMILY_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (3, 5)]
 
@@ -174,3 +174,18 @@ def test_criterion_6_property_suite():
     grid_desc = ", ".join(f"({i['n']},{i['q']})" for i in report["instances"])
     print(f"\n[acceptance] criterion 6: PASS - oracle agreement on {grid_desc}; "
           f"row map injective at {injective_at}")
+
+
+@pytest.mark.parametrize("n,q", [(2, 9), (3, 4)])
+def test_criterion_6_oracle_agreement_beyond_default_grid(n, q):
+    """Brute-force zero sets give every pairwise count at (2,9) and (3,4)
+    too; a test-local spec leaves DEFAULT_GRID and its report as they are."""
+    report = run_grid(GridSpec.of((n, q)))
+    checks = report["instances"][0]["checks"]
+    mu = q ** (2 * n - 2)
+    pairs = mu * (mu - 1) // 2  # 3240 and 32640
+    assert checks["oracle_agreement"] == {"ok": True, "pairs_checked": pairs}
+    assert checks["mutual_mu"]["histogram"] == {str(mu): pairs}
+    assert report["ok"], checks
+    print(f"\n[acceptance] criterion 6 (n={n}, q={q}): PASS - oracle "
+          f"zero sets agree on all {pairs} pairs, each meeting in {mu} points")

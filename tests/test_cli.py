@@ -196,6 +196,9 @@ def test_grid_budget_skips_code_without_traceback(runner, tmp_path):
     for name in ("variety_size", "two_character", "mutual_mu",
                  "oracle_agreement", "oa", "code"):
         assert not checks[name]["ok"] and "skipped" in checks[name], name
+    # q^5 codewords of q cells at q = 5, against the budget
+    assert "15625" in checks["code"]["skipped"]
+    assert "1000" in checks["code"]["skipped"]
 
 
 @pytest.mark.parametrize("budget,runs_mu", [(6560, False), (6561, True)])

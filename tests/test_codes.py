@@ -10,7 +10,7 @@ from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
 from qhv import linalg
-from qhv.fields import field_context
+from qhv.fields import BudgetExceededError, field_context
 from qhv.oracles import naive_min_weight
 
 
@@ -154,6 +154,17 @@ def test_scale_to_fq_dimension_q5():
     assert c.dimension == 5
     assert c.generator.shape == (5, 5)
     assert c.codewords.max() < 5
+
+
+def test_budget_messages_name_their_numbers():
+    # q^5 codewords of q coordinates at q = 5
+    with pytest.raises(BudgetExceededError,
+                       match="would have 15625 cells, budget is 15624"):
+        cod.build_code(_params(5), budget=15624)
+    c = cod.scale_to_fq(_code(5))
+    with pytest.raises(BudgetExceededError,
+                       match="would read 3125 codewords, budget is 3124"):
+        cod.min_distance(c, budget=3124)
 
 
 def test_scale_zero_word():

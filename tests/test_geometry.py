@@ -291,6 +291,18 @@ def test_spectrum_full_space_constant():
     assert set(spec) == {5} and sum(spec.values()) == 21
 
 
+def test_budget_messages_name_their_numbers():
+    ctx = field_context(3)
+    params = geo.scan_params(ctx, 2, mode="variety")
+    with pytest.raises(BudgetExceededError,
+                       match="would give 27 points, budget is 26"):
+        geo.affine_points(params, budget=26)
+    S = geo.bm_variety(params)
+    with pytest.raises(BudgetExceededError,
+                       match="would take 91 hyperplanes, budget is 90"):
+        geo.character_spectrum(S, ctx, budget=90)
+
+
 def test_spectrum_budget():
     ctx = field_context(3)
     params = geo.scan_params(ctx, 2, mode="variety")

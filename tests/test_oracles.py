@@ -1,13 +1,18 @@
+import inspect
 import json
 import random
+import re
 from collections import Counter
+from itertools import product
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
 from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
+from qhv import oracles
 from qhv.cli import main
 from qhv.fields import BudgetExceededError, field_context
 from qhv.oracles import (
@@ -17,7 +22,9 @@ from qhv.oracles import (
     naive_character_spectrum,
     naive_form_value,
     naive_point_image,
+    naive_zero_set,
     run_grid,
+    zero_set_masks,
 )
 
 
@@ -137,7 +144,8 @@ def test_naive_character_spectrum_budget():
     S = _variety(2, 3)  # 28 points, 91 lines
     ctx = field_context(3)
     assert naive_character_spectrum(S, ctx, budget=91 * 28)
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError,
+                       match="would take 2548 dot products, budget is 2547"):
         naive_character_spectrum(S, ctx, budget=91 * 28 - 1)
 
 
@@ -154,3 +162,59 @@ def test_grid_oracle_skipped_over_budget():
                    "budget is 63"}
     assert all(c["ok"] for name, c in inst["checks"].items()
                if name != "oracle_agreement")
+
+
+def _family(n, q):
+    return geo.scan_params(field_context(q), n, mode="family")
+
+
+def _mask_sets(params, masks):
+    points = list(product(range(params.ctx.q2), repeat=params.n))
+    return [frozenset(points[i] for i in np.flatnonzero(row)) for row in masks]
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
+def test_zero_set_masks_match_naive_zero_set(n, q):
+    params = _family(n, q)
+    R = col.build_R(params)
+    masks = zero_set_masks(params, R)
+    assert masks.shape == (len(R), q ** (2 * n)) and masks.dtype == bool
+    assert _mask_sets(params, masks) == [naive_zero_set(params, g) for g in R]
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4)])
+def test_zero_set_masks_on_dense_collineations(n, q):
+    # nonzero betas and alpha_n fill every entry the dense matrix can hold
+    params = _family(n, q)
+    q2 = params.ctx.q2
+    rng = random.Random(100 * n + q)
+    gs = [col.Collineation(tuple(rng.randrange(q2) for _ in range(n - 1))
+                           + (rng.randrange(1, q2),),
+                           tuple(rng.randrange(1, q2) for _ in range(n - 1)))
+          for _ in range(6)]
+    masks = zero_set_masks(params, gs)
+    assert _mask_sets(params, masks) == [naive_zero_set(params, g) for g in gs]
+
+
+def test_zero_set_masks_catch_a_wrong_power_table(monkeypatch):
+    params = _family(2, 3)
+    q = params.ctx.q
+    R = col.build_R(params)
+    naive = [naive_zero_set(params, g) for g in R]
+    real = oracles._power_tables
+
+    def x_q_for_x_2q(F, order, exponents):
+        tables = real(F, order, exponents)
+        tables[2 * q] = tables[q]
+        return tables
+
+    monkeypatch.setattr(oracles, "_power_tables", x_q_for_x_2q)
+    assert _mask_sets(params, zero_set_masks(params, R)) != naive
+
+
+def test_oracles_share_no_optimized_evaluation_code():
+    # qhv.oracles is the one deliberate second copy of the arithmetic
+    source = inspect.getsource(oracles)
+    shared = re.findall(r"\b(form_values|act_on_form|np_add_table|"
+                        r"np_mul_table|np_neg_table)\b", source)
+    assert not shared
