@@ -36,5 +36,7 @@ print("sidecar keys:", sorted(oa_sidecar(A, oa_csv_bytes(A), report, simple)))
 # a bigger instance, still exact
 params = scan_params(field_context(3), 3, mode="family")
 A = build_oa(params)
+report = verify_strength(A, 2)
+assert report.ok and report.index == A.index and verify_simple(A)
 print(f"\nn = 3: OA({A.runs}, {A.factors}, {A.levels}, 2), index {A.index}, "
-      f"verified strength 2 and simplicity on construction")
+      f"verified strength 2 and simplicity after construction")

@@ -46,10 +46,11 @@ def _budget(override: int | None) -> int:
 
 @contextmanager
 def _exit_on_bad_input():
-    """Exit 2 on invalid parameters and 3 on an exceeded budget."""
+    """Exit 2 on invalid parameters or an unwritable output path, and 3 on an
+    exceeded budget."""
     try:
         yield
-    except ValueError as exc:  # ParameterError included
+    except (ValueError, OSError) as exc:  # ParameterError included
         click.echo(f"invalid parameters: {exc}", err=True)
         sys.exit(EXIT_BAD_PARAMS)
     except BudgetExceededError as exc:
@@ -106,16 +107,17 @@ def variety(q, n, a, b, out, fmt, budget):
         "two_character_ok": ok,
     }
     base = out or f"variety_q{q}_n{n}"
-    if fmt == "json":
-        report["points"] = S.export_lines(ctx)
-        _write_json(base + ".json", report)
-        click.echo(base + ".json")
-    else:
-        with open(base + ".points.txt", "w") as fh:
-            fh.write("\n".join(S.export_lines(ctx)) + "\n")
-        _write_json(base + ".json", report)
-        click.echo(base + ".points.txt")
-        click.echo(base + ".json")
+    with _exit_on_bad_input():
+        if fmt == "json":
+            report["points"] = S.export_lines(ctx)
+            _write_json(base + ".json", report)
+            click.echo(base + ".json")
+        else:
+            with open(base + ".points.txt", "w") as fh:
+                fh.write("\n".join(S.export_lines(ctx)) + "\n")
+            _write_json(base + ".json", report)
+            click.echo(base + ".points.txt")
+            click.echo(base + ".json")
     click.echo(f"|M| = {len(S)}, spectrum support {sorted(set(spectrum))}, "
                f"two-character {'ok' if ok else 'FAILED'}")
     sys.exit(EXIT_OK if ok else EXIT_VERIFY_FAILED)
@@ -138,21 +140,22 @@ def oa(q, n, a, b, out, fmt, budget):
     with _exit_on_bad_input():
         ctx = field_context(q)
         params = _params(ctx, n, a, b, mode="family")
-        A = oa_mod.build_oa(params, budget=_budget(budget), verify=False)
+        A = oa_mod.build_oa(params, budget=_budget(budget))
     strength = oa_mod.verify_strength(A, 2)
     simple = oa_mod.verify_simple(A)
     ok = strength.ok and strength.index == A.index and simple
     base = out or f"oa_q{q}_n{n}"
-    if fmt == "json":
-        payload = oa_mod.oa_sidecar(A, oa_mod.oa_csv_bytes(A), strength,
-                                    simple, cfg)
-        payload["entries"] = A.entries.tolist()
-        _write_json(base + ".json", payload)
-        click.echo(base + ".json")
-    else:
-        csv_path, json_path = oa_mod.write_oa(A, base, strength, simple, cfg)
-        click.echo(csv_path)
-        click.echo(json_path)
+    with _exit_on_bad_input():
+        if fmt == "json":
+            payload = oa_mod.oa_sidecar(A, oa_mod.oa_csv_bytes(A), strength,
+                                        simple, cfg)
+            payload["entries"] = A.entries.tolist()
+            _write_json(base + ".json", payload)
+            click.echo(base + ".json")
+        else:
+            csv_path, json_path = oa_mod.write_oa(A, base, strength, simple, cfg)
+            click.echo(csv_path)
+            click.echo(json_path)
     click.echo(f"OA({A.runs},{A.factors},{A.levels},2) index {A.index}: "
                f"strength {'ok' if strength.ok else 'FAILED'}, "
                f"simple {'ok' if simple else 'FAILED'}")
@@ -190,8 +193,9 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     if q <= 4:
         # contracts disabled: emit the artifacts and report what exists
         base = out or f"code_q{q}"
-        paths = codes_mod.write_code(c, ec, base, None, cfg,
-                                     dump_codewords=dump_codewords)
+        with _exit_on_bad_input():
+            paths = codes_mod.write_code(c, ec, base, None, cfg,
+                                         dump_codewords=dump_codewords)
         for p in paths:
             click.echo(p)
         click.echo(f"[{c.length},{c.dimension},{d}] built")
@@ -211,8 +215,9 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
         c = dx
         label += f" doubly extended to [{dx.length},{dx.dimension},{d2}]"
     base = out or f"code_q{q}"
-    paths = codes_mod.write_code(c, ec, base, rs, cfg,
-                                 dump_codewords=dump_codewords)
+    with _exit_on_bad_input():
+        paths = codes_mod.write_code(c, ec, base, rs, cfg,
+                                     dump_codewords=dump_codewords)
     for p in paths:
         click.echo(p)
     click.echo(f"{label}: {'ok' if ok else 'FAILED'} "
@@ -244,7 +249,8 @@ def grid(instances, out, budget):
     report = run_grid(spec)
     report["config"] = cfg
     base = out or "grid_report"
-    _write_json(base + ".json", report)
+    with _exit_on_bad_input():
+        _write_json(base + ".json", report)
     click.echo(base + ".json")
     for inst in report["instances"]:
         status = "ok" if inst["ok"] else "FAILED"

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from itertools import product
 
 from .fields import FieldCtx
-from .geometry import BMParams, affine_rhs, bab_affine_eval, normalize_point
+from .geometry import (BMParams, affine_points, affine_rhs, bab_affine_eval,
+                       normalize_point)
 
 
 @dataclass(frozen=True)
@@ -123,18 +124,10 @@ def in_psi(params: BMParams, g: Collineation) -> bool:
 
 
 def psi_group(params: BMParams) -> list[Collineation]:
-    """All q^{2n-1} stabilizer elements, lexicographic in the alpha head."""
-    ctx, n = params.ctx, params.n
-    out = []
-    for head in product(range(ctx.q2), repeat=n - 1):
-        betas = tuple(_beta_constraint(params, a) for a in head)
-        d = affine_rhs(params, head)
-        roots = sorted(ctx.artin_schreier_roots(d))
-        if len(roots) != ctx.q:
-            raise RuntimeError("stabilizer equation unsolvable")  # pragma: no cover
-        for an in roots:
-            out.append(Collineation(head + (an,), betas))
-    return out
+    """All q^{2n-1} stabilizer elements: one per affine point of the variety,
+    in the order of ``affine_points``."""
+    return [Collineation(pt, tuple(_beta_constraint(params, a) for a in pt[:-1]))
+            for pt in affine_points(params)]
 
 
 @dataclass(frozen=True)

@@ -9,12 +9,14 @@ GF(q); with this encoding the subfield GF(q) occupies exactly the codes
 
 Moduli are chosen deterministically (the lexicographically smallest monic
 irreducible polynomial, ordered by the integer encoding of the non-leading
-coefficients), so the same q always yields bit-identical contexts.
+coefficients, found by trial division), so the same q always yields
+bit-identical contexts.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -28,41 +30,8 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured desk-scale budget."""
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-def prime_power(q: int) -> tuple[int, int]:
-    """Split q = p^h with p prime, or raise ValueError."""
-    if q < 2:
-        raise ValueError(f"q must be a prime power >= 2, got {q}")
-    for p in range(2, q + 1):
-        if not is_prime(p):
-            continue
-        if q % p:
-            continue
-        h, m = 0, q
-        while m % p == 0:
-            m //= p
-            h += 1
-        if m != 1:
-            raise ValueError(f"q = {q} is not a prime power")
-        return p, h
-    raise ValueError(f"q = {q} is not a prime power")
-
-
 def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n >= 1, ascending, by trial division."""
     out = []
     d = 2
     while d * d <= n:
@@ -76,6 +45,23 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
+def is_prime(n: int) -> bool:
+    return n >= 2 and _prime_factors(n) == [n]
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """Split q = p^h with p prime, or raise ValueError."""
+    if q < 2:
+        raise ValueError(f"q must be a prime power >= 2, got {q}")
+    factors = _prime_factors(q)
+    if len(factors) != 1:
+        raise ValueError(f"q = {q} is not a prime power")
+    p, h = factors[0], 1
+    while p**h < q:
+        h += 1
+    return p, h
+
+
 class PrimeField:
     """GF(p) with elements 0..p-1."""
 
@@ -85,9 +71,6 @@ class PrimeField:
         self.p = p
         self.order = p
         self.char = p
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def add(self, a: int, b: int) -> int:
         return (a + b) % self.p
@@ -139,46 +122,9 @@ def _pmul(F, f: list[int], g: list[int]) -> list[int]:
     return _ptrim(out)
 
 
-def _pmod(F, f: list[int], m: list[int]) -> list[int]:
-    """Remainder of f modulo the monic polynomial m."""
-    f = list(f)
-    d = len(m) - 1
-    while len(f) > d:
-        c = f.pop()
-        if c == 0:
-            continue
-        k = len(f) - d
-        for j in range(d):
-            if m[j]:
-                f[k + j] = F.sub(f[k + j], F.mul(c, m[j]))
-    return _ptrim(f)
-
-
-def _ppowmod(F, f: list[int], e: int, m: list[int]) -> list[int]:
-    result = [1]
-    base = _pmod(F, list(f), m)
-    while e:
-        if e & 1:
-            result = _pmod(F, _pmul(F, result, base), m)
-        base = _pmod(F, _pmul(F, base, base), m)
-        e >>= 1
-    return result
-
-
-def _leading(f: list[int]) -> int:
-    return f[-1]
-
-
-def _monic(F, f: list[int]) -> list[int]:
-    lc = f[-1]
-    if lc == 1:
-        return f
-    c = F.inv(lc)
-    return [F.mul(c, x) for x in f]
-
-
 def _pdivmod(F, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
-    lc = _leading(g)
+    """Quotient and remainder of f by the nonzero polynomial g."""
+    lc = g[-1]
     rem = list(f)
     d = len(g) - 1
     qc = [0] * max(len(rem) - d, 1)
@@ -197,7 +143,7 @@ def _pdivmod(F, f: list[int], g: list[int]) -> tuple[list[int], list[int]]:
 
 def _pext_inv(F, f: list[int], m: list[int]) -> list[int]:
     """Inverse of f modulo the monic irreducible m, by extended Euclid."""
-    r0, r1 = list(m), _pmod(F, list(f), m)
+    r0, r1 = list(m), _pdivmod(F, f, m)[1]
     s0, s1 = [], [1]
     while r1:
         q, rem = _pdivmod(F, r0, r1)
@@ -219,43 +165,28 @@ def _psub(F, f: list[int], g: list[int]) -> list[int]:
     return _ptrim(out)
 
 
+def _monic_polys(F, degree: int):
+    """Monic polynomials of the given degree over F, ordered by the integer
+    encoding of their non-leading coefficients (constant term least
+    significant)."""
+    for high_first in product(range(F.order), repeat=degree):
+        yield [*reversed(high_first), 1]
+
+
 def is_irreducible(F, f: list[int]) -> bool:
-    """Rabin's test for a monic polynomial over the field F."""
+    """True iff the monic f of degree d >= 1 has no monic factor of degree
+    1..d//2 over the field F (trial division)."""
     d = len(f) - 1
     if d < 1 or f[-1] != 1:
         return False
-    x = [0, 1]
-    if _ppowmod(F, x, F.order**d, f) != _pmod(F, x, f):
-        return False
-    for r in _prime_factors(d):
-        g = _psub(F, _ppowmod(F, x, F.order ** (d // r), f), x)
-        if not g:
-            return False
-        # gcd(f, g) must be constant
-        a, b = list(f), g
-        while b:
-            a, b = b, _pmod(F, a, _monic(F, b))
-        if len(a) != 1:
-            return False
-    return True
+    return all(_pdivmod(F, f, g)[1]
+               for k in range(1, d // 2 + 1) for g in _monic_polys(F, k))
 
 
 def smallest_irreducible(F, degree: int) -> tuple[int, ...]:
-    """Lexicographically least monic irreducible of the given degree over F.
-
-    Candidates are ordered by the integer encoding of their non-leading
-    coefficient vector (constant term least significant).
-    """
-    n = F.order
-    for code in range(n**degree):
-        coeffs, c = [], code
-        for _ in range(degree):
-            coeffs.append(c % n)
-            c //= n
-        f = coeffs + [1]
-        if is_irreducible(F, f):
-            return tuple(f)
-    raise RuntimeError(f"no irreducible of degree {degree} found")  # pragma: no cover
+    """Lexicographically least monic irreducible of the given degree over F,
+    in the order of ``_monic_polys``."""
+    return tuple(next(f for f in _monic_polys(F, degree) if is_irreducible(F, f)))
 
 
 class ExtensionField:
@@ -310,7 +241,7 @@ class ExtensionField:
 
     def _mul_raw(self, a: int, b: int) -> int:
         f = _pmul(self.base, self.digits(a), self.digits(b))
-        f = _pmod(self.base, f, list(self.modulus))
+        _, f = _pdivmod(self.base, f, self.modulus)
         return self.undigits(f + [0] * (self.degree - len(f)))
 
     def _pow_raw(self, a: int, e: int) -> int:
@@ -344,9 +275,6 @@ class ExtensionField:
         self._log = log
 
     # -- public arithmetic on int codes ----------------------------------
-
-    def elements(self) -> range:
-        return range(self.order)
 
     def add(self, a: int, b: int) -> int:
         if self._xor_add:
@@ -567,7 +495,7 @@ class FieldCtx:
     def artin_schreier_roots(self, d: int) -> set[int]:
         """All Z with Z^q - Z = d: a coset of GF(q) if trace(d) = 0, else empty."""
         z0 = self._as_root.get(d)
-        if z0 is None or self.Fq2.sub(self.frob[z0], z0) != d:
+        if z0 is None:
             return set()
         return {self.Fq2.add(z0, w) for w in range(self.q)}
 

@@ -289,15 +289,16 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
             _check(report, "oracle_agreement", False, skipped=str(exc))
         else:
             # zero-set incidence, forms x affine points; its Gram matrix
-            # counts every common zero, the diagonal included
-            incidence = masks.astype(np.int32)
+            # counts every common zero, the diagonal included (float64 takes
+            # the BLAS path and is exact: every count is at most q^{2n} < 2^53)
+            incidence = masks.astype(np.float64)
             agree = np.array_equal(incidence @ incidence.T, mu_matrix)
             _check(report, "oracle_agreement", agree,
                    pairs_checked=k * (k - 1) // 2)
 
     # orthogonal array
     try:
-        A = oa_mod.build_oa(params, budget=spec.budget, verify=False)
+        A = oa_mod.build_oa(params, budget=spec.budget)
         strength = oa_mod.verify_strength(A, 2)
         simple = oa_mod.verify_simple(A)
         lam = q ** (2 * n - 3)

@@ -52,7 +52,7 @@ def test_criterion_2_orthogonal_arrays(n, q, N, k, v, lam):
     """Simple OA(q^{2n-1}, q^{2n-2}, q, 2) with exact index q^{2n-3}."""
     assert lam == q ** (2 * n - 3)  # the index the construction guarantees
     params = _family_params(n, q)
-    A = oam.build_oa(params, verify=False)
+    A = oam.build_oa(params)
     assert (A.runs, A.factors, A.levels, A.strength) == (N, k, v, 2)
     report = oam.verify_strength(A, 2)
     assert report.ok and report.index == lam

@@ -178,10 +178,25 @@ def test_grid_field_beyond_table_limit_exits_3(runner, tmp_path):
     ["oa", "--q", "37", "--n", "2"],
     ["code", "--q", "37"],
     ["grid", "--instances", "2,37"],
-], ids=["variety", "oa", "code", "grid"])
+    ["variety", "--q", "10000019"],
+], ids=["variety", "oa", "code", "grid", "variety-large-prime"])
 def test_field_above_dense_limit_exits_3(runner, tmp_path, args):
     res = runner.invoke(main, args + ["--out", str(tmp_path / "x")])
     assert res.exit_code == 3
+    assert isinstance(res.exception, SystemExit)
+    assert len(res.stderr.strip().splitlines()) == 1
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args", [
+    ["variety", "--q", "2"],
+    ["oa", "--q", "2", "--n", "2"],
+    ["code", "--q", "5"],
+    ["grid", "--instances", "2,2"],
+], ids=["variety", "oa", "code", "grid"])
+def test_unwritable_out_exits_2(runner, tmp_path, args):
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "missing" / "x")])
+    assert res.exit_code == 2
     assert isinstance(res.exception, SystemExit)
     assert len(res.stderr.strip().splitlines()) == 1
     assert not list(tmp_path.iterdir())

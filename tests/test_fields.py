@@ -1,3 +1,5 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -23,9 +25,54 @@ def test_prime_power():
     assert prime_power(8) == (2, 3)
     assert prime_power(9) == (3, 2)
     assert prime_power(7) == (7, 1)
-    for bad in (0, 1, 6, 12, 100):
+    assert prime_power(1_000_000_007) == (1_000_000_007, 1)
+    for bad in (0, 1, 6, 12, 100, 10**9):
         with pytest.raises(ValueError):
             prime_power(bad)
+
+
+# q: (modulus_q, modulus_q2, Fq.generator, Fq2.generator); every export
+# records the moduli, so they must never change
+GOLDEN_CONTEXTS = {
+    2: ((0, 1), (1, 1, 1), 1, 2),
+    3: ((0, 1), (1, 0, 1), 2, 4),
+    4: ((1, 1, 1), (2, 1, 1), 2, 4),
+    5: ((0, 1), (2, 0, 1), 2, 6),
+    7: ((0, 1), (1, 0, 1), 3, 9),
+    8: ((1, 1, 0, 1), (1, 1, 1), 2, 10),
+    9: ((1, 0, 1), (4, 0, 1), 4, 10),
+    11: ((0, 1), (1, 0, 1), 2, 15),
+    13: ((0, 1), (2, 0, 1), 2, 15),
+    16: ((1, 1, 0, 0, 1), (8, 1, 1), 2, 18),
+    17: ((0, 1), (3, 0, 1), 3, 19),
+    19: ((0, 1), (1, 0, 1), 2, 22),
+    23: ((0, 1), (1, 0, 1), 5, 25),
+    25: ((2, 0, 1), (5, 0, 1), 6, 26),
+    27: ((1, 2, 0, 1), (1, 0, 1), 3, 30),
+    29: ((0, 1), (2, 0, 1), 2, 30),
+    31: ((0, 1), (1, 0, 1), 3, 35),
+    32: ((1, 0, 1, 0, 0, 1), (1, 1, 1), 2, 38),
+}
+
+
+@pytest.mark.parametrize("q", sorted(GOLDEN_CONTEXTS))
+def test_golden_moduli_and_generators(q):
+    ctx = field_context(q)
+    assert (ctx.modulus_q, ctx.modulus_q2, ctx.Fq.generator,
+            ctx.Fq2.generator) == GOLDEN_CONTEXTS[q]
+
+
+# (field order, degree): the number of monic irreducibles by Gauss's formula
+# (1/d) sum_{e | d} mu(e) order^(d/e) (Lidl-Niederreiter, Thm 3.25)
+GAUSS_COUNTS = {**{(q, 2): (q * q - q) // 2 for q in ALL_Q},
+                (2, 3): 2, (2, 4): 3, (2, 5): 6, (3, 3): 8}
+
+
+@pytest.mark.parametrize("order,degree", sorted(GAUSS_COUNTS))
+def test_irreducible_count_matches_gauss(order, degree):
+    F = field_context(order).Fq
+    monic = ([*c, 1] for c in product(range(order), repeat=degree))
+    assert sum(is_irreducible(F, f) for f in monic) == GAUSS_COUNTS[order, degree]
 
 
 def test_smallest_irreducible_is_minimal():
