@@ -20,7 +20,7 @@ print(f"parameters: a={params.a}, b={params.b}, condition {params.condition}")
 R = build_R(params)
 print(f"|R| = {len(R)}; every member has betas = 0 and alpha_n in the "
       f"transversal {list(ctx.transversal)}")
-for g in list(R)[:4]:
+for g in R[:4]:
     print(f"  alphas {g.alphas}")
 print("  ...")
 print()

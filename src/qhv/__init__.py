@@ -37,10 +37,11 @@ from .geometry import (
     family_params,
     hermitian_size,
     scan_params,
+    separating_map,
     separation_value,
     validate_params,
 )
-from .collineations import Collineation, RSet, build_R, in_psi, psi_group
+from .collineations import Collineation, build_R, in_psi, psi_group, r_element
 from .intersecting_family import (
     AffineForm,
     act_on_form,

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .collineations import Collineation
+from .collineations import r_element
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
-from .geometry import BMParams, affine_rhs
+from .geometry import BMParams, separating_map
 from .intersecting_family import act_on_form, base_form, form_values, w_set
 
 
@@ -100,10 +100,7 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
         omega = omega_set(ctx)
     # column i is the family form pulled back along the i-th Omega pair
     base = base_form(params)
-    forms = []
-    for w1, w2 in omega.pairs:
-        an = ctx.unique_root_in_transversal(affine_rhs(params, (w1, w2)))
-        forms.append(act_on_form(Collineation((w1, w2, an), (0, 0)), base))
+    forms = [act_on_form(r_element(params, pair), base) for pair in omega.pairs]
     domain = w_set(ctx, 3)
     words = form_values(forms, domain)
     return EvalCode(params, omega, domain, words)
@@ -231,20 +228,16 @@ def doubly_extend(code: EvalCode) -> FqLinearCode:
     the appended coordinate is its leading coefficient (the evaluation "at
     infinity"), which as a function on W equals
 
-        [2 a^q eps^q - (b^q - b) eps] y^q - [2 a eps + (b^q - b) eps^q] y
+        L(eps)^q y^q - L(eps) y,    L = ``separating_map``,
 
     up to the usual theta rescaling.  The result is a [q+1, 5, q-3] code.
     """
     params = code.params
     ctx = params.ctx
     F = ctx.Fq2
-    frob = ctx.frob
-    two = 2 % ctx.p
-    eps, epsq = ctx.epsilon, ctx.frob[ctx.epsilon]
-    bqmb = F.sub(frob[params.b], params.b)
-    c1 = F.sub(F.mul(F.mul(two, frob[params.a]), epsq), F.mul(bqmb, eps))
-    c2 = F.add(F.mul(F.mul(two, params.a), eps), F.mul(bqmb, epsq))
-    ext = np.array([F.sub(F.mul(c1, frob[y]), F.mul(c2, y)) for y in range(ctx.q2)],
+    c2 = separating_map(params, ctx.epsilon)
+    c1 = ctx.frob[c2]
+    ext = np.array([F.sub(F.mul(c1, ctx.frob[y]), F.mul(c2, y)) for y in range(ctx.q2)],
                    dtype=np.int32)
     col = ext[code.domain[:, 1]]
     words = np.concatenate([code.codewords, col[:, None]], axis=1)

@@ -14,7 +14,7 @@ from itertools import product
 
 from .fields import FieldCtx
 from .geometry import (BMParams, affine_points, affine_rhs, bab_affine_eval,
-                       normalize_point)
+                       normalize_point, separating_map)
 
 
 @dataclass(frozen=True)
@@ -100,12 +100,8 @@ def centre_element(n: int, alpha_n: int) -> Collineation:
 
 
 def _beta_constraint(params: BMParams, alpha: int) -> int:
-    """(b - b^q) alpha^q - 2 a alpha."""
-    ctx = params.ctx
-    F = ctx.Fq2
-    bmbq = F.sub(params.b, ctx.frob[params.b])
-    two_a = F.mul(2 % ctx.p, params.a)
-    return F.sub(F.mul(bmbq, ctx.frob[alpha]), F.mul(two_a, alpha))
+    """-L(alpha), with L = ``separating_map``."""
+    return params.ctx.Fq2.neg(separating_map(params, alpha))
 
 
 def in_psi(params: BMParams, g: Collineation) -> bool:
@@ -130,42 +126,24 @@ def psi_group(params: BMParams) -> list[Collineation]:
             for pt in affine_points(params)]
 
 
-@dataclass(frozen=True)
-class RSet:
-    """Transversal-indexed section of the group: one element per alpha head.
+def r_element(params: BMParams, head) -> Collineation:
+    """The R-member over the alpha head (alpha_1..alpha_{n-1}).
 
     All betas vanish and alpha_n is the unique transversal solution of the
     stabilizer equation, so distinct members differ by an element outside the
     stabilizer and index distinct varieties.
     """
-
-    params: BMParams
-    elements: tuple[Collineation, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def to_json(self) -> dict:
-        return {
-            "size": len(self.elements),
-            "alphas": [list(g.alphas) for g in self.elements],
-        }
+    ctx = params.ctx
+    d = affine_rhs(params, head)
+    if ctx.trace(d) != 0:
+        raise RuntimeError(
+            "right-hand side has nonzero trace; arithmetic bug"
+        )  # pragma: no cover
+    an = ctx.unique_root_in_transversal(d)
+    return Collineation(tuple(head) + (an,), (0,) * (params.n - 1))
 
 
-def build_R(params: BMParams) -> RSet:
+def build_R(params: BMParams) -> tuple[Collineation, ...]:
     """One collineation per (alpha_1..alpha_{n-1}), in lexicographic order."""
-    ctx, n = params.ctx, params.n
-    zeros = (0,) * (n - 1)
-    members = []
-    for head in product(range(ctx.q2), repeat=n - 1):
-        d = affine_rhs(params, head)
-        if ctx.trace(d) != 0:
-            raise RuntimeError(
-                "right-hand side has nonzero trace; arithmetic bug"
-            )  # pragma: no cover
-        an = ctx.unique_root_in_transversal(d)
-        members.append(Collineation(head + (an,), zeros))
-    return RSet(params, tuple(members))
+    return tuple(r_element(params, head)
+                 for head in product(range(params.ctx.q2), repeat=params.n - 1))

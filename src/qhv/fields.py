@@ -213,7 +213,6 @@ class ExtensionField:
                 f"{DENSE_TABLE_LIMIT}")
         self.char = base.char
         self._b = base.order
-        self._xor_add = self.char == 2
         self._build_log_tables()
         self._build_dense_tables()
 
@@ -233,8 +232,6 @@ class ExtensionField:
         return a
 
     def _add_raw(self, a: int, b: int) -> int:
-        if self._xor_add:
-            return a ^ b
         F = self.base
         da, db = self.digits(a), self.digits(b)
         return self.undigits(F.add(x, y) for x, y in zip(da, db))
@@ -277,19 +274,13 @@ class ExtensionField:
     # -- public arithmetic on int codes ----------------------------------
 
     def add(self, a: int, b: int) -> int:
-        if self._xor_add:
-            return a ^ b
         return self._add_table[a][b]
 
     def neg(self, a: int) -> int:
-        if self._xor_add:
-            return a
         return self._neg_table[a]
 
     def sub(self, a: int, b: int) -> int:
-        if self._xor_add:
-            return a ^ b
-        return self.add(a, self.neg(b))
+        return self._add_table[a][self._neg_table[b]]
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -323,17 +314,14 @@ class ExtensionField:
     def _build_dense_tables(self) -> None:
         """add and neg digit by digit mod p on the base-p codes, mul by logs."""
         codes = np.arange(self.order)
-        if self._xor_add:
-            add, neg = codes[:, None] ^ codes, codes
-        else:
-            p = self.char
-            add, neg = np.zeros((self.order, self.order), np.int64), 0 * codes
-            place = 1
-            while place < self.order:
-                digit = codes // place % p
-                add += (digit[:, None] + digit) % p * place
-                neg += -digit % p * place
-                place *= p
+        p = self.char
+        add, neg = np.zeros((self.order, self.order), np.int64), 0 * codes
+        place = 1
+        while place < self.order:
+            digit = codes // place % p
+            add += (digit[:, None] + digit) % p * place
+            neg += -digit % p * place
+            place *= p
         log = np.array([0] + self._log[1:])
         mul = np.array(self._exp)[(log[:, None] + log) % (self.order - 1)]
         mul[0, :] = mul[:, 0] = 0
@@ -341,10 +329,9 @@ class ExtensionField:
                         (("add", add), ("mul", mul), ("neg", neg))}
         for t in self._tables.values():
             t.flags.writeable = False
-        if not self._xor_add:
-            # list views for the scalar paths; even characteristic uses xor
-            self._add_table = self._tables["add"].tolist()
-            self._neg_table = self._tables["neg"].tolist()
+        # list views for the scalar paths
+        self._add_table = self._tables["add"].tolist()
+        self._neg_table = self._tables["neg"].tolist()
 
     def np_add_table(self) -> np.ndarray:
         return self._tables["add"]

@@ -54,14 +54,26 @@ class BMParams:
 def separation_value(ctx: FieldCtx, a: int, b: int) -> int:
     """4 a^{q+1} + (b^q - b)^2, an element of GF(q).
 
-    Nonzero iff the map u -> 2 a u + (b^q - b) u^q is injective, which is what
-    makes distinct family members distinct and the row map injective.  For
-    even q it is (b^q - b)^2 != 0 automatically.
+    Nonzero iff ``separating_map`` is injective, which is what makes distinct
+    family members distinct and the row map injective.  For even q it is
+    (b^q - b)^2 != 0 automatically.
     """
     F = ctx.Fq2
     four = 4 % ctx.p
     bqmb = F.sub(ctx.frob[b], b)
     return F.add(F.mul(four, ctx.norm(a)), F.mul(bqmb, bqmb))
+
+
+def separating_map(params: BMParams, u: int) -> int:
+    """L(u) = 2 a u + (b^q - b) u^q, GF(q)-linear; see ``separation_value``.
+
+    Pulling the base form back along alpha shifts its coefficients by L(alpha);
+    the stabilizer's betas are -L(alpha).
+    """
+    ctx = params.ctx
+    F = ctx.Fq2
+    bqmb = F.sub(ctx.frob[params.b], params.b)
+    return F.add(F.mul(F.mul(2 % ctx.p, params.a), u), F.mul(bqmb, ctx.frob[u]))
 
 
 def _check_b(ctx: FieldCtx, b: int) -> None:

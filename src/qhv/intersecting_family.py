@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collineations import Collineation, RSet, build_R, identity
-from .geometry import BMParams, bab_affine_eval
+from .collineations import Collineation, build_R, identity
+from .geometry import BMParams, bab_affine_eval, separating_map
 from .fields import FieldCtx
 
 
@@ -50,26 +50,21 @@ def base_form(params: BMParams) -> AffineForm:
 
 
 def act_on_form(g: Collineation, form: AffineForm) -> AffineForm:
-    """The pullback F^g with (F^g)(P) = F(g applied to P) for affine P."""
+    """The pullback F^g with (F^g)(P) = F(g applied to P) for affine P.
+
+    With shift_i = L(alpha_i) + beta_i (L = ``separating_map``), u_i gains
+    shift_i^q and v_i loses shift_i.
+    """
     params = form.params
     if g.n != params.n:
         raise ValueError("dimension mismatch")
-    ctx = params.ctx
-    F = ctx.Fq2
-    frob = ctx.frob
-    a, b = params.a, params.b
-    two = 2 % ctx.p
-    two_a = F.mul(two, a)
-    two_aq = F.mul(two, frob[a])
-    bqmb = F.sub(frob[b], b)
+    F = params.ctx.Fq2
+    frob = params.ctx.frob
     u, v = [], []
     for ui, vi, alpha, beta in zip(form.u, form.v, g.alphas[:-1], g.betas):
-        du = F.sub(F.mul(two_aq, frob[alpha]), F.mul(bqmb, alpha))
-        du = F.add(du, frob[beta])
-        dv = F.add(F.mul(two_a, alpha), F.mul(bqmb, frob[alpha]))
-        dv = F.neg(F.add(dv, beta))
-        u.append(F.add(ui, du))
-        v.append(F.add(vi, dv))
+        shift = F.add(separating_map(params, alpha), beta)
+        u.append(F.add(ui, frob[shift]))
+        v.append(F.sub(vi, shift))
     w = F.add(form.w, bab_affine_eval(params, g.alphas))
     for ui, vi, alpha in zip(form.u, form.v, g.alphas[:-1]):
         w = F.add(w, F.mul(ui, frob[alpha]))
@@ -77,7 +72,8 @@ def act_on_form(g: Collineation, form: AffineForm) -> AffineForm:
     return AffineForm(params, g, tuple(u), tuple(v), w)
 
 
-def family(params: BMParams, rset: RSet | None = None) -> list[AffineForm]:
+def family(params: BMParams,
+           rset: tuple[Collineation, ...] | None = None) -> list[AffineForm]:
     """The q^{2n-2} pullbacks of the base form, in R order."""
     if rset is None:
         rset = build_R(params)
@@ -153,17 +149,10 @@ def intersection_count(forms: list[AffineForm]) -> np.ndarray:
 
 
 def s_coefficients(params: BMParams, g: Collineation, g2: Collineation) -> tuple[int, ...]:
-    """2 a (alpha_i - alpha'_i) + (b^q - b)(alpha_i^q - alpha'_i^q), i < n."""
-    ctx = params.ctx
-    F = ctx.Fq2
-    two_a = F.mul(2 % ctx.p, params.a)
-    bqmb = F.sub(ctx.frob[params.b], params.b)
-    out = []
-    for x, y in zip(g.alphas[:-1], g2.alphas[:-1]):
-        d = F.sub(x, y)
-        dq = F.sub(ctx.frob[x], ctx.frob[y])
-        out.append(F.add(F.mul(two_a, d), F.mul(bqmb, dq)))
-    return tuple(out)
+    """L(alpha_i - alpha'_i) for i < n, with L = ``separating_map``."""
+    F = params.ctx.Fq2
+    return tuple(separating_map(params, F.sub(x, y))
+                 for x, y in zip(g.alphas[:-1], g2.alphas[:-1]))
 
 
 def separating_g(params: BMParams, P, P2,

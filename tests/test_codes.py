@@ -310,23 +310,23 @@ def test_doubly_extend_zero_row():
     assert (dx.codewords == 0).all(axis=1).any()
 
 
-def test_extension_column_is_leading_coefficient():
-    # appended coordinate == t^4 coefficient of the interpolating polynomial
-    q = 7
+@pytest.mark.parametrize("q", [5, 7, 8])
+def test_extension_column_is_leading_coefficient(q):
+    # appended coordinate == t^4 coefficient of the interpolating polynomial,
+    # on every row; q = 8 pins the even case, where 2a = 0
     ec = _code(q)
     c = cod.scale_to_fq(ec)
     dx = cod.doubly_extend(ec)
     assert (dx.codewords[:, :q] == c.codewords).all()
     Fq = field_context(q).Fq
+    add, mul = Fq.np_add_table(), Fq.np_mul_table()
     psi = ec.omega.psi
     vand = [[Fq.pow(psi[i], k) for k in range(5)] for i in range(5)]
     vinv = linalg.inv_matrix(Fq, vand)
-    rng = random.Random(21)
-    for r in rng.sample(range(len(c.codewords)), 60):
-        lead = 0
-        for i in range(5):
-            lead = Fq.add(lead, Fq.mul(vinv[4][i], int(c.codewords[r, i])))
-        assert lead == int(dx.codewords[r, q])
+    lead = np.zeros(len(c.codewords), dtype=np.int32)
+    for i in range(5):
+        lead = add[lead, mul[vinv[4][i]][c.codewords[:, i]]]
+    assert (lead == dx.codewords[:, q]).all()
 
 
 # -- exports ----------------------------------------------------------------------------

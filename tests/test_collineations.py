@@ -125,7 +125,7 @@ def test_build_r_basics():
     params = geo.scan_params(ctx, 2, mode="family")
     R = col.build_R(params)
     assert len(R) == 9
-    assert col.identity(2) in R.elements
+    assert col.identity(2) in R
     C = set(ctx.transversal)
     for g in R:
         assert g.betas == (0,)
@@ -140,7 +140,7 @@ def test_r_zero_head_is_identity():
         ctx = field_context(q)
         params = geo.scan_params(ctx, 2, mode="family")
         R = col.build_R(params)
-        assert R.elements[0] == col.identity(2)
+        assert R[0] == col.identity(2)
 
 
 def test_r_cosets_avoid_psi_2_3():
@@ -153,11 +153,12 @@ def test_r_cosets_avoid_psi_2_3():
             assert col.in_psi(params, gg) == (g == g2)
 
 
-def test_rset_json():
+def test_build_r_is_tuple_of_distinct_heads():
     ctx = field_context(2)
     params = geo.scan_params(ctx, 2, mode="family")
-    payload = col.build_R(params).to_json()
-    assert payload["size"] == 4 and len(payload["alphas"]) == 4
+    R = col.build_R(params)
+    assert isinstance(R, tuple) and len(R) == 4
+    assert len({g.alphas for g in R}) == 4
 
 
 def test_apply_commutes_with_scalar_rescaling():

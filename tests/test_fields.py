@@ -304,6 +304,21 @@ def test_dense_tables_match_digit_level(order):
         assert [F.pow(a, e) for a in elems] == [F._pow_raw(a, e) for a in elems]
 
 
+@pytest.mark.parametrize("order", sorted(o for o in TABLE_FIELDS if o % 2 == 0)
+                         + [DENSE_TABLE_LIMIT], ids=lambda o: f"GF{o}")
+def test_even_tables_are_xor(order):
+    # in characteristic 2 the digit-by-digit tables reduce to xor and identity
+    if order == DENSE_TABLE_LIMIT:
+        F = field_context(32).Fq2
+    else:
+        q, name = TABLE_FIELDS[order]
+        F = getattr(field_context(q), name)
+    assert F.order == order
+    codes = np.arange(order)
+    assert (F.np_add_table() == codes[:, None] ^ codes).all()
+    assert (F.np_neg_table() == codes).all()
+
+
 def test_dense_tables_refused_above_limit(monkeypatch):
     F = FieldCtx(32).Fq2
     assert F.order == DENSE_TABLE_LIMIT

@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 
 from qhv import geometry as geo
@@ -37,6 +38,22 @@ def test_qh1_at_3_3():
     p = geo.scan_params(ctx, 3, mode="quasi_hermitian")
     assert p.condition == "QH1"
     assert geo.separation_value(ctx, p.a, p.b) != 0
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_separating_map_is_linear_and_injective_iff_separating(q):
+    # L(u) = 2 a u + (b^q - b) u^q, for every a and every b outside GF(q)
+    ctx = field_context(q)
+    F = ctx.Fq2
+    add, mul = F.np_add_table(), F.np_mul_table()
+    for a in range(ctx.q2):
+        for b in range(ctx.q, ctx.q2):
+            params = geo.BMParams(ctx, 2, a, b, "affine")
+            L = np.array([geo.separating_map(params, u) for u in range(ctx.q2)])
+            assert (L[add] == add[L[:, None], L]).all()
+            assert (L[mul[:q]] == mul[np.arange(q)[:, None], L]).all()
+            injective = len(set(L.tolist())) == ctx.q2
+            assert injective == (geo.separation_value(ctx, a, b) != 0)
 
 
 def test_qh2_empty_at_q3():

@@ -113,7 +113,7 @@ def test_intersection_count_matches_naive_double_loop():
     for i in (0, 3):
         for j in (1, 5, 8):
             assert counts[i, j] == \
-                naive_intersection_count(params, R.elements[i], R.elements[j])
+                naive_intersection_count(params, R[i], R[j])
 
 
 def test_intersection_requires_shared_params():
@@ -141,7 +141,7 @@ def test_s_trace_zero_tuple_count():
     ctx = field_context(3)
     params = _params(2, 3)
     R = col.build_R(params)
-    g, g2 = R.elements[0], R.elements[4]
+    g, g2 = R[0], R[4]
     (s1,) = fam.s_coefficients(params, g, g2)
     count = sum(1 for x in range(9) if ctx.trace(ctx.Fq2.mul(s1, x)) == 0)
     assert count == 3 ** (2 * 2 - 3)

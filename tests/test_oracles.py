@@ -215,6 +215,6 @@ def test_zero_set_masks_catch_a_wrong_power_table(monkeypatch):
 def test_oracles_share_no_optimized_evaluation_code():
     # qhv.oracles is the one deliberate second copy of the arithmetic
     source = inspect.getsource(oracles)
-    shared = re.findall(r"\b(form_values|act_on_form|np_add_table|"
-                        r"np_mul_table|np_neg_table)\b", source)
+    shared = re.findall(r"\b(form_values|act_on_form|separating_map|r_element|"
+                        r"np_add_table|np_mul_table|np_neg_table)\b", source)
     assert not shared
