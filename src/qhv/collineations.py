@@ -133,13 +133,12 @@ def r_element(params: BMParams, head) -> Collineation:
     stabilizer equation, so distinct members differ by an element outside the
     stabilizer and index distinct varieties.
     """
-    ctx = params.ctx
     d = affine_rhs(params, head)
-    if ctx.trace(d) != 0:
+    try:
+        an = params.ctx.unique_root_in_transversal(d)
+    except ValueError:
         raise RuntimeError(
-            "right-hand side has nonzero trace; arithmetic bug"
-        )  # pragma: no cover
-    an = ctx.unique_root_in_transversal(d)
+            "right-hand side has nonzero trace; arithmetic bug") from None
     return Collineation(tuple(head) + (an,), (0,) * (params.n - 1))
 
 

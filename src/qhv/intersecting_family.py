@@ -16,6 +16,7 @@ import numpy as np
 from .collineations import Collineation, build_R, identity
 from .geometry import BMParams, bab_affine_eval, separating_map
 from .fields import FieldCtx
+from .linalg import gram
 
 
 @dataclass(frozen=True)
@@ -134,8 +135,12 @@ def intersection_count(forms: list[AffineForm]) -> np.ndarray:
     For each head (x_1..x_{n-1}) the affine solutions in x_n form the
     Artin-Schreier coset determined by the x_n-free part of the form, so two
     forms share a head's q zeros exactly when their tail profiles agree
-    there.  Entry (i, j) is q times the number of such heads: q^{2n-1} on
-    the diagonal and q^{2n-2} between distinct family members.
+    there.  With P the heads x forms matrix of profiles, entry (i, j) is q
+    times the number of heads where columns i and j agree, that is
+    q Sum_c (P = c)^T (P = c): the Gram matrix of the 0/1 matrix with rows
+    indexed by (head, value).  Only the pairs that occur get a row, as the
+    others hold no 1.  It reads q^{2n-1} on the diagonal and q^{2n-2}
+    between distinct family members.
     """
     params = forms[0].params
     if any(f.params is not params and f.params != params for f in forms):
@@ -143,9 +148,11 @@ def intersection_count(forms: list[AffineForm]) -> np.ndarray:
     ctx = params.ctx
     # one row per head, x_n = transversal[0] = 0
     profiles = form_values(forms, w_set(ctx, params.n)[::ctx.q])
-    agree = [np.count_nonzero(profiles == profiles[:, [i]], axis=0)
-             for i in range(len(forms))]
-    return ctx.q * np.array(agree)
+    pairs = np.arange(len(profiles))[:, None] * ctx.q2 + profiles
+    rows, row_of = np.unique(pairs, return_inverse=True)
+    hits = np.zeros((len(rows), len(forms)), dtype=bool)
+    hits[row_of.reshape(pairs.shape), np.arange(len(forms))] = True
+    return ctx.q * gram(hits)
 
 
 def s_coefficients(params: BMParams, g: Collineation, g2: Collineation) -> tuple[int, ...]:

@@ -1,7 +1,9 @@
 """Dense exact linear algebra over a field object (int-coded entries).
 
 `SpanBuilder` is the one Gaussian elimination: ranks, spans and inverses
-all go through it.
+all go through it.  `gram_blocks` is the one co-occurrence counter: OA
+strength, mutual intersections and the W-relative intersections are all
+blocks of the Gram matrix of a 0/1 matrix.
 """
 
 from __future__ import annotations
@@ -81,6 +83,49 @@ def distinct_rows(matrix) -> int:
         return min(len(m), 1)
     keys = np.sort(m.view(np.dtype((np.void, m.itemsize * m.shape[1]))).ravel())
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
+
+
+#: columns per Gram band; a band's product is GRAM_BLOCK x (columns) floats
+GRAM_BLOCK = 256
+
+
+def gram_dtype(rows: int) -> type:
+    """BLAS float type whose sums of ``rows`` 0/1 products are exact.
+
+    A count never exceeds the row count, and float32 holds every integer
+    below 2^24 exactly, whatever order BLAS sums in; float64 from there on.
+    """
+    return np.float32 if rows < 2**24 else np.float64
+
+
+def gram_blocks(band, ncols: int, width: int):
+    """The exact Gram matrix X^T X of a 0/1 matrix, a band of columns at a time.
+
+    ``band(lo, hi)`` returns the columns X[:, lo:hi], so X is never held
+    whole.  Yields (lo, G) with G = X[:, lo:lo+width]^T X[:, lo:]: the band's
+    rows of the upper block triangle, diagonal block included, as exact
+    integer counts in ``gram_dtype``.  Each product takes one pair of bands.
+    """
+    for lo in range(0, ncols, width):
+        left = band(lo, lo + width)
+        dtype = gram_dtype(len(left))
+        left = np.asarray(left, dtype=dtype)
+        G = np.empty((left.shape[1], ncols - lo), dtype=dtype)
+        for at in range(lo, ncols, width):
+            right = left if at == lo else np.asarray(band(at, at + width), dtype=dtype)
+            G[:, at - lo:at - lo + width] = left.T @ right
+        yield lo, G
+
+
+def gram(X) -> np.ndarray:
+    """The exact Gram matrix X^T X of a 0/1 matrix, as int64 counts."""
+    k = X.shape[1]
+    G = np.empty((k, k), dtype=np.int64)
+    for lo, rows in gram_blocks(lambda lo, hi: X[:, lo:hi], k, GRAM_BLOCK):
+        hi = lo + len(rows)
+        G[lo:hi, lo:] = rows
+        G[lo:, lo:hi] = rows.T
+    return G
 
 
 def inv_matrix(F, matrix: list[list[int]]) -> list[list[int]]:

@@ -18,7 +18,7 @@ import numpy as np
 from .intersecting_family import family, form_values, w_set
 from .fields import DEFAULT_BUDGET, BudgetExceededError
 from .geometry import BMParams
-from .linalg import distinct_rows
+from .linalg import GRAM_BLOCK, distinct_rows, gram, gram_blocks, gram_dtype
 
 #: verify_strength stops listing violations after this many
 MAX_VIOLATIONS = 1000
@@ -52,11 +52,16 @@ def verify_strength(A: OrthogonalArray, t: int) -> StrengthReport:
     """Count symbol tuples in every N x t column subset.
 
     The array has strength t iff every tuple appears exactly N / v^t times.
-    The subsets are taken a (t-1)-column prefix at a time, in lexicographic
-    order: with key = the prefix symbols read base v, one bincount over
-    (j - last - 1) v^t + key v + E[:, j] counts every t-subset that extends
-    the prefix by a later column j.  Violations are reported, not raised, in
-    (columns, symbol tuple) order, up to ``MAX_VIOLATIONS``.
+    Every count is an entry of a Gram matrix: with X the one-hot matrix of
+    the entries (symbol a of column i is column i v + a of X), block (i, j)
+    of X^T X counts the symbol pairs of columns i and j, and the diagonal of
+    block (i, i) counts column i's symbols.  For t >= 3 the rows are split
+    by the symbols they read on a (t-2)-column prefix, and the Gram of each
+    part's later columns counts the tuples that extend the prefix by two of
+    them.  ``linalg.gram_blocks`` forms the blocks with i <= j a band at a
+    time, and a clean band is accepted with one comparison.  Violations are
+    listed only on failure, in (columns, symbol tuple) order, up to
+    ``MAX_VIOLATIONS``.
     """
     if not 1 <= t <= A.factors:
         raise ValueError("strength must lie between 1 and the number of columns")
@@ -65,29 +70,72 @@ def verify_strength(A: OrthogonalArray, t: int) -> StrengthReport:
         return StrengthReport(t, None, 0, [((), (), N)])
     lam = N // v**t
     entries = np.asarray(A.entries)
-    weights = v ** np.arange(t - 2, -1, -1)
+    depth = max(t - 2, 0)
+    width = max(GRAM_BLOCK // v, 1)  # columns per band
     violations = []
     checked = 0
-    for prefix in combinations(range(k - 1), t - 1):
-        last = prefix[-1] if prefix else -1
-        later = entries[:, last + 1:]
+    for prefix in combinations(range(k - 2), depth):
+        first = prefix[-1] + 1 if prefix else 0
+        later = entries[:, first:]
         m = later.shape[1]
-        cells = (entries[:, list(prefix)] @ weights * v)[:, None] + later
-        cells += np.arange(m) * v**t
-        counts = np.bincount(cells.ravel(), minlength=m * v**t)
-        for pos in np.flatnonzero(counts != lam).tolist():
-            j, sym = divmod(pos, v**t)
-            tup = tuple(sym // v**i % v for i in range(t - 1, -1, -1))
-            violations.append((prefix + (last + 1 + j,), tup, int(counts[pos])))
-            if len(violations) >= MAX_VIOLATIONS:
-                return StrengthReport(t, lam, checked + j + 1, violations)
-        checked += m
+        key = entries[:, list(prefix)] @ v ** np.arange(depth - 1, -1, -1)
+        grams = [gram_blocks(_one_hot(later, key == s, v), m * v, width * v)
+                 for s in range(v**depth)]
+        for bands in zip(*grams):
+            lo = bands[0][0] // v
+            # per prefix symbol tuple: counts by (column i, a, column j, b)
+            C = [G.reshape(-1, v, m - lo, v) for _, G in bands]
+            i, j = np.indices((len(C[0]), m - lo))
+            mask = i == j if t == 1 else i < j
+            if t > 1 and not any(np.any((c != lam).any(axis=(1, 3)) & mask)
+                                 for c in C):
+                checked += int(np.count_nonzero(mask))
+                continue
+            counts = np.stack([c.transpose(0, 2, 1, 3)[mask] for c in C], axis=1)
+            counts = (counts[:, 0, range(v), range(v)] if t == 1
+                      else counts.reshape(len(counts), -1))
+            subsets = first + lo + np.argwhere(mask)[:, :t]
+            bad = np.argwhere(counts != lam)[:MAX_VIOLATIONS - len(violations)]
+            for sub, tup in bad.tolist():
+                symbols = np.unravel_index(tup, (v,) * t)
+                violations.append((prefix + tuple(subsets[sub].tolist()),
+                                   tuple(map(int, symbols)),
+                                   int(counts[sub, tup])))
+                if len(violations) >= MAX_VIOLATIONS:
+                    return StrengthReport(t, lam, checked + sub + 1, violations)
+            checked += len(counts)
     return StrengthReport(t, lam, checked, violations)
+
+
+def _one_hot(entries: np.ndarray, rows: np.ndarray, v: int):
+    """Column bands of the one-hot matrix of the selected rows, in
+    ``gram_dtype``: symbol a of column i is column i v + a; band bounds are
+    multiples of v."""
+    def band(lo, hi):
+        cells = entries[rows, lo // v:hi // v]
+        X = np.zeros((len(cells), cells.shape[1] * v), dtype=gram_dtype(len(cells)))
+        at = np.arange(0, cells.shape[1] * v, v) + cells
+        np.put_along_axis(X, at, 1, axis=1)
+        return X
+    return band
 
 
 def verify_simple(A: OrthogonalArray) -> bool:
     """True iff no two rows coincide."""
     return distinct_rows(A.entries) == A.runs
+
+
+def w_intersections(A: OrthogonalArray) -> np.ndarray:
+    """k x k matrix of the points of W that each pair of members share.
+
+    A row is a point of W and an entry of level 0 marks the field's 0
+    (``level_map[0] == 0``), so this is the (level 0, level 0) block of the
+    one-hot Gram: q^{2n-2} on the diagonal and, for the family, exactly
+    q^{2n-3} between distinct members.
+    """
+    if A.level_map[0] != 0:
+        raise ValueError("level 0 must stand for the field's 0")
+    return gram(np.asarray(A.entries) == 0)
 
 
 def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET) -> OrthogonalArray:
@@ -125,8 +173,17 @@ def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET) -> OrthogonalArray:
 # ---------------------------------------------------------------------------
 
 def oa_csv_bytes(A: OrthogonalArray) -> bytes:
-    lines = [",".join(map(str, row)) for row in A.entries.tolist()]
-    return ("\n".join(lines) + "\n").encode()
+    """One line per row, the levels in decimal, comma-separated.
+
+    Each cell becomes a fixed-width byte slot, its label followed by "," or,
+    in the last column, by newline and padded with NUL; the slots are
+    gathered by the entries and the padding is stripped in one pass.
+    """
+    labels = [str(x) for x in range(A.levels)]
+    slots = np.array([[s + "," for s in labels], [s + "\n" for s in labels]],
+                     dtype=np.bytes_)
+    last = np.arange(A.factors) == A.factors - 1
+    return slots[last.astype(np.intp), A.entries].tobytes().replace(b"\0", b"")
 
 
 def oa_sidecar(A: OrthogonalArray, csv: bytes, strength: StrengthReport,

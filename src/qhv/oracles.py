@@ -162,19 +162,16 @@ def naive_character_spectrum(S: geo.PointSet, ctx: FieldCtx,
 
 def naive_strength_violations(entries, v: int, t: int) -> list:
     """Dictionary-counting re-check of the strength property."""
-    entries = [tuple(int(x) for x in row) for row in entries]
+    columns = [tuple(int(x) for x in col) for col in zip(*entries)]
     N = len(entries)
-    k = len(entries[0])
     lam, rem = divmod(N, v**t)
     if rem:
         return [("unbalanced", N, v**t)]
+    keys = list(product(range(v), repeat=t))
     bad = []
-    for cols in combinations(range(k), t):
-        counts: dict = {}
-        for row in entries:
-            key = tuple(row[c] for c in cols)
-            counts[key] = counts.get(key, 0) + 1
-        for key in product(range(v), repeat=t):
+    for cols in combinations(range(len(columns)), t):
+        counts = Counter(zip(*(columns[c] for c in cols)))
+        for key in keys:
             if counts.get(key, 0) != lam:
                 bad.append((cols, key, counts.get(key, 0)))
     return bad

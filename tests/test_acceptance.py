@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
 criterion.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -44,15 +46,21 @@ def test_criterion_1_mutual_mu(n, q):
 
 OA_GRID = [(2, 2, 8, 4, 2, 2), (2, 3, 27, 9, 3, 3), (2, 4, 64, 16, 4, 4),
            (3, 2, 32, 16, 2, 8), (3, 3, 243, 81, 3, 27),
-           (3, 4, 1024, 256, 4, 64)]
+           (3, 4, 1024, 256, 4, 64), (3, 5, 3125, 625, 5, 125),
+           (4, 3, 2187, 729, 3, 243)]
+
+
+@functools.cache
+def _oa(n, q):
+    """The built array, shared by the OA criteria (nothing here mutates it)."""
+    return oam.build_oa(_family_params(n, q))
 
 
 @pytest.mark.parametrize("n,q,N,k,v,lam", OA_GRID)
 def test_criterion_2_orthogonal_arrays(n, q, N, k, v, lam):
     """Simple OA(q^{2n-1}, q^{2n-2}, q, 2) with exact index q^{2n-3}."""
     assert lam == q ** (2 * n - 3)  # the index the construction guarantees
-    params = _family_params(n, q)
-    A = oam.build_oa(params)
+    A = _oa(n, q)
     assert (A.runs, A.factors, A.levels, A.strength) == (N, k, v, 2)
     report = oam.verify_strength(A, 2)
     assert report.ok and report.index == lam
@@ -60,6 +68,22 @@ def test_criterion_2_orthogonal_arrays(n, q, N, k, v, lam):
     assert oam.verify_simple(A)
     print(f"\n[acceptance] criterion 2 (n={n}, q={q}): PASS - "
           f"simple OA({N},{k},{v},2), index {lam}, exhaustive column pairs")
+
+
+@pytest.mark.parametrize("n,q", [inst[:2] for inst in OA_GRID])
+def test_criterion_2_w_relative_mu(n, q):
+    """Mutually mu-intersecting relative to W: every member meets W in
+    q^{2n-2} points and any two meet in W in exactly mu = q^{2n-3}."""
+    A = _oa(n, q)
+    k, mu = A.factors, q ** (2 * n - 3)
+    expected = np.full((k, k), mu)
+    np.fill_diagonal(expected, q ** (2 * n - 2))
+    counts = oam.w_intersections(A)
+    bad = np.argwhere(counts != expected)
+    assert bad.size == 0, bad[:5]
+    print(f"\n[acceptance] criterion 2 W-relative (n={n}, q={q}): PASS - "
+          f"{k} members each meet W in {q ** (2 * n - 2)} points, all "
+          f"{k * (k - 1) // 2} pairs meet in W in {mu}")
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])

@@ -161,6 +161,15 @@ def test_build_r_is_tuple_of_distinct_heads():
     assert len({g.alphas for g in R}) == 4
 
 
+def test_r_element_reports_nonzero_trace_as_arithmetic_bug(monkeypatch):
+    ctx = field_context(3)
+    params = geo.scan_params(ctx, 2, mode="family")
+    d = next(x for x in range(ctx.q2) if ctx.trace(x) != 0)
+    monkeypatch.setattr(col, "affine_rhs", lambda params, head: d)
+    with pytest.raises(RuntimeError, match="nonzero trace; arithmetic bug"):
+        col.r_element(params, (1,))
+
+
 def test_apply_commutes_with_scalar_rescaling():
     ctx = field_context(3)
     F = ctx.Fq2

@@ -165,3 +165,38 @@ def test_distinct_rows_matches_unique(shape):
         m = rng.integers(0, levels, shape).astype(np.int16)
         m = np.concatenate([m, m[::3]])  # duplicated rows on top of chance ones
         assert linalg.distinct_rows(m) == len(np.unique(m, axis=0))
+
+
+def _pair_counts(m) -> dict:
+    """Dictionary count of the rows where columns i and j are both 1."""
+    counts: dict = {}
+    for row in m.tolist():
+        ones = [c for c, x in enumerate(row) if x]
+        for i in ones:
+            for j in ones:
+                counts[i, j] = counts.get((i, j), 0) + 1
+    return counts
+
+
+@pytest.mark.parametrize("shape,density", [((40, 7), 0.5), ((0, 5), 0.5),
+                                           ((12, 520), 0.1), ((60, 300), 0.0)],
+                         ids=["small", "zero_rows", "three_bands", "all_zero"])
+def test_gram_matches_dictionary_count(shape, density):
+    rng = np.random.default_rng(shape[1])
+    m = rng.random(shape) < density
+    if shape[0]:
+        m[:, ::5] = False  # all-zero columns among the others
+    counts = _pair_counts(m)
+    G = linalg.gram(m)
+    assert G.dtype == np.int64 and G.shape == (shape[1], shape[1])
+    assert G.tolist() == [[counts.get((i, j), 0) for j in range(shape[1])]
+                          for i in range(shape[1])]
+
+
+def test_gram_dtype_keeps_counts_exact():
+    # float32 holds every integer below 2^24, and 2^24 + 1 is the first it loses
+    assert linalg.gram_dtype(0) is np.float32
+    assert linalg.gram_dtype(2**24 - 1) is np.float32
+    assert linalg.gram_dtype(2**24) is np.float64
+    assert int(np.float32(2**24 + 1)) == 2**24
+    assert int(np.float64(2**24 + 1)) == 2**24 + 1

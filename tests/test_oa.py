@@ -59,33 +59,44 @@ def test_constant_column_breaks_strength():
     assert {(c, s) for c, s, _ in rep.violations} == {(c, s) for c, s, _ in naive}
 
 
-def _doctored(A):
-    """The built array's entries and copies that break strength in different ways."""
-    q = A.levels
-    rng = np.random.default_rng(A.runs)
-    flipped = A.entries.copy()
-    rows = rng.integers(A.runs, size=5)
-    cols = rng.integers(A.factors, size=5)
+def _doctored(entries, q):
+    """The entries and copies that break strength in different ways."""
+    N, k = entries.shape
+    rng = np.random.default_rng(N)
+    flipped = entries.copy()
+    rows = rng.integers(N, size=5)
+    cols = rng.integers(k, size=5)
     flipped[rows, cols] = (flipped[rows, cols] + 1) % q
-    constant = A.entries.copy()
-    constant[:, A.factors // 2] = q - 1
-    zero = np.zeros_like(A.entries)
-    return {"built": A.entries, "flipped": flipped, "constant": constant,
+    constant = entries.copy()
+    constant[:, k // 2] = q - 1
+    zero = np.zeros_like(entries)
+    return {"built": entries, "flipped": flipped, "constant": constant,
             "zero": zero}
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
-@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2), (2, 4)])
-def test_strength_matches_naive_oracle(n, q, t):
+@pytest.mark.parametrize("n,q,cols", [
+    *(pytest.param(n, q, None, id=f"{n}-{q}")
+      for n, q in [(2, 2), (2, 3), (3, 2), (2, 4), (2, 5)]),
+    pytest.param(2, 3, 1, id="one_column"),
+])
+def test_strength_matches_naive_oracle(n, q, cols, t):
+    # cols keeps the leading columns: None all of them, 1 a one-column array
     A = _build(n, q)
-    for name, entries in _doctored(A).items():
-        arr = oam.OrthogonalArray(A.runs, A.factors, q, 2, A.index, entries,
+    k = cols or A.factors
+    for name, entries in _doctored(A.entries[:, :k], q).items():
+        arr = oam.OrthogonalArray(A.runs, k, q, 2, A.index, entries,
                                   A.level_map)
+        if t > k:
+            with pytest.raises(ValueError):
+                oam.verify_strength(arr, t)
+            continue
         rep = oam.verify_strength(arr, t)
         naive = naive_strength_violations(entries, q, t)
         assert rep.violations == naive[:oam.MAX_VIOLATIONS], name
         assert rep.index == A.runs // q**t
-        subsets = list(combinations(range(A.factors), t))
+        subsets = list(combinations(range(k), t))
+        assert type(rep.subsets_checked) is int  # reports are written as JSON
         if len(naive) < oam.MAX_VIOLATIONS:
             assert rep.subsets_checked == len(subsets), name
         else:  # stopped inside the subset of the last listed violation
@@ -174,6 +185,38 @@ def test_export_deterministic(tmp_path):
 
     assert sidecar["csv_sha256"] == hashlib.sha256(
         p1.with_suffix(".csv").read_bytes()).hexdigest()
+
+
+def _csv_by_row_join(entries) -> bytes:
+    """Reference CSV: one comma join per row."""
+    lines = [",".join(map(str, row)) for row in entries.tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("v", [2, 3, 10, 11, 32])
+@pytest.mark.parametrize("k", [1, 2, 7])
+def test_csv_matches_row_join(v, k):
+    rng = np.random.default_rng(v * k)
+    entries = rng.integers(v, size=(40, k)).astype(np.int16)
+    entries[0] = v - 1  # the widest label in every column
+    A = oam.OrthogonalArray(40, k, v, 2, 1, entries, tuple(range(v)))
+    assert oam.oa_csv_bytes(A) == _csv_by_row_join(entries)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2)])
+def test_w_intersections_match_zero_set_pairs(n, q):
+    A = _build(n, q)
+    zeros = [set(np.flatnonzero(col == 0).tolist()) for col in A.entries.T]
+    expected = [[len(a & b) for b in zeros] for a in zeros]
+    assert oam.w_intersections(A).tolist() == expected
+
+
+def test_w_intersections_need_zero_at_level_zero():
+    A = _build(2, 3)
+    shifted = oam.OrthogonalArray(A.runs, A.factors, A.levels, 2, A.index,
+                                  A.entries, A.level_map[1:] + A.level_map[:1])
+    with pytest.raises(ValueError):
+        oam.w_intersections(shifted)
 
 
 def test_strength_three_runs_without_contract():

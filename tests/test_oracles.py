@@ -216,5 +216,6 @@ def test_oracles_share_no_optimized_evaluation_code():
     # qhv.oracles is the one deliberate second copy of the arithmetic
     source = inspect.getsource(oracles)
     shared = re.findall(r"\b(form_values|act_on_form|separating_map|r_element|"
-                        r"np_add_table|np_mul_table|np_neg_table)\b", source)
+                        r"np_add_table|np_mul_table|np_neg_table|"
+                        r"gram|gram_blocks|gram_dtype)\b", source)
     assert not shared
