@@ -142,6 +142,11 @@ def oa(q, n, a, b, out, fmt, budget):
         params = _params(ctx, n, a, b, mode="family")
         A = oa_mod.build_oa(params, budget=_budget(budget))
     strength = oa_mod.verify_strength(A, 2)
+    if strength.violations:
+        cols, symbols, count = strength.violations[0]
+        click.echo(f"strength check: first violation at columns {cols}, "
+                   f"symbols {symbols}: {count} rows, expected {strength.index}",
+                   err=True)
     simple = oa_mod.verify_simple(A)
     ok = strength.ok and strength.index == A.index and simple
     base = out or f"oa_q{q}_n{n}"
@@ -209,7 +214,7 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     ok = c.dimension == 5 and d == q - 4 and bool(c.is_mds) and rs.two_sided
     label = f"[{c.length},{c.dimension},{d}]"
     if extend:
-        dx = codes_mod.doubly_extend(ec)
+        dx = codes_mod.doubly_extend(ec, c)
         d2 = codes_mod.min_distance(dx)
         ok = ok and dx.dimension == 5 and d2 == q - 3 and bool(dx.is_mds)
         c = dx

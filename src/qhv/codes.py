@@ -119,20 +119,23 @@ class FqLinearCode:
     is_mds: bool | None = None
 
 
-def _fq_code(ctx: FieldCtx, words: np.ndarray) -> FqLinearCode:
-    """Divide by theta, check every entry lands in GF(q), and span the rows."""
+def _to_fq(ctx: FieldCtx, words: np.ndarray) -> np.ndarray:
+    """Divide by theta and check that every entry lands in GF(q)."""
     mul = ctx.Fq2.np_mul_table()
-    theta_inv = ctx.Fq2.inv(ctx.theta)
-    scaled = mul[theta_inv][words]
+    scaled = mul[ctx.Fq2.inv(ctx.theta)][words]
     if not np.all(scaled < ctx.q):
         raise RuntimeError(
             "a rescaled coordinate fell outside GF(q); the trace-zero "
             "invariant is violated")
-    scaled = scaled.astype(np.int16)
-    ncols = scaled.shape[1]
+    return scaled.astype(np.int16)
+
+
+def _fq_code(ctx: FieldCtx, words: np.ndarray) -> FqLinearCode:
+    """Divide by theta, check every entry lands in GF(q), and span the rows."""
+    scaled = _to_fq(ctx, words)
     builder = linalg.row_space(ctx.Fq, scaled)
-    gen = np.array(builder.basis, dtype=np.int16).reshape(builder.rank, ncols)
-    return FqLinearCode(ctx.q, ncols, scaled, builder.rank, gen)
+    return FqLinearCode(ctx.q, scaled.shape[1], scaled, builder.rank,
+                        builder.matrix())
 
 
 def scale_to_fq(code: EvalCode) -> FqLinearCode:
@@ -189,39 +192,29 @@ def rs_equivalence_check(code: FqLinearCode, omega: OmegaSet) -> RSReport:
     Fq = field_context(q).Fq
     psi = omega.psi
     vand = [[Fq.pow(psi[i], k) for k in range(5)] for i in range(5)]
-    vinv = linalg.inv_matrix(Fq, vand)
+    # value at psi(j) of the interpolant through words[:, :5], for j >= 5
+    powers = [[Fq.pow(psi[j], k) for j in range(5, q)] for k in range(5)]
+    interpolate = linalg.linear_image(
+        Fq, np.transpose(linalg.inv_matrix(Fq, vand)), powers)
     words = np.asarray(code.codewords)
-    mul = Fq.np_mul_table()
-    add = Fq.np_add_table()
-    head = [words[:, i] for i in range(5)]
-    coeffs = []
-    for k in range(5):
-        acc = mul[vinv[k][0]][head[0]]
-        for i in range(1, 5):
-            if vinv[k][i]:
-                acc = add[acc, mul[vinv[k][i]][head[i]]]
-        coeffs.append(acc)
-    bad = np.zeros((len(words), q), dtype=bool)
-    for j in range(5, q):
-        acc = coeffs[0].copy()
-        tp = 1
-        for k in range(1, 5):
-            tp = Fq.mul(tp, psi[j])
-            acc = add[acc, mul[tp][coeffs[k]]]
-        bad[:, j] = acc != words[:, j]
-    witnesses = np.argwhere(bad)
-    first = tuple(int(x) for x in witnesses[0]) if len(witnesses) else None
+    bad = words[:, 5:] != linalg.linear_image(Fq, words[:, :5], interpolate)
+    mismatches = int(np.count_nonzero(bad))
+    first = None
+    if mismatches:
+        row, col = divmod(int(np.argmax(bad)), bad.shape[1])
+        first = (row, 5 + col)
     distinct = linalg.distinct_rows(words)
     return RSReport(
         checked=len(words),
-        mismatches=len(witnesses),
+        mismatches=mismatches,
         distinct_codewords=distinct,
         expected_codewords=q**5,
         first_mismatch=first,
     )
 
 
-def doubly_extend(code: EvalCode) -> FqLinearCode:
+def doubly_extend(code: EvalCode,
+                  scaled: FqLinearCode | None = None) -> FqLinearCode:
     """Append the degree-4 coefficient coordinate and rescale.
 
     On the polynomial side every codeword is a degree-<=4 polynomial in t;
@@ -231,17 +224,34 @@ def doubly_extend(code: EvalCode) -> FqLinearCode:
         L(eps)^q y^q - L(eps) y,    L = ``separating_map``,
 
     up to the usual theta rescaling.  The result is a [q+1, 5, q-3] code.
+
+    ``scaled`` is ``scale_to_fq(code)``, computed here when not given.  Its
+    rows are already proved to equal rows[:, pivots] · basis, so the q^5
+    rows are not spanned again: only the pivot columns and the appended
+    coordinate go through ``row_space``.  Its RREF is [I | e] when the
+    appended coordinate is rows[:, pivots] · e on every row, and then the
+    extended generator is [basis | e]; otherwise the appended coordinate
+    adds a pivot of its own.  Either way the generator is the RREF of the
+    extended rows.
     """
     params = code.params
     ctx = params.ctx
-    F = ctx.Fq2
+    F, Fq = ctx.Fq2, ctx.Fq
+    if scaled is None:
+        scaled = scale_to_fq(code)
     c2 = separating_map(params, ctx.epsilon)
     c1 = ctx.frob[c2]
     ext = np.array([F.sub(F.mul(c1, ctx.frob[y]), F.mul(c2, y)) for y in range(ctx.q2)],
                    dtype=np.int32)
-    col = ext[code.domain[:, 1]]
-    words = np.concatenate([code.codewords, col[:, None]], axis=1)
-    return _fq_code(ctx, words)
+    col = _to_fq(ctx, ext[code.domain[:, 1]])
+    words = np.concatenate([scaled.codewords, col[:, None]], axis=1)
+    gen = scaled.generator
+    pivots = np.argmax(gen != 0, axis=1)
+    aug = linalg.row_space(Fq, np.column_stack([scaled.codewords[:, pivots], col]))
+    coeffs = aug.matrix()
+    generator = np.concatenate(
+        [linalg.linear_image(Fq, coeffs[:, :-1], gen), coeffs[:, -1:]], axis=1)
+    return FqLinearCode(ctx.q, words.shape[1], words, aug.rank, generator)
 
 
 # ---------------------------------------------------------------------------

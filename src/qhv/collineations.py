@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import FieldCtx
+from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .geometry import (BMParams, affine_points, affine_rhs, bab_affine_eval,
                        normalize_point, separating_map)
 
@@ -142,7 +142,17 @@ def r_element(params: BMParams, head) -> Collineation:
     return Collineation(tuple(head) + (an,), (0,) * (params.n - 1))
 
 
-def build_R(params: BMParams) -> tuple[Collineation, ...]:
+def check_R_budget(params: BMParams, budget: int) -> None:
+    """Raise ``BudgetExceededError`` when R's q^{2n-2} members exceed the budget."""
+    k = params.ctx.q2 ** (params.n - 1)
+    if k > budget:
+        raise BudgetExceededError(
+            f"R would have {k} members, budget is {budget}")
+
+
+def build_R(params: BMParams,
+            budget: int = DEFAULT_BUDGET) -> tuple[Collineation, ...]:
     """One collineation per (alpha_1..alpha_{n-1}), in lexicographic order."""
+    check_R_budget(params, budget)
     return tuple(r_element(params, head)
                  for head in product(range(params.ctx.q2), repeat=params.n - 1))

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .collineations import Collineation, build_R, identity
+from .collineations import Collineation, build_R, check_R_budget, identity
 from .geometry import BMParams, bab_affine_eval, separating_map
-from .fields import FieldCtx
+from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .linalg import gram
 
 
@@ -74,10 +74,12 @@ def act_on_form(g: Collineation, form: AffineForm) -> AffineForm:
 
 
 def family(params: BMParams,
-           rset: tuple[Collineation, ...] | None = None) -> list[AffineForm]:
+           rset: tuple[Collineation, ...] | None = None,
+           budget: int = DEFAULT_BUDGET) -> list[AffineForm]:
     """The q^{2n-2} pullbacks of the base form, in R order."""
+    check_R_budget(params, budget)
     if rset is None:
-        rset = build_R(params)
+        rset = build_R(params, budget)
     base = base_form(params)
     forms = [act_on_form(g, base) for g in rset]
     for f in forms:
@@ -129,7 +131,8 @@ def form_values(forms: list[AffineForm], points) -> np.ndarray:
     return add[values, w]
 
 
-def intersection_count(forms: list[AffineForm]) -> np.ndarray:
+def intersection_count(forms: list[AffineForm],
+                       budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """k x k matrix of common affine zeros, via the coset-matching reduction.
 
     For each head (x_1..x_{n-1}) the affine solutions in x_n form the
@@ -140,12 +143,21 @@ def intersection_count(forms: list[AffineForm]) -> np.ndarray:
     q Sum_c (P = c)^T (P = c): the Gram matrix of the 0/1 matrix with rows
     indexed by (head, value).  Only the pairs that occur get a row, as the
     others hold no 1.  It reads q^{2n-1} on the diagonal and q^{2n-2}
-    between distinct family members.
+    between distinct family members.  Values are trace-zero, so the 0/1
+    matrix has at most q rows for each of the q^{2n-2} heads, q k^2 cells
+    for the whole family; raises ``BudgetExceededError`` when its cells
+    exceed the budget.
     """
     params = forms[0].params
     if any(f.params is not params and f.params != params for f in forms):
         raise ValueError("forms must share parameters")
     ctx = params.ctx
+    k = len(forms)
+    cells = ctx.q * ctx.q2 ** (params.n - 1) * k
+    if cells > budget:
+        raise BudgetExceededError(
+            f"the {k} x {k} intersection matrix would take {cells} one-hot "
+            f"cells, budget is {budget}")
     # one row per head, x_n = transversal[0] = 0
     profiles = form_values(forms, w_set(ctx, params.n)[::ctx.q])
     pairs = np.arange(len(profiles))[:, None] * ctx.q2 + profiles

@@ -1,7 +1,9 @@
 """Dense exact linear algebra over a field object (int-coded entries).
 
 `SpanBuilder` is the one Gaussian elimination: ranks, spans and inverses
-all go through it.  `gram_blocks` is the one co-occurrence counter: OA
+all go through it.  `linear_image` is the one bulk product X·M: span
+membership, Reed-Solomon consistency and the double extension all ask
+whether one column block is a fixed linear image of another.  `gram_blocks` is the one co-occurrence counter: OA
 strength, mutual intersections and the W-relative intersections are all
 blocks of the Gram matrix of a 0/1 matrix.
 """
@@ -46,21 +48,60 @@ class SpanBuilder:
     def rank(self) -> int:
         return len(self.basis)
 
+    def matrix(self) -> np.ndarray:
+        """The basis as a rank x ncols int16 array (field codes fit int16)."""
+        return np.array(self.basis, dtype=np.int16).reshape(self.rank, self.ncols)
 
-def row_space(F, matrix: np.ndarray) -> SpanBuilder:
-    """RREF basis of the span of every row of an int-coded matrix.
 
-    Each new basis vector is the first row whose residual is nonzero; it
-    enters through `SpanBuilder.add`, and all remaining residuals are reduced
-    against it at its pivot in one step with the field's numpy tables.  Rows
-    whose residual vanishes are proved to lie in the span and are dropped, so
-    the loop runs once per basis vector and no row goes unchecked.
+#: rows per ``linear_image`` block; a block's products are IMAGE_BLOCK x c ints
+IMAGE_BLOCK = 4096
+
+#: ``row_space`` draws its basis candidates from about this many rows
+SPAN_SAMPLE = 512
+
+
+def linear_image(F, X, M) -> np.ndarray:
+    """X·M over the field, for int-coded X (N x r) and M (r x c), as int16.
+
+    Row k of M turns into the table ``mul[:, M[k]]``, whose row x is x·M[k];
+    a block of rows gathers one table row per entry of X and sums the r
+    gathered blocks through the flat add table.  Only IMAGE_BLOCK rows are
+    in flight at a time, so the temporaries stay a fixed size.  Field codes
+    stay below DENSE_TABLE_LIMIT, so int16 holds every entry.
     """
-    # codes stay below DENSE_TABLE_LIMIT, so int16 holds every residual
+    X, M = np.asarray(X), np.asarray(M, dtype=np.intp)
+    q = F.order
+    add = F.np_add_table().ravel().astype(np.intp)
+    tables = [F.np_mul_table()[:, m].astype(np.intp) for m in M]
+    out = np.zeros((len(X), M.shape[1]), dtype=np.int16)
+    if not tables:
+        return out
+    for lo in range(0, len(X), IMAGE_BLOCK):
+        block = X[lo:lo + IMAGE_BLOCK]
+        acc = tables[0][block[:, 0]]
+        for k in range(1, len(tables)):
+            acc = add[acc * q + tables[k][block[:, k]]]
+        out[lo:lo + IMAGE_BLOCK] = acc
+    return out
+
+
+def _eliminate(builder: SpanBuilder, rows: np.ndarray) -> None:
+    """Extend the builder until its span holds every row.
+
+    Residuals start as rows - rows[:, pivots] · basis.  Each new basis vector
+    is the first nonzero residual; it enters through `SpanBuilder.add`, and
+    all remaining residuals are reduced against it at its pivot in one step
+    with the field's numpy tables.  A residual that vanishes proves its row
+    lies in the span, so the loop runs once per new basis vector.
+    """
+    F = builder.F
+    # field codes stay below DENSE_TABLE_LIMIT, so int16 holds every residual
     add, mul, neg = (t.astype(np.int16) for t in
                      (F.np_add_table(), F.np_mul_table(), F.np_neg_table()))
-    builder = SpanBuilder(F, matrix.shape[1])
-    residual = matrix[matrix.any(axis=1)].astype(np.int16)
+    rows = rows[rows.any(axis=1)]
+    image = linear_image(F, rows[:, builder.pivots], builder.matrix())
+    residual = add[rows, neg[image]]
+    residual = residual[residual.any(axis=1)]
     while len(residual):
         head = residual[0]
         piv = int(np.flatnonzero(head)[0])
@@ -68,6 +109,27 @@ def row_space(F, matrix: np.ndarray) -> SpanBuilder:
         row = np.asarray(builder.basis[builder.pivots.index(piv)])
         residual = add[residual, neg[mul[residual[:, piv, None], row]]]
         residual = residual[residual.any(axis=1)]
+
+
+def row_space(F, matrix: np.ndarray) -> SpanBuilder:
+    """RREF basis of the span of every row of an int-coded matrix.
+
+    Sample, prove, fall back.  The basis candidates come from every
+    (N // SPAN_SAMPLE + 1)-th row; the + 1 keeps a power-of-two N (the q^5
+    codewords at even q) off a power-of-two stride, which missed a basis
+    direction at q = 8 and 16.  One `linear_image` pass then checks every
+    row against that basis, and the rows it rejects go through the same
+    `_eliminate`.  The sample only picks candidates: every row is proved to
+    lie in the span, and the RREF of a span is unique, so the basis does not
+    depend on the sample.
+    """
+    matrix = np.asarray(matrix, dtype=np.int16)
+    builder = SpanBuilder(F, matrix.shape[1])
+    _eliminate(builder, matrix[::len(matrix) // SPAN_SAMPLE + 1])
+    # a span vector is fixed by its entries at the pivots, so a row lies in
+    # the span exactly when it equals rows[:, pivots] · basis
+    image = linear_image(F, matrix[:, builder.pivots], builder.matrix())
+    _eliminate(builder, matrix[(image != matrix).any(axis=1)])
     return builder
 
 

@@ -147,7 +147,7 @@ def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET) -> OrthogonalArray:
     if N * k > budget:
         raise BudgetExceededError(
             f"array would have {N * k} cells, budget is {budget}")
-    values = form_values(family(params), w_set(ctx, n))
+    values = form_values(family(params, budget=budget), w_set(ctx, n))
     level = np.full(ctx.q2, -1, dtype=np.int16)
     level[list(ctx.t0)] = np.arange(q)
     entries = level[values]

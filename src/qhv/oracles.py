@@ -221,6 +221,45 @@ def _check(report: dict, name: str, ok: bool, **info) -> None:
     report["checks"][name] = {"ok": bool(ok), **info}
 
 
+def _check_family(report: dict, params: BMParams, spec: GridSpec) -> None:
+    """family_size, mutual_mu and oracle_agreement; a stage over budget is
+    recorded as skipped, together with every check that needs it."""
+    n, q = params.n, params.ctx.q
+    try:
+        R = build_R(params, spec.budget)
+        forms = family(params, R, spec.budget)
+    except BudgetExceededError as exc:
+        _check(report, "family_size", False, skipped=str(exc))
+        for name in ("mutual_mu", "oracle_agreement"):
+            _check(report, name, False, skipped="the family was skipped")
+        return
+    mu = q ** (2 * n - 2)
+    _check(report, "family_size", len(forms) == mu, size=len(forms), expected=mu)
+    try:
+        mu_matrix = intersection_count(forms, spec.budget)
+    except BudgetExceededError as exc:
+        # the oracle is compared against the matrix, so it goes too
+        for name in ("mutual_mu", "oracle_agreement"):
+            _check(report, name, False, skipped=str(exc))
+        return
+    k = len(forms)
+    counts = Counter(mu_matrix[np.triu_indices(k, 1)].tolist())
+    _check(report, "mutual_mu", set(counts) <= {mu},
+           histogram={str(c): v for c, v in sorted(counts.items())},
+           expected_mu=mu)
+    try:
+        masks = zero_set_masks(params, R, spec.budget)
+    except BudgetExceededError as exc:
+        _check(report, "oracle_agreement", False, skipped=str(exc))
+        return
+    # zero-set incidence, forms x affine points; its Gram matrix counts every
+    # common zero, the diagonal included (float64 takes the BLAS path and is
+    # exact: every count is at most q^{2n} < 2^53)
+    incidence = masks.astype(np.float64)
+    agree = np.array_equal(incidence @ incidence.T, mu_matrix)
+    _check(report, "oracle_agreement", agree, pairs_checked=k * (k - 1) // 2)
+
+
 def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
     """Every headline claim for one (n, q), optimized paths against oracles."""
     n, q = inst.n, inst.q
@@ -263,35 +302,7 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
         except BudgetExceededError as exc:
             _check(report, "two_character", False, skipped=str(exc))
 
-    # mutual intersection numbers, optimized and oracle
-    R = build_R(params)
-    forms = family(params, R)
-    mu = q ** (2 * n - 2)
-    _check(report, "family_size", len(forms) == mu, size=len(forms), expected=mu)
-    k = len(forms)
-    if k * k > spec.budget:
-        # the oracle is compared against the matrix, so it goes too
-        skipped = f"the {k} x {k} intersection matrix is over budget {spec.budget}"
-        _check(report, "mutual_mu", False, skipped=skipped)
-        _check(report, "oracle_agreement", False, skipped=skipped)
-    else:
-        mu_matrix = intersection_count(forms)
-        counts = Counter(mu_matrix[np.triu_indices(k, 1)].tolist())
-        _check(report, "mutual_mu", set(counts) <= {mu},
-               histogram={str(c): v for c, v in sorted(counts.items())},
-               expected_mu=mu)
-        try:
-            masks = zero_set_masks(params, R, spec.budget)
-        except BudgetExceededError as exc:
-            _check(report, "oracle_agreement", False, skipped=str(exc))
-        else:
-            # zero-set incidence, forms x affine points; its Gram matrix
-            # counts every common zero, the diagonal included (float64 takes
-            # the BLAS path and is exact: every count is at most q^{2n} < 2^53)
-            incidence = masks.astype(np.float64)
-            agree = np.array_equal(incidence @ incidence.T, mu_matrix)
-            _check(report, "oracle_agreement", agree,
-                   pairs_checked=k * (k - 1) // 2)
+    _check_family(report, params, spec)
 
     # orthogonal array
     try:
@@ -317,7 +328,7 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
             c = codes_mod.scale_to_fq(ec)
             d = codes_mod.min_distance(c)
             rs = codes_mod.rs_equivalence_check(c, ec.omega)
-            dx = codes_mod.doubly_extend(ec)
+            dx = codes_mod.doubly_extend(ec, c)
             d2 = codes_mod.min_distance(dx)
             naive_d = naive_min_weight(c.codewords)
             _check(report, "code",

@@ -103,7 +103,7 @@ def test_criterion_3_mds_codes(q):
     assert c.is_mds and d == c.length - c.dimension + 1
     rs = cod.rs_equivalence_check(c, ec.omega)
     assert rs.consistent and rs.two_sided
-    dx = cod.doubly_extend(ec)
+    dx = cod.doubly_extend(ec, c)
     assert (dx.length, dx.dimension) == (q + 1, 5)
     d2 = cod.min_distance(dx)
     assert d2 == q - 3 and dx.is_mds

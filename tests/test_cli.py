@@ -1,5 +1,6 @@
 import hashlib
 import json
+import time
 
 import pytest
 from click.testing import CliRunner
@@ -216,19 +217,62 @@ def test_grid_budget_skips_code_without_traceback(runner, tmp_path):
     assert "1000" in checks["code"]["skipped"]
 
 
-@pytest.mark.parametrize("budget,runs_mu", [(6560, False), (6561, True)])
+@pytest.mark.parametrize("budget,runs_mu", [(19682, False), (19683, True)])
 def test_grid_budget_bounds_intersection_matrix(runner, tmp_path, budget, runs_mu):
-    # k = 81 forms at (3,3), so the k x k matrix needs a budget of 6561
+    # k = 81 forms at (3,3); the one-hot matrix behind the k x k counts has
+    # up to q k rows, so it needs a budget of q k^2 = 19683
     res = runner.invoke(main, ["grid", "--instances", "3,3", "--budget",
                                str(budget), "--out", str(tmp_path / "g")])
-    assert res.exit_code == 1  # the array is over this budget either way
+    # the oracle's 81 x 3^6 evaluations are over this budget either way
+    assert res.exit_code == 1
     checks = json.loads((tmp_path / "g.json").read_text())["instances"][0]["checks"]
-    assert checks["oa"]["skipped"]
+    # the array has N k = q k^2 cells too, so it runs exactly when mu does
+    assert ("skipped" not in checks["oa"]) == checks["oa"]["ok"] == runs_mu
     assert ("skipped" not in checks["mutual_mu"]) == runs_mu
     assert checks["mutual_mu"]["ok"] == runs_mu
     # the oracle is skipped anyway, for its evaluation count when mu runs
     reason = checks["oracle_agreement"]["skipped"]
     assert ("intersection matrix" in reason) != runs_mu
+
+
+def test_grid_budget_skips_family_without_traceback(runner, tmp_path):
+    # R alone would have q^{2n-2} = 2^78 members
+    start = time.perf_counter()
+    res = runner.invoke(main, ["grid", "--instances", "40,2", "--budget", "20000",
+                               "--out", str(tmp_path / "g")])
+    assert time.perf_counter() - start < 5
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    checks = json.loads((tmp_path / "g.json").read_text())["instances"][0]["checks"]
+    assert checks["family_size"] == {
+        "ok": False, "skipped": f"R would have {2**78} members, budget is 20000"}
+    for name in ("mutual_mu", "oracle_agreement"):
+        assert checks[name] == {"ok": False, "skipped": "the family was skipped"}
+    for name in ("variety_size", "oa"):
+        assert not checks[name]["ok"] and "skipped" in checks[name], name
+
+
+def test_oa_strength_failure_names_first_witness(runner, tmp_path, monkeypatch):
+    from qhv import oa as oa_mod
+    from qhv.oracles import naive_strength_violations
+
+    build = oa_mod.build_oa
+
+    def doctored_build(params, budget):
+        A = build(params, budget=budget)
+        A.entries[5, 4] = (A.entries[5, 4] + 1) % A.levels
+        return A
+
+    monkeypatch.setattr(oa_mod, "build_oa", doctored_build)
+    out = tmp_path / "arr"
+    res = runner.invoke(main, ["oa", "--q", "3", "--n", "2", "--out", str(out)])
+    assert res.exit_code == 1
+    rows = [[int(x) for x in line.split(",")]
+            for line in (tmp_path / "arr.csv").read_text().splitlines()]
+    cols, symbols, count = naive_strength_violations(rows, 3, 2)[0]
+    assert res.stderr == (f"strength check: first violation at columns {cols}, "
+                          f"symbols {symbols}: {count} rows, expected 3\n")
+    assert "strength FAILED" in res.stdout
 
 
 # sha256 of every file each call writes; a changed byte must be deliberate

@@ -286,6 +286,59 @@ def test_rs_mismatch_detected_on_doctored_code():
     assert rep.first_mismatch == (10, 6)
 
 
+def _interpolant_mismatches(Fq, psi, word):
+    """Coordinates j >= 5 where the word leaves its degree-<=4 interpolant
+    through coordinates 0..4, by scalar Lagrange evaluation."""
+    bad = []
+    for j in range(5, len(word)):
+        value = 0
+        for i in range(5):
+            num, den = 1, 1
+            for m in range(5):
+                if m != i:
+                    num = Fq.mul(num, Fq.sub(psi[j], psi[m]))
+                    den = Fq.mul(den, Fq.sub(psi[i], psi[m]))
+            value = Fq.add(value, Fq.mul(int(word[i]), Fq.mul(num, Fq.inv(den))))
+        if value != int(word[j]):
+            bad.append(j)
+    return bad
+
+
+@pytest.mark.parametrize("col", [7, 2], ids=["tail", "head"])
+def test_rs_mismatch_at_first_middle_last_row_even_q(col):
+    # characteristic 2: subtraction is addition, and theta = 1; a doctored
+    # head coordinate moves the interpolant, a tail one only misses itself
+    q = 8
+    ec = _code(q)
+    c = cod.scale_to_fq(ec)
+    Fq = field_context(q).Fq
+    N = len(c.codewords)
+    for row in (0, N // 2, N - 1):
+        doctored = c.codewords.copy()
+        doctored[row, col] = Fq.add(int(doctored[row, col]), 1)
+        fake = cod.FqLinearCode(q, q, doctored, c.dimension, c.generator)
+        rep = cod.rs_equivalence_check(fake, ec.omega)
+        assert rep.checked == q**5 and not rep.two_sided
+        bad = _interpolant_mismatches(Fq, ec.omega.psi, doctored[row])
+        assert rep.first_mismatch == (row, bad[0])
+        assert rep.mismatches == len(bad)
+        assert col < 5 or bad == [col]
+
+
+def test_span_proof_catches_a_row_at_first_middle_last_position():
+    q = 8
+    ctx = field_context(q)
+    words = cod.scale_to_fq(_code(q)).codewords
+    N = len(words)
+    for row in (0, N // 2, N - 1):
+        doctored = words.copy()
+        # adds 1 in characteristic 2; the result is a codeword only if the
+        # weight-1 difference were one, and d = q - 4 > 1
+        doctored[row, 0] ^= 1
+        c = cod._fq_code(ctx, doctored)
+        assert c.dimension == 6, row
+
+
 # -- double extension ------------------------------------------------------------------
 
 @pytest.mark.parametrize("q,d2", [(5, 2), (7, 4), (8, 5)])
@@ -296,6 +349,25 @@ def test_doubly_extend(q, d2):
     assert dx.dimension == 5
     assert cod.min_distance(dx) == d2 == q - 3
     assert dx.is_mds
+
+
+def test_extension_proof_catches_a_row_at_first_middle_last_position():
+    # moving one domain point's y changes only that row's appended coordinate
+    q = 8
+    ec = _code(q)
+    c = cod.scale_to_fq(ec)
+    plain = cod.doubly_extend(ec, c).codewords[:, q]
+    N = len(ec)
+    for row in (0, N // 2, N - 1):
+        domain = ec.domain.copy()
+        for y in range(ec.params.ctx.q2):
+            domain[row, 1] = y
+            moved = cod.EvalCode(ec.params, ec.omega, domain, ec.codewords)
+            dx = cod.doubly_extend(moved, c)
+            if dx.codewords[row, q] != plain[row]:
+                break
+        assert (dx.codewords[:, q] != plain).sum() == 1
+        assert dx.dimension == 6, row
 
 
 def test_zero_matrix_spans_rank_zero_code():
@@ -316,7 +388,7 @@ def test_extension_column_is_leading_coefficient(q):
     # on every row; q = 8 pins the even case, where 2a = 0
     ec = _code(q)
     c = cod.scale_to_fq(ec)
-    dx = cod.doubly_extend(ec)
+    dx = cod.doubly_extend(ec, c)
     assert (dx.codewords[:, :q] == c.codewords).all()
     Fq = field_context(q).Fq
     add, mul = Fq.np_add_table(), Fq.np_mul_table()

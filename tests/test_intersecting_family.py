@@ -6,7 +6,7 @@ import pytest
 from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
-from qhv.fields import field_context
+from qhv.fields import BudgetExceededError, field_context
 from qhv.oracles import naive_form_value, naive_intersection_count, naive_zero_set
 
 
@@ -114,6 +114,20 @@ def test_intersection_count_matches_naive_double_loop():
         for j in (1, 5, 8):
             assert counts[i, j] == \
                 naive_intersection_count(params, R[i], R[j])
+
+
+def test_family_and_intersection_budgets_name_their_numbers():
+    # k = q^{2n-2} = 81 members at (3, 3); the one-hot matrix has q k^2 cells
+    params = _params(3, 3)
+    for build in (col.build_R, lambda p, budget: fam.family(p, budget=budget)):
+        with pytest.raises(BudgetExceededError,
+                           match="R would have 81 members, budget is 80"):
+            build(params, budget=80)
+    forms = fam.family(params, budget=81)
+    with pytest.raises(BudgetExceededError,
+                       match="would take 19683 one-hot cells, budget is 19682"):
+        fam.intersection_count(forms, budget=19682)
+    assert fam.intersection_count(forms, budget=19683).shape == (81, 81)
 
 
 def test_intersection_requires_shared_params():

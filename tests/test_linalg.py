@@ -200,3 +200,39 @@ def test_gram_dtype_keeps_counts_exact():
     assert linalg.gram_dtype(2**24) is np.float64
     assert int(np.float32(2**24 + 1)) == 2**24
     assert int(np.float64(2**24 + 1)) == 2**24 + 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+@pytest.mark.parametrize("N,r,c", [(200, 3, 4), (50, 1, 5), (50, 4, 1), (0, 3, 2),
+                                   (5, 0, 3)],
+                         ids=["blocks", "r1", "c1", "zero_rows", "r0"])
+def test_linear_image_matches_scalar_dot(q, N, r, c, monkeypatch):
+    # a small block makes 200 rows three full blocks and a partial one
+    monkeypatch.setattr(linalg, "IMAGE_BLOCK", 64)
+    F = field_context(q).Fq
+    rng = np.random.default_rng(q * 100 + N + r)
+    X = rng.integers(0, q, (N, r)).astype(np.int16)
+    M = rng.integers(0, q, (r, c))
+    got = linalg.linear_image(F, X, M)
+    assert got.shape == (N, c) and got.dtype == np.int16
+    assert got.tolist() == [[_dot(F, X[i].tolist(), M[:, j].tolist())
+                             for j in range(c)] for i in range(N)]
+
+
+def test_row_space_sample_missing_a_direction():
+    # the sampled rows span 3 dimensions; one row off the sample adds a 4th
+    F = field_context(5).Fq
+    rng = np.random.default_rng(11)
+    low = _combos(F, rng.integers(0, 5, (2000, 3)), rng.integers(0, 5, (3, 7)))
+    stride = len(low) // linalg.SPAN_SAMPLE + 1
+    assert _feed(F, low[::stride], 7).rank == 3
+    spanned = _feed(F, low, 7)
+    outside = next(r for r in rng.integers(0, 5, (50, 7))
+                   if _feed(F, spanned.basis + [r], 7).rank == 4)
+    for at in (1, len(low) // 2 + 1, len(low) - 1):
+        m = low.copy()
+        m[at] = outside
+        assert at % stride  # the sample does not see it
+        got = linalg.row_space(F, m)
+        ref = _feed(F, m, 7)
+        assert (got.basis, got.pivots, got.rank) == (ref.basis, ref.pivots, 4)

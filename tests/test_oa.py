@@ -70,8 +70,24 @@ def _doctored(entries, q):
     constant = entries.copy()
     constant[:, k // 2] = q - 1
     zero = np.zeros_like(entries)
+    # N - 1 rows: no multiple of v^t, so no index exists
     return {"built": entries, "flipped": flipped, "constant": constant,
-            "zero": zero}
+            "zero": zero, "truncated": entries[1:]}
+
+
+def _assert_unbalanced(rep, naive, N, v, t):
+    """The oracle's "unbalanced" marker is a report with no index."""
+    assert naive == [("unbalanced", N, v**t)]
+    assert rep.index is None and not rep.ok
+    assert rep.violations == [((), (), N)] and rep.subsets_checked == 0
+
+
+def test_unbalanced_all_zero_array_matches_naive_oracle():
+    # 8 rows and v^t = 9: the oracle says unbalanced, the report has no index
+    entries = np.zeros((8, 3), dtype=np.int16)
+    arr = oam.OrthogonalArray(8, 3, 3, 2, 0, entries, (0, 1, 2))
+    _assert_unbalanced(oam.verify_strength(arr, 2),
+                       naive_strength_violations(entries, 3, 2), 8, 3, 2)
 
 
 @pytest.mark.parametrize("t", [1, 2, 3])
@@ -85,7 +101,7 @@ def test_strength_matches_naive_oracle(n, q, cols, t):
     A = _build(n, q)
     k = cols or A.factors
     for name, entries in _doctored(A.entries[:, :k], q).items():
-        arr = oam.OrthogonalArray(A.runs, k, q, 2, A.index, entries,
+        arr = oam.OrthogonalArray(len(entries), k, q, 2, A.index, entries,
                                   A.level_map)
         if t > k:
             with pytest.raises(ValueError):
@@ -93,6 +109,9 @@ def test_strength_matches_naive_oracle(n, q, cols, t):
             continue
         rep = oam.verify_strength(arr, t)
         naive = naive_strength_violations(entries, q, t)
+        if name == "truncated":
+            _assert_unbalanced(rep, naive, len(entries), q, t)
+            continue
         assert rep.violations == naive[:oam.MAX_VIOLATIONS], name
         assert rep.index == A.runs // q**t
         subsets = list(combinations(range(k), t))

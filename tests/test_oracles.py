@@ -217,5 +217,6 @@ def test_oracles_share_no_optimized_evaluation_code():
     source = inspect.getsource(oracles)
     shared = re.findall(r"\b(form_values|act_on_form|separating_map|r_element|"
                         r"np_add_table|np_mul_table|np_neg_table|"
-                        r"gram|gram_blocks|gram_dtype)\b", source)
+                        r"gram|gram_blocks|gram_dtype|linear_image|row_space)\b",
+                        source)
     assert not shared
