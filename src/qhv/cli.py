@@ -120,6 +120,18 @@ def variety(q, n, a, b, out, fmt, budget):
             click.echo(base + ".json")
     click.echo(f"|M| = {len(S)}, spectrum support {sorted(set(spectrum))}, "
                f"two-character {'ok' if ok else 'FAILED'}")
+    if not ok:
+        witness = geo.first_hyperplane_outside(S, ctx, expected_support,
+                                               budget=_budget(budget))
+        if witness is None:
+            click.echo(f"two-character check: no hyperplane count outside "
+                       f"{sorted(expected_support)}; |M| = {len(S)}, "
+                       f"expected {expected_size}", err=True)
+        else:
+            h, count = witness
+            click.echo(f"two-character check: first hyperplane outside "
+                       f"{sorted(expected_support)} is {list(h)}, "
+                       f"meeting M in {count} points", err=True)
     sys.exit(EXIT_OK if ok else EXIT_VERIFY_FAILED)
 
 

@@ -203,7 +203,15 @@ def rs_equivalence_check(code: FqLinearCode, omega: OmegaSet) -> RSReport:
     if mismatches:
         row, col = divmod(int(np.argmax(bad)), bad.shape[1])
         first = (row, 5 + col)
-    distinct = linalg.distinct_rows(words)
+        distinct = linalg.distinct_rows(words)
+    else:  # every word is fixed by its first five coordinates, a base-q key
+        key = np.zeros(len(words), dtype=np.int32)
+        for j in range(5):
+            key *= q
+            key += words[:, j]
+        seen = np.zeros(q**5, dtype=bool)
+        seen[key] = True
+        distinct = int(np.count_nonzero(seen))
     return RSReport(
         checked=len(words),
         mismatches=mismatches,

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, islice, product
 
 import numpy as np
 
@@ -345,56 +345,187 @@ def bm_variety(params: BMParams, budget: int = DEFAULT_BUDGET) -> PointSet:
 # hyperplane characters
 # ---------------------------------------------------------------------------
 
-def _prefix_sums(cols, add, mul, order: int):
-    """s = sum_{i<n} h_i x_i for every normalized dual prefix (h_0..h_{n-1}).
+def _prefix_sums(cols, add, mul, order: int, rows: int):
+    """s = sum_i h_i x_i for every normalized dual prefix (h_0..h_{k-1}).
 
-    ``cols`` are the n coordinate columns x_0..x_{n-1} of the points.  The
-    prefixes are walked depth first, so each partial sum is computed once and
-    shared by every prefix that extends it.
+    ``cols`` are the k coordinate columns x_0..x_{k-1} of the points.  The
+    prefixes are walked depth first in ``projective_points`` order, so each
+    partial sum is computed once and shared by every prefix that extends
+    it.  The last coordinate's values are taken together: each yielded block
+    stacks the sums of at most ``rows`` consecutive prefixes.
     """
-    n = len(cols)
+    k = len(cols)
 
     def walk(i, s):
-        if i == n:
-            yield s
+        if i == k - 1:
+            for c in range(0, order, rows):
+                yield add[s, mul[c:c + rows, cols[i]]]
             return
         yield from walk(i + 1, s)
         for c in range(1, order):
             yield from walk(i + 1, add[s, mul[c][cols[i]]])
 
-    for lead in range(n):
+    for lead in range(k - 1):
         yield from walk(lead + 1, cols[lead])
+    yield cols[k - 1][None]
+
+
+#: most cells of the gather index of ``_hyperplane_counts``: with tail width
+#: t it has q^{2t} q^{2t} (q^2 + 1), one per (tail coordinates of a point,
+#: tail prefix, value of h_n or the slot at infinity)
+SPECTRUM_INDEX_CELLS = 2**20
+
+#: most keys plus gathered cells per block of heads, unless one head alone
+#: has more; larger blocks were no faster and raised the peak memory
+SPECTRUM_BLOCK_CELLS = 2**13
+
+
+def _gather_cells(q2: int, t: int) -> int:
+    return q2**t * q2**t * (q2 + 1)
+
+
+def _tail_width(n: int, q2: int, npoints: int) -> int:
+    """Tail width t in 0..n-1 of the cheapest split of the dual prefix.
+
+    Each of the heads(t) heads costs one bincount over the points and one
+    gather of ``_gather_cells(q2, t)`` cells; widths whose index exceeds
+    ``SPECTRUM_INDEX_CELLS`` are not considered.  t = 0 is one bincount per
+    full prefix.
+    """
+    def cost(t):
+        heads = num_projective_points(q2, n - t - 1) + (t > 0)
+        return heads * (npoints + _gather_cells(q2, t))
+
+    return min((t for t in range(n)
+                if _gather_cells(q2, t) <= SPECTRUM_INDEX_CELLS), key=cost)
+
+
+def _block_rows(q2: int, t: int, npoints: int) -> int:
+    """Heads per block: at most q^2, and at most ``SPECTRUM_BLOCK_CELLS``
+    keys and gathered cells together unless one head alone has more."""
+    return max(1, min(q2, SPECTRUM_BLOCK_CELLS
+                      // (npoints + _gather_cells(q2, t))))
+
+
+def _tail_index(F, q2: int, t: int) -> np.ndarray:
+    """idx[y, r, v]: the joint-histogram cell that tail r reads for value v.
+
+    Tails r and tail coordinates y are t field codes read as base-q^2
+    integers, first coordinate most significant.  An affine point with key
+    (s, y) has total sum s + r.y, so it has value v when s = v - r.y:
+    idx[y, r, v] = (v - r.y) q^{2t} + y for v < q^2.  The slot v = q^2
+    reads the points at infinity (keys offset by q^{2t+2}) whose total sum
+    vanishes.  Summing the gathered cells over y, the leading axis, adds
+    whole contiguous slabs.
+    """
+    add, mul, neg = F.np_add_table(), F.np_mul_table(), F.np_neg_table()
+    y = np.arange(q2**t)
+    dot = np.zeros((len(y), len(y)), dtype=np.intp)  # dot[y, r] = r.y
+    for j in range(t):
+        digit = y // q2 ** (t - 1 - j) % q2
+        dot = add[dot, mul[np.ix_(digit, digit)]]
+    v = np.arange(q2 + 1)
+    return (add[neg[dot][..., None], v % q2] * len(y) + y[:, None, None]
+            + v // q2 * (q2 * len(y)))
+
+
+def _hyperplane_counts(S: PointSet, ctx: FieldCtx):
+    """|S meet H| for every hyperplane H but (0, ..., 0, 1), block by block.
+
+    Hyperplanes h, in dual coordinates normalized like points, are grouped
+    by their prefix (h_0..h_{n-1}); h_n is free within a group.  Every point
+    with x_n != 0 is rescaled to x_n = 1, so with s = sum_{i<n} h_i x_i it
+    lies on exactly one hyperplane of the group, the one with h_n = -s; a
+    point with x_n = 0 lies on every one of them when s = 0 and on none
+    otherwise.
+
+    The prefix splits into a head, walked by ``_prefix_sums``, and its last
+    t coordinates, t from ``_tail_width``.  Per block of heads one bincount
+    over the keys (head, s, x_{n-t}..x_{n-1}, x_n = 0) is the joint
+    histogram, and one gather through ``_tail_index`` turns it into the
+    counts of every tail and every value of h_n.  The zero head comes last
+    and keeps the normalized nonzero tails only, in their own
+    ``projective_points`` order.
+
+    Yields 2-D blocks whose rows, concatenated, follow the prefixes of
+    ``projective_points(F, n - 1)``; column v is the hyperplane with
+    h_n = -v.  Every hyperplane gets an exact count from every point.
+    """
+    n, q2 = S.n, ctx.q2
+    F = ctx.Fq2
+    add, mul = F.np_add_table(), F.np_mul_table()
+    pts = np.fromiter(chain.from_iterable(S.points), dtype=np.int32,
+                      count=len(S) * (n + 1)).reshape(len(S), n + 1)
+    at_infinity = pts[:, n] == 0
+    scale = np.array([1] + [F.inv(x) for x in range(1, q2)])  # x_n -> 1
+    pts = mul[scale[pts[:, n, None]], pts]
+    t = _tail_width(n, q2, len(S))
+    width = q2**t
+    idx = _tail_index(F, q2, t)
+    cells = 2 * q2 * width
+    rows = _block_rows(q2, t, len(S))
+    point_key = at_infinity * (q2 * width)  # the (y, x_n = 0) part
+    for j in range(t):
+        point_key += pts[:, n - t + j] * q2 ** (t - 1 - j)
+    head_offset = np.arange(rows)[:, None] * cells  # one histogram per head
+
+    def counts(s):
+        key = np.multiply(s, width, dtype=np.intp)
+        key += point_key
+        key += head_offset[:len(s)]
+        joint = np.bincount(key.ravel(),
+                            minlength=len(s) * cells).reshape(len(s), cells)
+        c = np.take(joint, idx, axis=1).sum(axis=1)
+        return c[..., :q2] + c[..., q2:]
+
+    for s in _prefix_sums([pts[:, i] for i in range(n - t)], add, mul, q2, rows):
+        yield counts(s).reshape(-1, q2)
+    if t:  # the normalized tails (0..0, 1, rest) by lead, rest as an integer
+        tails = [q2**k + np.arange(q2**k) for k in range(t - 1, -1, -1)]
+        yield counts(np.zeros((1, len(S)), dtype=np.int32))[0, np.concatenate(tails)]
+
+
+def _check_hyperplane_budget(n: int, q2: int, budget: int) -> None:
+    hyperplanes = num_projective_points(q2, n)
+    if hyperplanes > budget:
+        raise BudgetExceededError(f"hyperplane enumeration would take "
+                                  f"{hyperplanes} hyperplanes, budget is {budget}")
 
 
 def character_spectrum(S: PointSet, ctx: FieldCtx,
                        budget: int = DEFAULT_BUDGET) -> Counter:
     """Multiset {|S meet H| : H hyperplane of PG(n, q^2)} as a Counter.
 
-    Hyperplanes h, in dual coordinates normalized like points, are grouped
-    by their prefix (h_0..h_{n-1}); h_n is free within a group.  With
-    s = sum_{i<n} h_i x_i, a point with x_n != 0 lies on exactly one
-    hyperplane of the group, the one with h_n = -s/x_n, so one bincount
-    counts all q^2 of them; a point with x_n = 0 lies on every one of them
-    when s = 0 and on none otherwise.  The zero prefix leaves the single
-    hyperplane (0, ..., 0, 1).  Every hyperplane gets an exact count from
-    every point.
+    The counts come from ``_hyperplane_counts``; the hyperplane
+    (0, ..., 0, 1) holds the points with x_n = 0.
     """
+    _check_hyperplane_budget(S.n, ctx.q2, budget)
+    hist = np.zeros(len(S) + 1, dtype=np.int64)
+    hist[sum(pt[-1] == 0 for pt in S.points)] += 1
+    for counts in _hyperplane_counts(S, ctx):
+        hist += np.bincount(counts.ravel(), minlength=len(S) + 1)
+    seen = np.flatnonzero(hist)
+    return Counter(dict(zip(seen.tolist(), hist[seen].tolist())))
+
+
+def first_hyperplane_outside(S: PointSet, ctx: FieldCtx, support,
+                             budget: int = DEFAULT_BUDGET):
+    """(h, |S meet h|) for the first hyperplane h, in ``projective_points``
+    order, whose count is not in ``support``; None when there is none."""
     n, q2 = S.n, ctx.q2
-    hyperplanes = num_projective_points(q2, n)
-    if hyperplanes > budget:
-        raise BudgetExceededError(f"hyperplane enumeration would take "
-                                  f"{hyperplanes} hyperplanes, budget is {budget}")
-    F = ctx.Fq2
-    add, mul, neg = F.np_add_table(), F.np_mul_table(), F.np_neg_table()
-    pts = np.array(S.points, dtype=np.intp).reshape(len(S), n + 1)
-    pts = pts[np.argsort(pts[:, n] == 0, kind="stable")]  # x_n != 0 first
-    m = int(np.count_nonzero(pts[:, n]))
-    inv = np.array([0] + [F.inv(x) for x in range(1, q2)])
-    slope = neg[inv[pts[:m, n]]]  # h_n = s * (-1/x_n)
-    spectrum = Counter({len(pts) - m: 1})  # the hyperplane (0, ..., 0, 1)
-    cols = [pts[:, i] for i in range(n)]
-    for s in _prefix_sums(cols, add, mul, q2):
-        counts = np.bincount(mul[s[:m], slope], minlength=q2)
-        counts += np.count_nonzero(s[m:] == 0)
-        spectrum.update(counts.tolist())
-    return spectrum
+    _check_hyperplane_budget(n, q2, budget)
+    allowed = np.isin(np.arange(len(S) + 1), list(support))
+    neg = ctx.Fq2.np_neg_table()
+    done = 0
+    for counts in _hyperplane_counts(S, ctx):
+        by_last = counts[:, neg]  # column h_n
+        bad = np.flatnonzero(~allowed[by_last])
+        if len(bad):
+            k, h = divmod(int(bad[0]), q2)
+            prefix = next(islice(projective_points(ctx.Fq2, n - 1), done + k, None))
+            return prefix + (h,), int(by_last[k, h])
+        done += len(counts)
+    at_infinity = sum(pt[-1] == 0 for pt in S.points)
+    if not allowed[at_infinity]:
+        return (0,) * n + (1,), at_infinity
+    return None

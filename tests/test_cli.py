@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import time
 
 import pytest
@@ -18,6 +19,7 @@ def test_variety_unital(runner, tmp_path):
     res = runner.invoke(main, ["variety", "--q", "3", "--n", "2", "--out", out])
     assert res.exit_code == 0, res.output
     assert "spectrum support [1, 4]" in res.output
+    assert res.stderr == ""
     report = json.loads((tmp_path / "v.json").read_text())
     assert report["size"] == 28 and report["two_character_ok"]
     points = (tmp_path / "v.points.txt").read_text().strip().split("\n")
@@ -37,6 +39,54 @@ def test_variety_3_3(runner, tmp_path):
     report = json.loads((tmp_path / "v33.json").read_text())
     assert report["size"] == 280
     assert report["expected_support"] == [28, 37]
+
+
+def test_variety_failure_names_first_hyperplane(runner, tmp_path, monkeypatch):
+    from qhv import geometry as geo
+    from qhv.fields import field_context
+
+    build = geo.bm_variety
+
+    def doctored(params, budget):
+        S = build(params, budget=budget)
+        return geo.point_set(S.n, S.points[:5] + S.points[6:])
+
+    monkeypatch.setattr(geo, "bm_variety", doctored)
+    res = runner.invoke(main, ["variety", "--q", "3", "--n", "2",
+                               "--out", str(tmp_path / "v")])
+    assert res.exit_code == 1
+    assert "two-character FAILED" in res.stdout
+    found = re.fullmatch(r"two-character check: first hyperplane outside "
+                         r"\[1, 4\] is \[(\d+), (\d+), (\d+)\], meeting M in "
+                         r"(\d+) points\n", res.stderr)
+    assert found, res.stderr
+    *named, count = map(int, found.groups())
+    ctx = field_context(3)
+    F = ctx.Fq2
+    S = doctored(geo.scan_params(ctx, 2, mode="variety"), 10**6)
+
+    def meets(h):
+        dots = [F.add(F.add(F.mul(h[0], x[0]), F.mul(h[1], x[1])), F.mul(h[2], x[2]))
+                for x in S.points]
+        return dots.count(0)
+
+    assert meets(named) == count and count not in (1, 4)
+    for h in geo.projective_points(F, 2):
+        if list(h) == named:
+            break
+        assert meets(h) in (1, 4), h
+
+
+def test_variety_size_failure_without_hyperplane_witness(runner, tmp_path,
+                                                         monkeypatch):
+    from qhv import geometry as geo
+
+    monkeypatch.setattr(geo, "hermitian_size", lambda n, q: 29)
+    res = runner.invoke(main, ["variety", "--q", "3", "--n", "2",
+                               "--out", str(tmp_path / "v")])
+    assert res.exit_code == 1
+    assert res.stderr == ("two-character check: no hyperplane count outside "
+                          "[1, 4]; |M| = 28, expected 29\n")
 
 
 def test_oa_roundtrip(runner, tmp_path):

@@ -286,6 +286,35 @@ def test_rs_mismatch_detected_on_doctored_code():
     assert rep.first_mismatch == (10, 6)
 
 
+@pytest.mark.parametrize("doctor", ["duplicate", "same-head"])
+def test_rs_distinct_count_on_doctored_words(doctor):
+    # a copied row stays consistent, so only the five-coordinate keys count
+    # it; rows that share their first five coordinates but differ after
+    # them are mismatches, so the whole rows are counted
+    q = 7
+    ec = _code(q)
+    c = cod.scale_to_fq(ec)
+    words = c.codewords.copy()
+    if doctor == "duplicate":
+        words[3] = words[11]
+    else:
+        words[3] = words[11]
+        words[3, 6] = (words[3, 6] + 1) % q
+        words[20, :5] = words[11, :5]
+    fake = cod.FqLinearCode(q, q, words, c.dimension, c.generator)
+    rep = cod.rs_equivalence_check(fake, ec.omega)
+    bad = [(row, j) for row in (3, 20)
+           for j in _interpolant_mismatches(field_context(q).Fq, ec.omega.psi,
+                                            words[row])]
+    assert rep.checked == q**5 and rep.expected_codewords == q**5
+    distinct = {"duplicate": q**5 - 1, "same-head": q**5}[doctor]
+    assert rep.distinct_codewords == len(np.unique(words, axis=0)) == distinct
+    assert rep.mismatches == len(bad)
+    assert rep.first_mismatch == (bad[0] if bad else None)
+    assert (rep.mismatches == 0) == (doctor == "duplicate")
+    assert not rep.two_sided
+
+
 def _interpolant_mismatches(Fq, psi, word):
     """Coordinates j >= 5 where the word leaves its degree-<=4 interpolant
     through coordinates 0..4, by scalar Lagrange evaluation."""

@@ -1,3 +1,4 @@
+from collections import Counter
 from itertools import product
 
 import numpy as np
@@ -342,27 +343,40 @@ def test_point_set_export():
         assert parsed == pt
 
 
-def test_unital_sweep_sampled_2_5():
-    # QH2 predicts the two-character property at q = 5 in both directions
-    import random
+# every (a, b) with b outside GF(q), by class: (pairs, two-character);
+# "rejected" pairs fail every condition and the separation, and are built
+# directly; "QH" is whichever of QH1..QH4 the parities select
+PAIR_SWEEP = {
+    (2, 2): {"classical": (2, True), "affine": (6, True)},
+    (2, 3): {"classical": (6, True), "affine": (24, False),
+             "rejected": (24, False)},
+    (2, 4): {"classical": (12, True), "QH": (60, True), "affine": (120, False)},
+    (2, 5): {"classical": (20, True), "QH": (120, True), "affine": (240, False),
+             "rejected": (120, False)},
+    (3, 2): {"classical": (2, True), "QH": (6, True)},
+    (3, 3): {"classical": (6, True), "QH": (24, True), "rejected": (24, False)},
+}
 
-    ctx = field_context(5)
-    admissible, rejected = [], []
-    for a in range(1, 25):
-        for b in range(25):
+
+@pytest.mark.parametrize("n,q", sorted(PAIR_SWEEP))
+def test_every_pair_sweep(n, q):
+    """Every pair, none sampled: the QH and classical labels promise two
+    characters, and |M| is the Hermitian count whatever the pair."""
+    ctx = field_context(q)
+    found = {}
+    for a in range(ctx.q2):
+        for b in range(ctx.q2):
             if ctx.in_subfield(b):
                 continue
             try:
-                admissible.append(geo.validate_params(ctx, 2, a, b))
+                params = geo.family_params(ctx, n, a, b)
             except geo.ParameterError:
-                rejected.append((a, b))
-    assert admissible and rejected
-    rng = random.Random(25)
-    for params in rng.sample(admissible, 20):
-        assert _is_two_character(ctx, params)
-    for a, b in rng.sample(rejected, 20):
-        try:
-            params = geo.family_params(ctx, 2, a, b)
-        except geo.ParameterError:
-            continue  # separation fails; the family is not even defined
-        assert not _is_two_character(ctx, params)
+                params = geo.BMParams(ctx, n, a, b, "rejected")
+            S = geo.bm_variety(params)
+            assert len(S) == geo.hermitian_size(n, q), (a, b)
+            two = set(geo.character_spectrum(S, ctx)) == \
+                geo.expected_spectrum_support(n, q)
+            label = "QH" if params.condition.startswith("QH") else params.condition
+            found.setdefault(label, Counter())[two] += 1
+    assert found == {label: Counter({two: pairs})
+                     for label, (pairs, two) in PAIR_SWEEP[(n, q)].items()}

@@ -140,6 +140,95 @@ def test_character_spectrum_matches_naive_oracle(name):
         assert naive == Counter({0: 91})
 
 
+def _sample(n, q, k, seed):
+    return geo.point_set(n, random.Random(seed).sample(_space(n, q), k))
+
+
+def _variety_minus_one(n, q):
+    S = _variety(n, q)
+    return geo.point_set(n, S.points[:7] + S.points[8:])
+
+
+# every tail width t in 0..n-1 is forced on each set
+TAIL_WIDTH_INPUTS = {
+    "random-PG(2,81)": (9, lambda: _sample(2, 9, 20, 1)),
+    "random-PG(3,16)": (4, lambda: _sample(3, 4, 15, 2)),
+    "random-PG(4,4)": (2, lambda: _sample(4, 2, 60, 3)),
+    "random-PG(2,4)": (2, lambda: _sample(2, 2, 8, 4)),
+    "empty-PG(3,9)": (3, lambda: geo.point_set(3, [])),
+    "full-PG(3,4)": (2, lambda: geo.point_set(3, _space(3, 2))),
+    "variety-minus-one-3-2": (2, lambda: _variety_minus_one(3, 2)),
+}
+
+
+def _naive_counts_in_order(S, ctx):
+    """|S meet h| for every h of ``projective_points``, in that order, one
+    scalar dot product per point."""
+    F = ctx.Fq2
+    counts = []
+    for h in geo.projective_points(F, S.n):
+        count = 0
+        for x in S.points:
+            acc = 0
+            for hi, xi in zip(h, x):
+                acc = F.add(acc, F.mul(hi, xi))
+            count += acc == 0
+        counts.append(count)
+    return counts
+
+
+@pytest.mark.parametrize("name", TAIL_WIDTH_INPUTS)
+def test_every_tail_width_matches_naive_oracle(name, monkeypatch):
+    q, make = TAIL_WIDTH_INPUTS[name]
+    ctx = field_context(q)
+    S = make()
+    naive = naive_character_spectrum(S, ctx, budget=10**6)
+    for t in range(S.n):
+        monkeypatch.setattr(geo, "_tail_width", lambda n, q2, npoints, t=t: t)
+        assert geo.character_spectrum(S, ctx) == naive, t
+
+
+@pytest.mark.parametrize("name", ["random-PG(4,4)", "random-PG(2,4)",
+                                  "variety-minus-one-3-2"])
+def test_every_tail_width_names_the_first_hyperplane_outside(name, monkeypatch):
+    # the witness must follow projective_points order whatever the split
+    q, make = TAIL_WIDTH_INPUTS[name]
+    ctx = field_context(q)
+    S = make()
+    counts = _naive_counts_in_order(S, ctx)
+    hyperplanes = list(geo.projective_points(ctx.Fq2, S.n))
+    for t in range(S.n):
+        monkeypatch.setattr(geo, "_tail_width", lambda n, q2, npoints, t=t: t)
+        assert geo.first_hyperplane_outside(S, ctx, set(counts)) is None
+        for dropped in set(counts):
+            first = counts.index(dropped)
+            assert geo.first_hyperplane_outside(
+                S, ctx, set(counts) - {dropped}) == (
+                hyperplanes[first], dropped), (t, dropped)
+
+
+PRIME_POWERS_TO_32 = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 17, 19, 23, 25, 27,
+                      29, 31, 32]
+
+
+@pytest.mark.parametrize("q", PRIME_POWERS_TO_32)
+def test_tail_width_keeps_the_gather_under_the_cell_cap(q):
+    q2 = q * q
+    for n in range(2, 7):
+        for npoints in (0, geo.hermitian_size(n, q),
+                        geo.num_projective_points(q2, n)):
+            t = geo._tail_width(n, q2, npoints)
+            assert 0 <= t < n
+            cells = geo._gather_cells(q2, t)
+            assert cells <= geo.SPECTRUM_INDEX_CELLS
+            rows = geo._block_rows(q2, t, npoints)
+            assert rows * (npoints + cells) <= max(geo.SPECTRUM_BLOCK_CELLS,
+                                                   npoints + cells)
+    for t in range(5 - q):  # q = 2: t < 3, q = 3: t < 2
+        idx = geo._tail_index(field_context(q).Fq2, q2, t)
+        assert idx.size == geo._gather_cells(q2, t)
+
+
 def test_naive_character_spectrum_budget():
     S = _variety(2, 3)  # 28 points, 91 lines
     ctx = field_context(3)
@@ -217,6 +306,10 @@ def test_oracles_share_no_optimized_evaluation_code():
     source = inspect.getsource(oracles)
     shared = re.findall(r"\b(form_values|act_on_form|separating_map|r_element|"
                         r"np_add_table|np_mul_table|np_neg_table|"
-                        r"gram|gram_blocks|gram_dtype|linear_image|row_space)\b",
+                        r"gram|gram_blocks|gram_dtype|linear_image|row_space|"
+                        r"_prefix_sums|_tail_width|_tail_index|"
+                        r"_gather_cells|_block_rows|_hyperplane_counts|"
+                        r"first_hyperplane_outside|SPECTRUM_INDEX_CELLS|"
+                        r"SPECTRUM_BLOCK_CELLS)\b",
                         source)
     assert not shared
