@@ -41,7 +41,7 @@ from .geometry import (
     separation_value,
     validate_params,
 )
-from .collineations import Collineation, build_R, in_psi, psi_group, r_element
+from .collineations import Collineation, build_R, in_psi, psi_group, r_elements
 from .intersecting_family import (
     AffineForm,
     act_on_form,

@@ -12,9 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
+import numpy as np
+
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .geometry import (BMParams, affine_points, affine_rhs, bab_affine_eval,
-                       normalize_point, separating_map)
+                       lex_grid, normalize_point, separating_map)
 
 
 @dataclass(frozen=True)
@@ -113,33 +115,34 @@ def in_psi(params: BMParams, g: Collineation) -> bool:
     """
     if g.n != params.n:
         raise ValueError("dimension mismatch")
-    for alpha, beta in zip(g.alphas[:-1], g.betas):
-        if beta != _beta_constraint(params, alpha):
-            return False
-    return bab_affine_eval(params, g.alphas) == 0
+    return (all(beta == _beta_constraint(params, alpha)
+                for alpha, beta in zip(g.alphas[:-1], g.betas))
+            and bab_affine_eval(params, g.alphas) == 0)
 
 
 def psi_group(params: BMParams) -> list[Collineation]:
     """All q^{2n-1} stabilizer elements: one per affine point of the variety,
     in the order of ``affine_points``."""
-    return [Collineation(pt, tuple(_beta_constraint(params, a) for a in pt[:-1]))
-            for pt in affine_points(params)]
+    return [Collineation(tuple(pt), tuple(_beta_constraint(params, a)
+                                          for a in pt[:-1]))
+            for pt in affine_points(params).tolist()]
 
 
-def r_element(params: BMParams, head) -> Collineation:
-    """The R-member over the alpha head (alpha_1..alpha_{n-1}).
+def r_elements(params: BMParams, heads) -> tuple[Collineation, ...]:
+    """The R-member over each alpha head (alpha_1..alpha_{n-1}) of ``heads``.
 
     All betas vanish and alpha_n is the unique transversal solution of the
     stabilizer equation, so distinct members differ by an element outside the
     stabilizer and index distinct varieties.
     """
-    d = affine_rhs(params, head)
+    heads = np.asarray(heads, dtype=np.int32)
     try:
-        an = params.ctx.unique_root_in_transversal(d)
+        an = params.ctx.transversal_roots(affine_rhs(params, heads))
     except ValueError:
         raise RuntimeError(
             "right-hand side has nonzero trace; arithmetic bug") from None
-    return Collineation(tuple(head) + (an,), (0,) * (params.n - 1))
+    return tuple(Collineation((*head, a), (0,) * (params.n - 1))
+                 for head, a in zip(heads.tolist(), an.tolist()))
 
 
 def check_R_budget(params: BMParams, budget: int) -> None:
@@ -154,5 +157,4 @@ def build_R(params: BMParams,
             budget: int = DEFAULT_BUDGET) -> tuple[Collineation, ...]:
     """One collineation per (alpha_1..alpha_{n-1}), in lexicographic order."""
     check_R_budget(params, budget)
-    return tuple(r_element(params, head)
-                 for head in product(range(params.ctx.q2), repeat=params.n - 1))
+    return r_elements(params, lex_grid((params.ctx.q2,) * (params.n - 1)))

@@ -398,19 +398,19 @@ class FieldCtx:
 
         self.epsilon = self._pick_epsilon()
         self.a0 = F.add(self.epsilon, self.frob[self.epsilon])
-        two_eps = F.add(self.epsilon, self.epsilon)
-        self.theta = F.sub(self.a0, two_eps)
+        self.theta = F.sub(self.a0, F.add(self.epsilon, self.epsilon))
 
         self.transversal = tuple(F.mul(self.epsilon, w) for w in range(q))
-        self.t0 = tuple(sorted(x for x in range(self.q2)
-                               if F.add(x, self.frob[x]) == 0))
 
-        # one Artin-Schreier root per trace-zero right-hand side
-        roots: dict[int, int] = {}
-        for z in range(self.q2):
-            d = F.sub(self.frob[z], z)
-            roots.setdefault(d, z)
-        self._as_root = roots
+        # as_roots[d]: the q sorted roots of Z^q - Z = d, or -1s when
+        # trace(d) != 0; stable sorting by d keeps each coset's roots sorted
+        d = F.np_add_table()[self._np_frob, F.np_neg_table()]
+        by_d = np.argsort(d, kind="stable").astype(np.int32)
+        self.as_roots = np.full((self.q2, q), -1, dtype=np.int32)
+        self.as_roots[d[by_d[::q]]] = by_d.reshape(-1, q)
+        self.as_roots.flags.writeable = False
+        # additive Hilbert 90: the image of Z -> Z^q - Z is the trace-zero set
+        self.t0 = tuple(d[by_d[::q]].tolist())
 
         self.omega = self.Fq.generator  # canonical primitive element of GF(q)
 
@@ -420,17 +420,10 @@ class FieldCtx:
 
     def _pick_epsilon(self) -> int:
         F = self.Fq2
-        one = 1
-        for x in range(self.q, self.q2):
+        for x in range(self.q, self.q2):  # the codes outside GF(q)
             fx = self.frob[x]
-            if fx == x:
-                continue
-            if self.q % 2 == 1:
-                if F.add(x, fx) == 0:
-                    return x
-            else:
-                if fx == F.add(one, x):
-                    return x
+            if (F.add(x, fx) == 0) if self.q % 2 else (fx == F.add(1, x)):
+                return x
         raise RuntimeError("no admissible basis element found")  # pragma: no cover
 
     def _check_construction(self) -> None:
@@ -481,18 +474,20 @@ class FieldCtx:
 
     def artin_schreier_roots(self, d: int) -> set[int]:
         """All Z with Z^q - Z = d: a coset of GF(q) if trace(d) = 0, else empty."""
-        z0 = self._as_root.get(d)
-        if z0 is None:
-            return set()
-        return {self.Fq2.add(z0, w) for w in range(self.q)}
+        return set(self.as_roots[d].tolist()) - {-1}
+
+    def transversal_roots(self, d) -> np.ndarray:
+        """The solution of Z^q - Z = d in the transversal, for each entry of
+        the int array d; raises ``ValueError`` if any d has nonzero trace."""
+        roots = self.as_roots[d]
+        hit = np.isin(roots, self.transversal)
+        if not hit.any(axis=-1).all():
+            raise ValueError("Z^q - Z = d is unsolvable: trace(d) != 0")
+        return roots[hit].reshape(np.shape(d))
 
     def unique_root_in_transversal(self, d: int) -> int:
         """The single solution of Z^q - Z = d lying in the transversal."""
-        if self.trace(d) != 0:
-            raise ValueError("Z^q - Z = d is unsolvable: trace(d) != 0")
-        z0 = self._as_root[d]
-        _, x1 = self.decompose(z0)
-        return self.Fq2.mul(self.epsilon, x1)
+        return int(self.transversal_roots(d))
 
     # -- encoding ------------------------------------------------------------
 

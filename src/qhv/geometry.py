@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, islice, product
+from functools import reduce
 
 import numpy as np
 
@@ -94,8 +94,8 @@ def validate_params(ctx: FieldCtx, n: int, a: int, b: int) -> BMParams:
     The parities of n and q select exactly one candidate condition; if its
     arithmetic predicate fails the pair is rejected.  QH3 uses the absolute
     trace GF(q) -> GF(2): the relative trace of a GF(q) element is
-    identically zero in even characteristic, and the exhaustive unital scans
-    in the test suite confirm the absolute trace is the discriminating one.
+    identically zero in even characteristic, and the exhaustive pair sweep
+    in the test suite confirms the absolute trace is the discriminating one.
     """
     if n < 2:
         raise ParameterError("ambient dimension n must be >= 2")
@@ -105,7 +105,6 @@ def validate_params(ctx: FieldCtx, n: int, a: int, b: int) -> BMParams:
         raise ParameterError(f"a = {a} is not a nonzero GF(q^2) code")
     _check_b(ctx, b)
     q = ctx.q
-    F = ctx.Fq2
     n_odd, q_odd = n % 2 == 1, q % 2 == 1
     if q_odd:
         val = separation_value(ctx, a, b)
@@ -182,24 +181,20 @@ def scan_params(ctx: FieldCtx, n: int, mode: str = "variety",
             return classical_params(ctx, n, b)
         return validate_params(ctx, n, a, b)
     a_range = [a] if a is not None else list(range(1, ctx.q2))
-    b_range = [b] if b is not None else [
-        x for x in range(ctx.q2) if not ctx.in_subfield(x)]
-    for aa in a_range:
-        for bb in b_range:
+    b_range = [b] if b is not None else list(range(ctx.q, ctx.q2))  # not in GF(q)
+    for aa, bb in ((x, y) for x in a_range for y in b_range):
+        try:
+            return validate_params(ctx, n, aa, bb)
+        except ParameterError:
+            continue
+    if mode == "variety" and (a is None or a == 0) and b_range:
+        return classical_params(ctx, n, b_range[0])
+    if mode == "family":
+        for aa, bb in ((x, y) for x in a_range for y in b_range):
             try:
-                return validate_params(ctx, n, aa, bb)
+                return family_params(ctx, n, aa, bb)
             except ParameterError:
                 continue
-    if mode == "variety" and (a is None or a == 0):
-        for bb in b_range:
-            return classical_params(ctx, n, bb)
-    if mode == "family":
-        for aa in a_range:
-            for bb in b_range:
-                try:
-                    return family_params(ctx, n, aa, bb)
-                except ParameterError:
-                    continue
     raise ParameterError(
         f"no admissible (a, b) for n={n}, q={ctx.q} in mode {mode!r}")
 
@@ -216,15 +211,14 @@ def hermitian_size(n: int, q: int) -> int:
 
 
 def nontangent_hyperplane_size(n: int, q: int) -> int:
-    s = (q**n + (-1) ** (n - 1)) * (q ** (n - 1) - (-1) ** (n - 1))
-    assert s % (q * q - 1) == 0
-    return s // (q * q - 1)
+    """A non-tangent section is a Hermitian variety of PG(n-1, q^2)."""
+    return hermitian_size(n - 1, q)
 
 
 def tangent_hyperplane_size(n: int, q: int) -> int:
-    s = (q ** (n - 1) + (-1) ** n) * (q ** (n - 2) - (-1) ** n)
-    assert s % (q * q - 1) == 0
-    return 1 + q * q * (s // (q * q - 1))
+    """A tangent section is a cone, vertex plus q^2 points over each point of a
+    Hermitian variety of PG(n-2, q^2) (none for n = 2)."""
+    return 1 + q * q * hermitian_size(n - 2, q)
 
 
 def expected_spectrum_support(n: int, q: int) -> set[int]:
@@ -243,40 +237,50 @@ def normalize_point(F, coords) -> tuple[int, ...]:
         raise ValueError("the zero vector is not a projective point")
     if lead == 1:
         return coords
-    inv = F.inv(lead)
-    return tuple(F.mul(inv, c) for c in coords)
+    return tuple(F.mul(F.inv(lead), c) for c in coords)
 
 
-def projective_points(F, n: int):
-    """All normalized points of PG(n, order(F)), leading 1 first."""
-    for lead in range(n + 1):
-        for tail in product(range(F.order), repeat=n - lead):
-            yield (0,) * lead + (1,) + tail
+def lex_grid(shape) -> np.ndarray:
+    """Every integer vector below ``shape`` as int32 rows, lexicographically."""
+    return np.indices(shape, dtype=np.int32).reshape(len(shape), -1).T
+
+
+def projective_points(F, n: int, first: int = 0) -> np.ndarray:
+    """The normalized points of PG(n, order(F)) whose leading 1 is at position
+    ``first`` or later, as int32 rows: by that position, then lexicographically."""
+    unit, order = np.eye(n + 1, dtype=np.int32), F.order
+    return np.concatenate([unit[i] + lex_grid((1,) * (i + 1) + (order,) * (n - i))
+                           for i in range(first, n + 1)])
 
 
 def num_projective_points(order: int, n: int) -> int:
     return (order ** (n + 1) - 1) // (order - 1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PointSet:
-    """Duplicate-free, sorted set of normalized points of PG(n, q^2)."""
+    """Duplicate-free set of normalized points of PG(n, q^2): a read-only
+    |S| x (n+1) int32 array whose rows are in lexicographic order."""
 
     n: int
-    points: tuple[tuple[int, ...], ...]
+    points: np.ndarray
+
+    def __post_init__(self):
+        self.points.flags.writeable = False
 
     def __len__(self) -> int:
         return len(self.points)
 
     def export_lines(self, ctx: FieldCtx) -> list[str]:
         """One point per line; elements as comma-joined GF(p) digit vectors."""
-        names = [ctx.format_element(c) for c in range(ctx.q2)]
-        return [" ".join([names[c] for c in pt]) for pt in self.points]
+        names = np.array([ctx.format_element(c) for c in range(ctx.q2)],
+                         dtype=object)
+        return [" ".join(pt) for pt in names[self.points].tolist()]
 
 
 def point_set(n: int, pts) -> PointSet:
-    uniq = sorted(set(map(tuple, pts)))
-    return PointSet(n, tuple(uniq))
+    rows = np.asarray(pts, dtype=np.int32).reshape(-1, n + 1)
+    return PointSet(n, np.unique(rows, axis=0))  # sorted, duplicates dropped
 
 
 def bab_affine_eval(params: BMParams, x) -> int:
@@ -299,46 +303,57 @@ def bab_affine_eval(params: BMParams, x) -> int:
     return val
 
 
-def affine_rhs(params: BMParams, head) -> int:
-    """d with X_n^q - X_n = d characterising affine points over the tuple head."""
-    ctx = params.ctx
-    return ctx.Fq2.neg(bab_affine_eval(params, tuple(head) + (0,)))
+def coordinate_tables(params: BMParams) -> tuple[np.ndarray, np.ndarray]:
+    """Z and H, the base form at (0, ..., 0, x) and at (x, 0, ..., 0): the
+    Frobenius map is additive, so the form is Z(x_n) + Sum_{i<n} H(x_i)."""
+    zeros = (0,) * (params.n - 1)
+    Z = [bab_affine_eval(params, zeros + (x,)) for x in range(params.ctx.q2)]
+    H = [bab_affine_eval(params, (x,) + zeros) for x in range(params.ctx.q2)]
+    return np.array(Z, dtype=np.int32), np.array(H, dtype=np.int32)
 
 
-def affine_points(params: BMParams, budget: int = DEFAULT_BUDGET):
-    """The q^{2n-1} affine points of the variety, lexicographic in (x_1..x_n)."""
+def affine_rhs(params: BMParams, heads) -> np.ndarray:
+    """d = -Sum_i H(x_i), with X_n^q - X_n = d characterising the affine
+    points over each head (x_1..x_{n-1}) along the last axis of ``heads``."""
+    F = params.ctx.Fq2
+    add = F.np_add_table()
+    terms = np.moveaxis(coordinate_tables(params)[1][np.asarray(heads)], -1, 0)
+    return F.np_neg_table()[reduce(lambda s, x: add[s, x], terms)]
+
+
+def affine_points(params: BMParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
+    """The q^{2n-1} affine points of the variety as int32 rows (x_1..x_n),
+    in lexicographic order: each head with the sorted roots of its d."""
     ctx, n = params.ctx, params.n
     count = ctx.q ** (2 * n - 1)
     if count > budget:
         raise BudgetExceededError(
             f"affine enumeration would give {count} points, budget is {budget}")
-    pts = []
-    for head in product(range(ctx.q2), repeat=n - 1):
-        d = affine_rhs(params, head)
-        roots = ctx.artin_schreier_roots(d)
-        if len(roots) != ctx.q:
-            raise RuntimeError("trace-zero invariant violated")  # pragma: no cover
-        for xn in sorted(roots):
-            pts.append(head + (xn,))
-    return pts
+    heads = lex_grid((ctx.q2,) * (n - 1))
+    roots = ctx.as_roots[affine_rhs(params, heads)]
+    if (roots < 0).any():
+        raise RuntimeError("trace-zero invariant violated")  # pragma: no cover
+    return np.column_stack([np.repeat(heads, ctx.q, axis=0), roots.ravel()])
 
 
-def cone_at_infinity(ctx: FieldCtx, n: int) -> list[tuple[int, ...]]:
-    """Hermitian cone in the hyperplane at infinity, vertex (0,...,0,1)."""
-    out = []
-    for pt in projective_points(ctx.Fq2, n - 1):
-        s = 0
-        for xi in pt[: n - 1]:
-            s = ctx.Fq2.add(s, ctx.norm(xi))
-        if s == 0:
-            out.append((0,) + pt)
-    return out
+def cone_at_infinity(ctx: FieldCtx, n: int) -> np.ndarray:
+    """Hermitian cone in the hyperplane at infinity, vertex (0,...,0,1), as
+    int32 rows in lexicographic order."""
+    F = ctx.Fq2
+    add = F.np_add_table()
+    norm = F.np_mul_table()[np.arange(ctx.q2), ctx.np_frob()]
+    pts = projective_points(F, n, first=1)  # the hyperplane x_0 = 0
+    cone = pts[reduce(lambda s, x: add[s, x], norm[pts[:, 1:n]].T) == 0]
+    return cone[np.lexsort(cone.T[::-1])]
 
 
 def bm_variety(params: BMParams, budget: int = DEFAULT_BUDGET) -> PointSet:
-    """Affine zero set glued with the cone at infinity, as projective points."""
-    affine = [(1,) + pt for pt in affine_points(params, budget)]
-    return point_set(params.n, affine + cone_at_infinity(params.ctx, params.n))
+    """Affine zero set glued with the cone at infinity, as projective points:
+    the sorted cone (x_0 = 0) above the sorted affine points (x_0 = 1)."""
+    affine = affine_points(params, budget)  # checks the budget before the cone
+    cone = cone_at_infinity(params.ctx, params.n)
+    ones = np.ones((len(affine), 1), dtype=np.int32)
+    return PointSet(params.n, np.concatenate([cone, np.hstack([ones, affine])]))
 
 
 # ---------------------------------------------------------------------------
@@ -429,8 +444,9 @@ def _tail_index(F, q2: int, t: int) -> np.ndarray:
             + v // q2 * (q2 * len(y)))
 
 
-def _hyperplane_counts(S: PointSet, ctx: FieldCtx):
-    """|S meet H| for every hyperplane H but (0, ..., 0, 1), block by block.
+def _hyperplane_counts(S: PointSet, ctx: FieldCtx, budget: int):
+    """|S meet H| for every hyperplane H but (0, ..., 0, 1), block by block;
+    raises ``BudgetExceededError`` first when the hyperplanes exceed the budget.
 
     Hyperplanes h, in dual coordinates normalized like points, are grouped
     by their prefix (h_0..h_{n-1}); h_n is free within a group.  Every point
@@ -452,10 +468,13 @@ def _hyperplane_counts(S: PointSet, ctx: FieldCtx):
     h_n = -v.  Every hyperplane gets an exact count from every point.
     """
     n, q2 = S.n, ctx.q2
+    hyperplanes = num_projective_points(q2, n)
+    if hyperplanes > budget:
+        raise BudgetExceededError(f"hyperplane enumeration would take "
+                                  f"{hyperplanes} hyperplanes, budget is {budget}")
     F = ctx.Fq2
     add, mul = F.np_add_table(), F.np_mul_table()
-    pts = np.fromiter(chain.from_iterable(S.points), dtype=np.int32,
-                      count=len(S) * (n + 1)).reshape(len(S), n + 1)
+    pts = S.points
     at_infinity = pts[:, n] == 0
     scale = np.array([1] + [F.inv(x) for x in range(1, q2)])  # x_n -> 1
     pts = mul[scale[pts[:, n, None]], pts]
@@ -485,13 +504,6 @@ def _hyperplane_counts(S: PointSet, ctx: FieldCtx):
         yield counts(np.zeros((1, len(S)), dtype=np.int32))[0, np.concatenate(tails)]
 
 
-def _check_hyperplane_budget(n: int, q2: int, budget: int) -> None:
-    hyperplanes = num_projective_points(q2, n)
-    if hyperplanes > budget:
-        raise BudgetExceededError(f"hyperplane enumeration would take "
-                                  f"{hyperplanes} hyperplanes, budget is {budget}")
-
-
 def character_spectrum(S: PointSet, ctx: FieldCtx,
                        budget: int = DEFAULT_BUDGET) -> Counter:
     """Multiset {|S meet H| : H hyperplane of PG(n, q^2)} as a Counter.
@@ -499,10 +511,9 @@ def character_spectrum(S: PointSet, ctx: FieldCtx,
     The counts come from ``_hyperplane_counts``; the hyperplane
     (0, ..., 0, 1) holds the points with x_n = 0.
     """
-    _check_hyperplane_budget(S.n, ctx.q2, budget)
     hist = np.zeros(len(S) + 1, dtype=np.int64)
-    hist[sum(pt[-1] == 0 for pt in S.points)] += 1
-    for counts in _hyperplane_counts(S, ctx):
+    hist[np.count_nonzero(S.points[:, -1] == 0)] += 1
+    for counts in _hyperplane_counts(S, ctx, budget):
         hist += np.bincount(counts.ravel(), minlength=len(S) + 1)
     seen = np.flatnonzero(hist)
     return Counter(dict(zip(seen.tolist(), hist[seen].tolist())))
@@ -513,19 +524,18 @@ def first_hyperplane_outside(S: PointSet, ctx: FieldCtx, support,
     """(h, |S meet h|) for the first hyperplane h, in ``projective_points``
     order, whose count is not in ``support``; None when there is none."""
     n, q2 = S.n, ctx.q2
-    _check_hyperplane_budget(n, q2, budget)
     allowed = np.isin(np.arange(len(S) + 1), list(support))
     neg = ctx.Fq2.np_neg_table()
     done = 0
-    for counts in _hyperplane_counts(S, ctx):
+    for counts in _hyperplane_counts(S, ctx, budget):
         by_last = counts[:, neg]  # column h_n
         bad = np.flatnonzero(~allowed[by_last])
         if len(bad):
             k, h = divmod(int(bad[0]), q2)
-            prefix = next(islice(projective_points(ctx.Fq2, n - 1), done + k, None))
-            return prefix + (h,), int(by_last[k, h])
+            prefix = projective_points(ctx.Fq2, n - 1)[done + k].tolist()
+            return (*prefix, h), int(by_last[k, h])
         done += len(counts)
-    at_infinity = sum(pt[-1] == 0 for pt in S.points)
+    at_infinity = np.count_nonzero(S.points[:, -1] == 0)
     if not allowed[at_infinity]:
         return (0,) * n + (1,), at_infinity
     return None

@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .collineations import Collineation, build_R, check_R_budget, identity
-from .geometry import BMParams, bab_affine_eval, separating_map
+from .geometry import (BMParams, bab_affine_eval, coordinate_tables, lex_grid,
+                       separating_map)
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .linalg import gram
 
@@ -89,37 +90,28 @@ def family(params: BMParams,
 
 
 def w_set(ctx: FieldCtx, n: int) -> np.ndarray:
-    """Reference grid x_0 = 1, x_n in the transversal: q^{2n-1} x n, int32.
-
-    Rows run lexicographically in (x_1, ..., x_{n-1}), x_n by transversal
-    order.
-    """
-    heads = np.indices((ctx.q2,) * (n - 1)).reshape(n - 1, -1).T
-    C = len(ctx.transversal)
-    grid = np.empty((len(heads) * C, n), dtype=np.int32)
-    grid[:, :-1] = np.repeat(heads, C, axis=0)
-    grid[:, -1] = np.tile(ctx.transversal, len(heads))
-    return grid
+    """Reference grid x_0 = 1, x_n in the transversal: q^{2n-1} x n, int32,
+    its rows lexicographic in (x_1, ..., x_{n-1}), x_n in transversal order."""
+    heads = lex_grid((ctx.q2,) * (n - 1))
+    C = np.array(ctx.transversal, dtype=np.int32)
+    return np.column_stack([np.repeat(heads, len(C), axis=0),
+                            np.tile(C, len(heads))])
 
 
 def form_values(forms: list[AffineForm], points) -> np.ndarray:
     """Values of every form at every affine point, len(points) x len(forms).
 
-    The Frobenius map is additive, so each form splits coordinatewise as
-    Z(x_n) + Sum_{i<n} [H(x_i) + u_i x_i^q + v_i x_i] + w, with Z and H the
-    base form restricted to one coordinate.  Every coordinate thus becomes a
-    length-q^2 table per form, and a value is a sum of table lookups.
-    ``AffineForm.evaluate`` is the scalar reference for this.
+    Each form splits coordinatewise as Z(x_n) + Sum_{i<n} [H(x_i) +
+    u_i x_i^q + v_i x_i] + w, with Z and H from ``coordinate_tables``.  Every
+    coordinate thus becomes a length-q^2 table per form, and a value is a sum
+    of table lookups.  ``AffineForm.evaluate`` is the scalar reference for
+    this.
     """
     params = forms[0].params
     ctx, n = params.ctx, params.n
     add, mul = ctx.Fq2.np_add_table(), ctx.Fq2.np_mul_table()
     frob = ctx.np_frob()
-    zeros = (0,) * (n - 1)
-    Z = np.array([bab_affine_eval(params, zeros + (x,)) for x in range(ctx.q2)],
-                 dtype=np.int32)
-    H = np.array([bab_affine_eval(params, (x,) + zeros) for x in range(ctx.q2)],
-                 dtype=np.int32)
+    Z, H = coordinate_tables(params)
     u = np.array([f.u for f in forms], dtype=np.int32)
     v = np.array([f.v for f in forms], dtype=np.int32)
     w = np.array([f.w for f in forms], dtype=np.int32)

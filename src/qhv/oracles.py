@@ -151,7 +151,7 @@ def naive_character_spectrum(S: geo.PointSet, ctx: FieldCtx,
         for head in product(range(q2), repeat=last):
             h = head + (1,) + (0,) * (n - last)
             count = 0
-            for x in S.points:
+            for x in S.points.tolist():
                 acc = 0
                 for hi, xi in zip(h, x):
                     acc = F.add(acc, F.mul(hi, xi))

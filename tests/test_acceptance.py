@@ -160,7 +160,7 @@ def test_criterion_5_stabilizer(n, q):
     assert len(members) == q ** (2 * n - 1)
     origin = (1,) + (0,) * n
     orbit = [col.apply(ctx, g, origin) for g in members]
-    affine = {(1,) + pt for pt in geo.affine_points(params)}
+    affine = {(1, *pt) for pt in geo.affine_points(params).tolist()}
     assert len(set(orbit)) == len(orbit)
     assert set(orbit) == affine
     checked_pairs = 0

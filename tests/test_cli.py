@@ -3,6 +3,7 @@ import json
 import re
 import time
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -49,7 +50,7 @@ def test_variety_failure_names_first_hyperplane(runner, tmp_path, monkeypatch):
 
     def doctored(params, budget):
         S = build(params, budget=budget)
-        return geo.point_set(S.n, S.points[:5] + S.points[6:])
+        return geo.point_set(S.n, np.delete(S.points, 5, axis=0))
 
     monkeypatch.setattr(geo, "bm_variety", doctored)
     res = runner.invoke(main, ["variety", "--q", "3", "--n", "2",
@@ -67,12 +68,12 @@ def test_variety_failure_names_first_hyperplane(runner, tmp_path, monkeypatch):
 
     def meets(h):
         dots = [F.add(F.add(F.mul(h[0], x[0]), F.mul(h[1], x[1])), F.mul(h[2], x[2]))
-                for x in S.points]
+                for x in S.points.tolist()]
         return dots.count(0)
 
     assert meets(named) == count and count not in (1, 4)
-    for h in geo.projective_points(F, 2):
-        if list(h) == named:
+    for h in geo.projective_points(F, 2).tolist():
+        if h == named:
             break
         assert meets(h) in (1, 4), h
 
@@ -81,7 +82,11 @@ def test_variety_size_failure_without_hyperplane_witness(runner, tmp_path,
                                                          monkeypatch):
     from qhv import geometry as geo
 
-    monkeypatch.setattr(geo, "hermitian_size", lambda n, q: 29)
+    # the plane's count only: the section sizes are Hermitian counts in PG(1)
+    # and PG(0), and stay right
+    real = geo.hermitian_size
+    monkeypatch.setattr(geo, "hermitian_size",
+                        lambda n, q: 29 if n == 2 else real(n, q))
     res = runner.invoke(main, ["variety", "--q", "3", "--n", "2",
                                "--out", str(tmp_path / "v")])
     assert res.exit_code == 1
@@ -342,6 +347,14 @@ GOLDEN = {
     "var": (["variety", "--q", "3", "--n", "2"], {
         "var.json": "4ea816f4c698f16a06cb7698faa4f684859d4a6cdeeacda3aa32a856a7cfaea5",
         "var.points.txt": "7cd98b38e5e9927856fe38af37bff92c623da4f4239e94493e49c09207e24104",
+    }),
+    # n >= 3: the cone at infinity has more than its vertex
+    "var23": (["variety", "--q", "2", "--n", "3"], {
+        "var23.json": "21c625c63a209e21e0117b734de5dc9ba373c389c97b4d3a1a6b0d8856405e4e",
+        "var23.points.txt": "5a55a0af472a39a85689a92930583c9faed4f2179abe581788600bf9ae224d98",
+    }),
+    "var42": (["variety", "--q", "2", "--n", "4", "--format", "json"], {
+        "var42.json": "15d4d4bdf926acccf68685e552ead05e95a8a5c69fc20597fcf592c74c0b10b8",
     }),
 }
 

@@ -93,7 +93,7 @@ def test_codewords_agree_with_family_forms():
     ec = _code(q)
     base = fam.base_form(params)
     for i, (w1, w2) in enumerate(ec.omega.pairs):
-        d = geo.affine_rhs(params, (w1, w2))
+        d = int(geo.affine_rhs(params, (w1, w2)))
         an = params.ctx.unique_root_in_transversal(d)
         g = col.Collineation((w1, w2, an), (0, 0))
         form = fam.act_on_form(g, base)

@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 
 from qhv import collineations as col
@@ -101,7 +102,7 @@ def test_psi_count_exhaustive(n, q):
 def test_psi_permutes_affine_points_2_2():
     ctx = field_context(2)
     params = geo.scan_params(ctx, 2, mode="family")
-    aff = {(1,) + pt for pt in geo.affine_points(params)}
+    aff = {(1, *pt) for pt in geo.affine_points(params).tolist()}
     for g in col.psi_group(params):
         assert {col.apply(ctx, g, p) for p in aff} == aff
 
@@ -113,7 +114,7 @@ def test_psi_sharply_transitive(n, q):
     psi = col.psi_group(params)
     origin = (1,) + (0,) * n
     images = [col.apply(ctx, g, origin) for g in psi]
-    aff = {(1,) + pt for pt in geo.affine_points(params)}
+    aff = {(1, *pt) for pt in geo.affine_points(params).tolist()}
     assert len(set(images)) == len(images)       # free
     assert set(images) == aff                    # transitive
 
@@ -165,9 +166,10 @@ def test_r_element_reports_nonzero_trace_as_arithmetic_bug(monkeypatch):
     ctx = field_context(3)
     params = geo.scan_params(ctx, 2, mode="family")
     d = next(x for x in range(ctx.q2) if ctx.trace(x) != 0)
-    monkeypatch.setattr(col, "affine_rhs", lambda params, head: d)
+    monkeypatch.setattr(col, "affine_rhs",
+                        lambda params, heads: np.full(len(heads), d))
     with pytest.raises(RuntimeError, match="nonzero trace; arithmetic bug"):
-        col.r_element(params, (1,))
+        col.r_elements(params, [(1,)])
 
 
 def test_apply_commutes_with_scalar_rescaling():

@@ -1,17 +1,13 @@
 """Field axioms of the scalar ops, as property tests over every q <= 32.
 
 Each example draws a prime power q, one of the two fields of its context and
-field elements.  ``derandomize`` fixes the examples and ``database=None``
-keeps the runs from writing an example database, so the suite stays
-deterministic.
+field elements; ``conftest.SETTINGS`` keeps the examples fixed.
 """
 
-import tempfile
-
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
-from hypothesis.configuration import set_hypothesis_home_dir
 
+from conftest import SETTINGS
 from qhv.fields import field_context, prime_power
 
 
@@ -24,14 +20,6 @@ def _is_prime_power(q: int) -> bool:
 
 
 PRIME_POWERS = [q for q in range(2, 33) if _is_prime_power(q)]
-
-SETTINGS = settings(derandomize=True, database=None, deadline=None)
-
-# Hypothesis caches the constants of local source files under its home
-# directory (./.hypothesis by default) at collection time; keep that cache in
-# a temporary directory that is removed at exit.
-_HOME = tempfile.TemporaryDirectory(prefix="qhv-hypothesis-")
-set_hypothesis_home_dir(_HOME.name)
 
 
 @st.composite

@@ -2,7 +2,10 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from conftest import SETTINGS
 from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
@@ -44,6 +47,37 @@ def test_act_on_form_pointwise_exhaustive_2_2():
         for pt in product(range(4), repeat=2):
             img = col.apply(ctx, g, (1,) + pt)
             assert Fg.evaluate(pt) == base.evaluate(img[1:])
+
+
+@st.composite
+def _two_collineations_and_point(draw):
+    n, q = draw(st.sampled_from([(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3)]))
+    elements = st.integers(0, q * q - 1)
+
+    def collineation():
+        return col.Collineation(tuple(draw(elements) for _ in range(n)),
+                                tuple(draw(elements) for _ in range(n - 1)))
+
+    point = tuple(draw(elements) for _ in range(n))
+    return _params(n, q), collineation(), collineation(), point
+
+
+@SETTINGS
+@given(_two_collineations_and_point())
+def test_act_on_form_is_a_right_action_along_compose(args):
+    """Pulling back along g, then h, is pulling back along compose(h, g),
+    which applies h and then g: F^g(h x) = F(g (h x)) at every affine x.
+    With arbitrary betas and alpha_n the second pullback sees nonzero u, v, w."""
+    params, g, h, x = args
+    ctx = params.ctx
+    base = fam.base_form(params)
+    twice = fam.act_on_form(h, fam.act_on_form(g, base))
+    once = fam.act_on_form(col.compose(ctx, h, g), base)
+    assert (twice.u, twice.v, twice.w) == (once.u, once.v, once.w)
+    hx = col.apply(ctx, h, (1,) + x)[1:]
+    ghx = col.apply(ctx, g, (1,) + hx)[1:]
+    assert twice.evaluate(x) == fam.act_on_form(g, base).evaluate(hx) \
+        == base.evaluate(ghx)
 
 
 def test_act_on_form_identity():

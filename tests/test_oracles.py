@@ -108,7 +108,7 @@ def _variety(n, q):
 
 
 def _space(n, q):
-    return list(geo.projective_points(field_context(q).Fq2, n))
+    return geo.projective_points(field_context(q).Fq2, n).tolist()
 
 
 SPECTRUM_INPUTS = {
@@ -146,7 +146,7 @@ def _sample(n, q, k, seed):
 
 def _variety_minus_one(n, q):
     S = _variety(n, q)
-    return geo.point_set(n, S.points[:7] + S.points[8:])
+    return geo.point_set(n, np.delete(S.points, 7, axis=0))
 
 
 # every tail width t in 0..n-1 is forced on each set
@@ -166,9 +166,9 @@ def _naive_counts_in_order(S, ctx):
     scalar dot product per point."""
     F = ctx.Fq2
     counts = []
-    for h in geo.projective_points(F, S.n):
+    for h in geo.projective_points(F, S.n).tolist():
         count = 0
-        for x in S.points:
+        for x in S.points.tolist():
             acc = 0
             for hi, xi in zip(h, x):
                 acc = F.add(acc, F.mul(hi, xi))
@@ -196,7 +196,7 @@ def test_every_tail_width_names_the_first_hyperplane_outside(name, monkeypatch):
     ctx = field_context(q)
     S = make()
     counts = _naive_counts_in_order(S, ctx)
-    hyperplanes = list(geo.projective_points(ctx.Fq2, S.n))
+    hyperplanes = [tuple(h) for h in geo.projective_points(ctx.Fq2, S.n).tolist()]
     for t in range(S.n):
         monkeypatch.setattr(geo, "_tail_width", lambda n, q2, npoints, t=t: t)
         assert geo.first_hyperplane_outside(S, ctx, set(counts)) is None
@@ -304,7 +304,9 @@ def test_zero_set_masks_catch_a_wrong_power_table(monkeypatch):
 def test_oracles_share_no_optimized_evaluation_code():
     # qhv.oracles is the one deliberate second copy of the arithmetic
     source = inspect.getsource(oracles)
-    shared = re.findall(r"\b(form_values|act_on_form|separating_map|r_element|"
+    shared = re.findall(r"\b(form_values|act_on_form|separating_map|r_elements|"
+                        r"coordinate_tables|affine_rhs|lex_grid|as_roots|"
+                        r"transversal_roots|"
                         r"np_add_table|np_mul_table|np_neg_table|"
                         r"gram|gram_blocks|gram_dtype|linear_image|row_space|"
                         r"_prefix_sums|_tail_width|_tail_index|"
