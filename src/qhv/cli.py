@@ -272,6 +272,10 @@ def grid(instances, out, budget):
     for inst in report["instances"]:
         status = "ok" if inst["ok"] else "FAILED"
         click.echo(f"(n={inst['n']}, q={inst['q']}): {status}")
+        for name, check in inst["checks"].items():
+            if "witness" in check:
+                click.echo(f"(n={inst['n']}, q={inst['q']}) {name}: first "
+                           f"witness {json.dumps(check['witness'])}", err=True)
     sys.exit(EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED)
 
 

@@ -305,11 +305,18 @@ def bab_affine_eval(params: BMParams, x) -> int:
 
 def coordinate_tables(params: BMParams) -> tuple[np.ndarray, np.ndarray]:
     """Z and H, the base form at (0, ..., 0, x) and at (x, 0, ..., 0): the
-    Frobenius map is additive, so the form is Z(x_n) + Sum_{i<n} H(x_i)."""
-    zeros = (0,) * (params.n - 1)
-    Z = [bab_affine_eval(params, zeros + (x,)) for x in range(params.ctx.q2)]
-    H = [bab_affine_eval(params, (x,) + zeros) for x in range(params.ctx.q2)]
-    return np.array(Z, dtype=np.int32), np.array(H, dtype=np.int32)
+    Frobenius map is additive, so the form is Z(x_n) + Sum_{i<n} H(x_i).
+    ``bab_affine_eval``'s formula, run on the dense tables for every x."""
+    ctx = params.ctx
+    F = ctx.Fq2
+    add, mul, neg = F.np_add_table(), F.np_mul_table(), F.np_neg_table()
+    frob = ctx.np_frob()
+    x = np.arange(ctx.q2)
+    s2 = mul[x, x]
+    bqmb = F.sub(ctx.frob[params.b], params.b)
+    H = add[mul[ctx.frob[params.a], frob[s2]], neg[mul[params.a, s2]]]
+    H = add[H, neg[mul[bqmb, mul[x, frob]]]]
+    return add[frob, neg[x]], H
 
 
 def affine_rhs(params: BMParams, heads) -> np.ndarray:

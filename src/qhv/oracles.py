@@ -4,6 +4,13 @@ Everything here re-derives results from first principles: group elements act
 through dense matrix multiplication, forms are evaluated monomial by
 monomial with generic exponentiation, tuples are counted with dictionaries.
 None of it shares evaluation code with the optimized paths it checks.
+
+The grid's brute-force zero sets (``zero_set_masks``) run the scalar
+formulas on numpy arrays for a block of members at a time: every point goes
+through the whole dense matrix, folded one point axis at a time, and every
+table is filled from the scalar field ops.  A failing mutual-mu or oracle
+check names its first witness pair, and the oracle check a point where the
+form and its brute-force zero set disagree.
 """
 
 from __future__ import annotations
@@ -70,20 +77,42 @@ def naive_zero_set(params: BMParams, g: Collineation) -> frozenset:
 
 def _power_tables(F, order: int, exponents) -> dict:
     """x -> x^e for each exponent e, from scalar ``F.pow``."""
-    return {e: np.array([F.pow(x, e) for x in range(order)], dtype=np.intp)
+    return {e: np.array([F.pow(x, e) for x in range(order)], dtype=np.int32)
             for e in exponents}
+
+
+#: members per block times q^{2n} points stays at most this many cells
+#: (at least one member per block), so each block's index arrays stay small
+ORACLE_BLOCK_CELLS = 2**14
+
+
+def _image_coordinate(add_flat: np.ndarray, times: np.ndarray, m: np.ndarray,
+                      j: int) -> np.ndarray:
+    """Coordinate j of (1, x_1..x_n) m for every matrix m of the block and
+    every point, one row per matrix, points in ``product`` order: the sum
+    x_0 m_0j + ... + x_n m_nj folded one point axis at a time."""
+    q2 = len(times)
+    # x_0 = 1 at every point: one value per matrix
+    acc = add_flat.take(times[m[:, 0, j], 1])[:, None]
+    for i in range(1, m.shape[1]):
+        acc = add_flat.take((acc * q2)[:, :, None] + times[m[:, i, j]][:, None, :])
+        acc = acc.reshape(len(m), -1)
+    return acc
 
 
 def zero_set_masks(params: BMParams, R, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Zero sets of F^g for every g in R, as a len(R) x q^{2n} boolean mask.
 
     Column j is the j-th affine point of ``product(range(q^2), repeat=n)``.
-    The formulas are ``naive_form_value``'s, run on numpy columns: each
-    point (1, x_1..x_n) goes through the dense ``to_matrix(g)`` as a row
-    times the whole matrix, and the base equation is summed monomial by
-    monomial through power tables.  Every table is filled from the scalar
-    field ops.  Raises ``BudgetExceededError`` when len(R) * q^{2n}
-    evaluations exceed the budget.
+    The formulas are ``naive_form_value``'s, run on numpy arrays for a block
+    of members at a time: each point (1, x_1..x_n) goes through the dense
+    ``to_matrix(g)`` as a row times the whole matrix, and the base equation
+    is a sum of one-coordinate terms.  x_i varies only along axis i of the
+    point grid, so x_i m_ij is a table row broadcast along that axis, and
+    image coordinate j is folded one axis at a time; only the last step
+    works on the whole grid.  Every table is filled from the scalar field
+    ops.  Raises ``BudgetExceededError`` when len(R) * q^{2n} evaluations
+    exceed the budget.
     """
     ctx, n = params.ctx, params.n
     F, q, q2 = ctx.Fq2, ctx.q, ctx.q2
@@ -92,31 +121,33 @@ def zero_set_masks(params: BMParams, R, budget: int = DEFAULT_BUDGET) -> np.ndar
         raise BudgetExceededError(f"oracle zero sets would take {evals} form "
                                   f"evaluations, budget is {budget}")
     elems = range(q2)
-    add = np.array([[F.add(x, y) for y in elems] for x in elems], dtype=np.intp)
-    mul = np.array([[F.mul(x, y) for y in elems] for x in elems], dtype=np.intp)
-    neg = np.array([F.neg(x) for x in elems], dtype=np.intp)
+    # add(u, v) = add_flat[u q^2 + v]; times[c] is the row x -> x c
+    add_flat = np.array([F.add(x, y) for x in elems for y in elems],
+                        dtype=np.int32)
+    times = np.array([[F.mul(x, c) for x in elems] for c in elems],
+                     dtype=np.int32)
     power = _power_tables(F, q2, (q, 2 * q, 2, q + 1))
     aq, bq = F.pow(params.a, q), F.pow(params.b, q)
     bq_b = F.sub(bq, params.b)
-    point = [np.ones(q2**n, dtype=np.intp),
-             *np.indices((q2,) * n, dtype=np.intp).reshape(n, -1)]
+    # the base equation is last(y_n) + Sum_{i<n} head(y_i)
+    last = np.array([F.add(power[q][y], F.neg(y)) for y in elems],
+                    dtype=np.int32)
+    head = np.array([F.add(F.add(F.mul(aq, power[2 * q][y]),
+                                 F.neg(F.mul(params.a, power[2][y]))),
+                           F.neg(F.mul(bq_b, power[q + 1][y])))
+                     for y in elems], dtype=np.int32)
+    mats = np.array([to_matrix(g) for g in R], dtype=np.intp).reshape(
+        len(R), n + 1, n + 1)
     masks = np.empty((len(R), q2**n), dtype=bool)
-    for row, g in zip(masks, R):
-        m = to_matrix(g)
-        img = []
-        for j in range(n + 1):
-            acc = np.zeros(q2**n, dtype=np.intp)
-            for i, xi in enumerate(point):
-                acc = add[acc, mul[xi, m[i][j]]]
-            img.append(acc)
-        assert (img[0] == 1).all()
-        *head, xn = img[1:]
-        val = add[power[q][xn], neg[xn]]
-        for xi in head:
-            val = add[val, mul[aq, power[2 * q][xi]]]
-            val = add[val, neg[mul[params.a, power[2][xi]]]]
-            val = add[val, neg[mul[bq_b, power[q + 1][xi]]]]
-        row[:] = val == 0
+    step = max(1, ORACLE_BLOCK_CELLS // q2**n)
+    for start in range(0, len(R), step):
+        m = mats[start:start + step]
+        assert (_image_coordinate(add_flat, times, m, 0) == 1).all()
+        val = last.take(_image_coordinate(add_flat, times, m, n))
+        for j in range(1, n):
+            y = _image_coordinate(add_flat, times, m, j)
+            val = add_flat.take(val * q2 + head.take(y))
+        masks[start:start + step] = val == 0
     return masks
 
 
@@ -221,6 +252,28 @@ def _check(report: dict, name: str, ok: bool, **info) -> None:
     report["checks"][name] = {"ok": bool(ok), **info}
 
 
+def _first_pair(bad: np.ndarray) -> list[int]:
+    """The first [i, j] in row-major order where ``bad`` holds."""
+    return list(divmod(int(np.flatnonzero(bad)[0]), bad.shape[1]))
+
+
+def _oracle_witness(params: BMParams, forms, masks: np.ndarray,
+                    mu_matrix: np.ndarray, oracle: np.ndarray) -> dict:
+    """The first pair whose counts differ, and for the first of its members
+    whose form and brute-force zero set differ, the first affine point (in
+    ``product`` order) in one zero set and not in the other."""
+    i, j = _first_pair(oracle != mu_matrix)
+    witness = {"pair": [i, j], "count": int(mu_matrix[i, j]),
+               "oracle_count": int(oracle[i, j])}
+    points = list(product(range(params.ctx.q2), repeat=params.n))
+    for member in sorted({i, j}):
+        for pt, in_oracle in zip(points, masks[member].tolist()):
+            if (forms[member].evaluate(pt) == 0) != in_oracle:
+                return {**witness, "member": member, "point": list(pt),
+                        "in_oracle_zero_set": in_oracle}
+    return witness
+
+
 def _check_family(report: dict, params: BMParams, spec: GridSpec) -> None:
     """family_size, mutual_mu and oracle_agreement; a stage over budget is
     recorded as skipped, together with every check that needs it."""
@@ -244,20 +297,31 @@ def _check_family(report: dict, params: BMParams, spec: GridSpec) -> None:
         return
     k = len(forms)
     counts = Counter(mu_matrix[np.triu_indices(k, 1)].tolist())
-    _check(report, "mutual_mu", set(counts) <= {mu},
+    mu_ok = set(counts) <= {mu}
+    witness = {}
+    if not mu_ok:
+        i, j = _first_pair(np.triu(mu_matrix != mu, 1))
+        witness["witness"] = {"pair": [i, j], "count": int(mu_matrix[i, j]),
+                              "expected": mu}
+    _check(report, "mutual_mu", mu_ok,
            histogram={str(c): v for c, v in sorted(counts.items())},
-           expected_mu=mu)
+           expected_mu=mu, **witness)
     try:
         masks = zero_set_masks(params, R, spec.budget)
     except BudgetExceededError as exc:
         _check(report, "oracle_agreement", False, skipped=str(exc))
         return
     # zero-set incidence, forms x affine points; its Gram matrix counts every
-    # common zero, the diagonal included (float64 takes the BLAS path and is
-    # exact: every count is at most q^{2n} < 2^53)
-    incidence = masks.astype(np.float64)
-    agree = np.array_equal(incidence @ incidence.T, mu_matrix)
-    _check(report, "oracle_agreement", agree, pairs_checked=k * (k - 1) // 2)
+    # common zero, the diagonal included (floats take the BLAS path; every
+    # count is at most q^{2n}, exact in float32 below 2^24, else in float64)
+    exact = np.float32 if masks.shape[1] < 2**24 else np.float64
+    incidence = masks.astype(exact)
+    oracle = incidence @ incidence.T
+    agree = np.array_equal(oracle, mu_matrix)
+    witness = {} if agree else {"witness": _oracle_witness(
+        params, forms, masks, mu_matrix, oracle)}
+    _check(report, "oracle_agreement", agree, pairs_checked=k * (k - 1) // 2,
+           **witness)
 
 
 def run_instance(inst: GridInstance, spec: GridSpec) -> dict:

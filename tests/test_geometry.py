@@ -163,6 +163,20 @@ def test_affine_eval_origin_and_trace():
         assert ctx.trace(geo.bab_affine_eval(params, x)) == 0
 
 
+@pytest.mark.parametrize("n,q,a,b", [(2, 8, None, None), (3, 9, None, None),
+                                     (2, 5, 0, None), (3, 4, 3, 9)])
+def test_coordinate_tables_match_scalar_eval(n, q, a, b):
+    ctx = field_context(q)
+    params = geo.scan_params(ctx, n, mode="family", a=a, b=b)
+    Z, H = geo.coordinate_tables(params)
+    assert Z.dtype == H.dtype == np.int32
+    zeros = (0,) * (n - 1)
+    assert Z.tolist() == [geo.bab_affine_eval(params, zeros + (x,))
+                          for x in range(ctx.q2)]
+    assert H.tolist() == [geo.bab_affine_eval(params, (x,) + zeros)
+                          for x in range(ctx.q2)]
+
+
 @pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (3, 2)])
 def test_affine_zero_count(n, q):
     ctx = field_context(q)

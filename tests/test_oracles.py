@@ -1,7 +1,9 @@
+import dataclasses
 import inspect
 import json
 import random
 import re
+import tracemalloc
 from collections import Counter
 from itertools import product
 
@@ -273,16 +275,51 @@ def test_zero_set_masks_match_naive_zero_set(n, q):
 
 @pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4)])
 def test_zero_set_masks_on_dense_collineations(n, q):
-    # nonzero betas and alpha_n fill every entry the dense matrix can hold
     params = _family(n, q)
-    q2 = params.ctx.q2
-    rng = random.Random(100 * n + q)
-    gs = [col.Collineation(tuple(rng.randrange(q2) for _ in range(n - 1))
-                           + (rng.randrange(1, q2),),
-                           tuple(rng.randrange(1, q2) for _ in range(n - 1)))
-          for _ in range(6)]
+    gs = _dense_collineations(params)
     masks = zero_set_masks(params, gs)
     assert _mask_sets(params, masks) == [naive_zero_set(params, g) for g in gs]
+
+
+def _dense_collineations(params):
+    # nonzero betas and alpha_n fill every entry the dense matrix can hold
+    n, q2 = params.n, params.ctx.q2
+    rng = random.Random(100 * n + params.ctx.q)
+    return [col.Collineation(tuple(rng.randrange(q2) for _ in range(n - 1))
+                             + (rng.randrange(1, q2),),
+                             tuple(rng.randrange(1, q2) for _ in range(n - 1)))
+            for _ in range(6)]
+
+
+@pytest.mark.parametrize("members", ["R", "dense"])
+@pytest.mark.parametrize("n,q", [(2, 3), (2, 4), (3, 2)])
+@pytest.mark.parametrize("per_block", [1, 5])
+def test_zero_set_masks_do_not_depend_on_the_block(n, q, members, per_block,
+                                                   monkeypatch):
+    # one member per block (a single cell is under one member's q^{2n}
+    # points), and blocks of 5 that split the members unevenly
+    params = _family(n, q)
+    gs = col.build_R(params) if members == "R" else _dense_collineations(params)
+    assert len(gs) % 5
+    cells = 1 if per_block == 1 else per_block * q ** (2 * n)
+    monkeypatch.setattr(oracles, "ORACLE_BLOCK_CELLS", cells)
+    masks = zero_set_masks(params, gs)
+    assert _mask_sets(params, masks) == [naive_zero_set(params, g) for g in gs]
+
+
+def test_zero_set_masks_peak_memory_follows_the_block():
+    # (2, 8): 64 members x 4096 points; one block holds 4 members, and the
+    # live index arrays of a block stay within 32 bytes per cell
+    params = _family(2, 8)
+    R = col.build_R(params)
+    zero_set_masks(params, R)
+    tracemalloc.start()
+    try:
+        masks = zero_set_masks(params, R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= masks.nbytes + 32 * oracles.ORACLE_BLOCK_CELLS
 
 
 def test_zero_set_masks_catch_a_wrong_power_table(monkeypatch):
@@ -315,3 +352,70 @@ def test_oracles_share_no_optimized_evaluation_code():
                         r"SPECTRUM_BLOCK_CELLS)\b",
                         source)
     assert not shared
+
+
+def _doctor_family(monkeypatch, member=2):
+    """Shift u_1 of one family member by 1, so its form leaves the family."""
+    real = oracles.family
+
+    def doctored(params, R, budget):
+        forms = list(real(params, R, budget))
+        f = forms[member]
+        u1 = params.ctx.Fq2.add(f.u[0], 1)
+        forms[member] = dataclasses.replace(f, u=(u1,) + f.u[1:])
+        return forms
+
+    monkeypatch.setattr(oracles, "family", doctored)
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 2), (2, 4)])
+def test_grid_names_the_first_witness_of_a_doctored_family(n, q, monkeypatch):
+    params = _family(n, q)
+    R = col.build_R(params)
+    passing = run_grid(GridSpec.of((n, q)))["instances"][0]["checks"]
+    assert "witness" not in passing["mutual_mu"]
+    assert "witness" not in passing["oracle_agreement"]
+    _doctor_family(monkeypatch)
+    forms = oracles.family(params, R, 10**6)
+    checks = run_grid(GridSpec.of((n, q)))["instances"][0]["checks"]
+    assert not checks["mutual_mu"]["ok"]
+    assert not checks["oracle_agreement"]["ok"]
+    points = list(product(range(q * q), repeat=n))
+    zeros = [{p for p in points if f.evaluate(p) == 0} for f in forms]
+    naive = [naive_zero_set(params, g) for g in R]
+    k, mu = len(R), q ** (2 * n - 2)
+    pairs = [(i, j) for i in range(k) for j in range(k)]
+    i, j = next((i, j) for i, j in pairs
+                if i < j and len(zeros[i] & zeros[j]) != mu)
+    assert checks["mutual_mu"]["witness"] == {
+        "pair": [i, j], "count": len(zeros[i] & zeros[j]), "expected": mu}
+    i, j = next((i, j) for i, j in pairs
+                if len(zeros[i] & zeros[j]) != len(naive[i] & naive[j]))
+    witness = checks["oracle_agreement"]["witness"]
+    member, pt = witness.pop("member"), tuple(witness.pop("point"))
+    in_oracle = witness.pop("in_oracle_zero_set")
+    assert witness == {"pair": [i, j], "count": len(zeros[i] & zeros[j]),
+                       "oracle_count": len(naive[i] & naive[j])}
+    # the doctored member, at the first point where the two zero sets differ,
+    # re-checked with the scalar oracle
+    assert member == 2
+    assert pt == next(p for p in points
+                      if (p in naive[member]) != (p in zeros[member]))
+    assert (naive_form_value(params, R[member], pt) == 0) == in_oracle
+    assert (forms[member].evaluate(pt) == 0) != in_oracle
+
+
+def test_grid_cli_prints_the_witness_of_a_failing_check(monkeypatch, tmp_path):
+    _doctor_family(monkeypatch)
+    out = tmp_path / "g"
+    res = CliRunner().invoke(main, ["grid", "--instances", "2,3",
+                                    "--out", str(out)])
+    assert res.exit_code == 1
+    checks = json.loads(out.with_suffix(".json").read_text())[
+        "instances"][0]["checks"]
+    lines = res.stderr.splitlines()
+    assert len(lines) == 2
+    for line, name in zip(lines, ("mutual_mu", "oracle_agreement")):
+        head, _, witness = line.partition(" first witness ")
+        assert head == f"(n=2, q=3) {name}:"
+        assert json.loads(witness) == checks[name]["witness"]
