@@ -14,57 +14,71 @@ The library constructs, over any desk-scale prime power q:
 
 Every claimed property is verified exhaustively; ``oracles`` holds the
 independent brute-force reimplementations used as ground truth.
+
+``import qhv`` registers every submodule in ``sys.modules`` and binds it as
+an attribute of the package, but executes none of them: a submodule runs on
+its first attribute access, so a command compiles only the modules it uses.
+The public names in ``_MODULES`` are looked up in their submodule on
+each access.
 """
 
-from .fields import (
-    BudgetExceededError,
-    ExtensionField,
-    FieldCtx,
-    PrimeField,
-    absolute_trace,
-    field_context,
-    prime_power,
-)
-from .geometry import (
-    BMParams,
-    ParameterError,
-    PointSet,
-    bab_affine_eval,
-    bm_variety,
-    character_spectrum,
-    classical_params,
-    expected_spectrum_support,
-    family_params,
-    hermitian_size,
-    scan_params,
-    separating_map,
-    separation_value,
-    validate_params,
-)
-from .collineations import Collineation, build_R, in_psi, psi_group, r_elements
-from .intersecting_family import (
-    AffineForm,
-    act_on_form,
-    base_form,
-    family,
-    intersection_count,
-    s_coefficients,
-    separating_g,
-    w_set,
-)
-from .oa import OrthogonalArray, build_oa, verify_simple, verify_strength, write_oa
-from .codes import (
-    EvalCode,
-    FqLinearCode,
-    OmegaSet,
-    build_code,
-    check_luc1,
-    doubly_extend,
-    min_distance,
-    omega_set,
-    rs_equivalence_check,
-    scale_to_fq,
-)
-from .oracles import DEFAULT_GRID, GridInstance, GridSpec, run_grid
+import importlib.util
+import sys
+
+#: every submodule, with the public names the package re-exports from it
+_MODULES = {
+    "fields": ("BudgetExceededError", "ExtensionField", "FieldCtx",
+               "PrimeField", "absolute_trace", "field_context", "prime_power"),
+    "geometry": ("BMParams", "ParameterError", "PointSet", "bab_affine_eval",
+                 "bm_variety", "character_spectrum", "classical_params",
+                 "expected_spectrum_support", "family_params",
+                 "hermitian_size", "scan_params", "separating_map",
+                 "separation_value", "validate_params"),
+    "collineations": ("Collineation", "build_R", "in_psi", "psi_group",
+                      "r_elements"),
+    "intersecting_family": ("AffineForm", "act_on_form", "base_form", "family",
+                            "intersection_count", "s_coefficients",
+                            "separating_g", "w_set"),
+    "linalg": (),
+    "oa": ("OrthogonalArray", "build_oa", "verify_simple", "verify_strength",
+           "write_oa"),
+    "codes": ("EvalCode", "FqLinearCode", "OmegaSet", "build_code",
+              "check_luc1", "doubly_extend", "min_distance", "omega_set",
+              "rs_equivalence_check", "scale_to_fq"),
+    "oracles": ("DEFAULT_GRID", "GridInstance", "GridSpec", "run_grid"),
+}
+
+_EXPORTS = {name: module for module, names in _MODULES.items()
+            for name in names}
+
+__all__ = list(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def _register(fullname: str):
+    """Put the module in ``sys.modules`` now; execute it on first access."""
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _module in _MODULES:
+    globals()[_module] = _register(f"{__name__}.{_module}")
+del _module
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    return getattr(globals()[module], name)
+
+
+def __dir__() -> list[str]:
+    return [*globals(), *__all__]

@@ -18,8 +18,8 @@ import click
 from . import codes as codes_mod
 from . import geometry as geo
 from . import oa as oa_mod
+from . import oracles
 from .fields import DEFAULT_BUDGET, BudgetExceededError, field_context
-from .oracles import GridInstance, GridSpec, run_grid
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -261,9 +261,9 @@ def grid(instances, out, budget):
             if n < 2:
                 raise ValueError(f"ambient dimension n must be >= 2, got {n}")
             field_context(q)  # rejects q that is not a prime power, or too large
-            pairs.append(GridInstance(n, q))
-        spec = GridSpec(tuple(pairs), budget=_budget(budget))
-    report = run_grid(spec)
+            pairs.append(oracles.GridInstance(n, q))
+        spec = oracles.GridSpec(tuple(pairs), budget=_budget(budget))
+    report = oracles.run_grid(spec)
     report["config"] = cfg
     base = out or "grid_report"
     with _exit_on_bad_input():

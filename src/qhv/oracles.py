@@ -274,9 +274,10 @@ def _oracle_witness(params: BMParams, forms, masks: np.ndarray,
     return witness
 
 
-def _check_family(report: dict, params: BMParams, spec: GridSpec) -> None:
+def _check_family(report: dict, params: BMParams, spec: GridSpec) -> list | None:
     """family_size, mutual_mu and oracle_agreement; a stage over budget is
-    recorded as skipped, together with every check that needs it."""
+    recorded as skipped, together with every check that needs it.  Returns
+    the family, or None when it was skipped."""
     n, q = params.n, params.ctx.q
     try:
         R = build_R(params, spec.budget)
@@ -285,7 +286,7 @@ def _check_family(report: dict, params: BMParams, spec: GridSpec) -> None:
         _check(report, "family_size", False, skipped=str(exc))
         for name in ("mutual_mu", "oracle_agreement"):
             _check(report, name, False, skipped="the family was skipped")
-        return
+        return None
     mu = q ** (2 * n - 2)
     _check(report, "family_size", len(forms) == mu, size=len(forms), expected=mu)
     try:
@@ -294,9 +295,11 @@ def _check_family(report: dict, params: BMParams, spec: GridSpec) -> None:
         # the oracle is compared against the matrix, so it goes too
         for name in ("mutual_mu", "oracle_agreement"):
             _check(report, name, False, skipped=str(exc))
-        return
+        return forms
     k = len(forms)
-    counts = Counter(mu_matrix[np.triu_indices(k, 1)].tolist())
+    # histogram of the k(k-1)/2 counts above the diagonal, in count order
+    tally = np.bincount(mu_matrix[np.triu_indices(k, 1)])
+    counts = {int(c): int(tally[c]) for c in np.flatnonzero(tally)}
     mu_ok = set(counts) <= {mu}
     witness = {}
     if not mu_ok:
@@ -304,13 +307,13 @@ def _check_family(report: dict, params: BMParams, spec: GridSpec) -> None:
         witness["witness"] = {"pair": [i, j], "count": int(mu_matrix[i, j]),
                               "expected": mu}
     _check(report, "mutual_mu", mu_ok,
-           histogram={str(c): v for c, v in sorted(counts.items())},
+           histogram={str(c): v for c, v in counts.items()},
            expected_mu=mu, **witness)
     try:
         masks = zero_set_masks(params, R, spec.budget)
     except BudgetExceededError as exc:
         _check(report, "oracle_agreement", False, skipped=str(exc))
-        return
+        return forms
     # zero-set incidence, forms x affine points; its Gram matrix counts every
     # common zero, the diagonal included (floats take the BLAS path; every
     # count is at most q^{2n}, exact in float32 below 2^24, else in float64)
@@ -322,6 +325,7 @@ def _check_family(report: dict, params: BMParams, spec: GridSpec) -> None:
         params, forms, masks, mu_matrix, oracle)}
     _check(report, "oracle_agreement", agree, pairs_checked=k * (k - 1) // 2,
            **witness)
+    return forms
 
 
 def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
@@ -366,11 +370,11 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
         except BudgetExceededError as exc:
             _check(report, "two_character", False, skipped=str(exc))
 
-    _check_family(report, params, spec)
+    forms = _check_family(report, params, spec)
 
     # orthogonal array
     try:
-        A = oa_mod.build_oa(params, budget=spec.budget)
+        A = oa_mod.build_oa(params, budget=spec.budget, forms=forms)
         strength = oa_mod.verify_strength(A, 2)
         simple = oa_mod.verify_simple(A)
         lam = q ** (2 * n - 3)
@@ -381,6 +385,10 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
         _check(report, "row_injectivity", simple)
     except BudgetExceededError as exc:
         _check(report, "oa", False, skipped=str(exc))
+    except RuntimeError as exc:
+        # the array is built from the checked family: a member that takes a
+        # value outside the trace-zero set fails the check, naming its cell
+        _check(report, "oa", False, error=str(exc))
 
     # codes only exist in the n = 3 ambient with q > 4
     if n == 3 and q > 4:

@@ -14,6 +14,7 @@ from click.testing import CliRunner
 from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
+from qhv import oa as oam
 from qhv import oracles
 from qhv.cli import main
 from qhv.fields import BudgetExceededError, field_context
@@ -419,3 +420,49 @@ def test_grid_cli_prints_the_witness_of_a_failing_check(monkeypatch, tmp_path):
         head, _, witness = line.partition(" first witness ")
         assert head == f"(n=2, q=3) {name}:"
         assert json.loads(witness) == checks[name]["witness"]
+
+
+def test_grid_builds_r_and_the_family_once_per_instance(monkeypatch):
+    # the grid's array is built from the family its mutual-mu check used
+    calls = Counter()
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counting(oracles, "build_R")
+    counting(fam, "build_R")
+    counting(oracles, "family")
+    counting(oam, "family")
+    report = run_grid(GridSpec.of((2, 3), (3, 2), (2, 4)))
+    assert report["ok"]
+    assert calls == {"build_R": 3, "family": 3}
+
+
+def test_grid_mutual_mu_histogram_counts_every_pair(monkeypatch):
+    params = _family(2, 3)
+    _doctor_family(monkeypatch)
+    forms = oracles.family(params, col.build_R(params), 10**6)
+    counts = fam.intersection_count(forms)
+    k = len(forms)
+    expected = Counter(counts[i, j] for i in range(k) for j in range(i + 1, k))
+    assert len(expected) > 1
+    histogram = run_grid(GridSpec.of((2, 3)))["instances"][0]["checks"][
+        "mutual_mu"]["histogram"]
+    assert list(histogram.items()) == [(str(c), v)
+                                       for c, v in sorted(expected.items())]
+    assert sum(histogram.values()) == k * (k - 1) // 2
+
+
+def test_grid_records_an_array_built_from_a_doctored_family(monkeypatch):
+    _doctor_family(monkeypatch)
+    inst = run_grid(GridSpec.of((2, 3)))["instances"][0]
+    oa_check = inst["checks"]["oa"]
+    assert not oa_check["ok"]
+    assert re.fullmatch(r"form value \d+ at row \d+, column 2 is not "
+                        r"trace-zero; arithmetic bug", oa_check["error"])
+    assert "row_injectivity" not in inst["checks"]
