@@ -7,6 +7,7 @@ same invocation produces byte-identical files.
 
 from __future__ import annotations
 
+import gc
 import json
 import os
 import sys
@@ -279,5 +280,13 @@ def grid(instances, out, budget):
     sys.exit(EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED)
 
 
-if __name__ == "__main__":  # pragma: no cover
+def run() -> None:
+    """Process entry point (`python -m qhv.cli`, the `qhv` script): everything
+    imported so far lives until exit, so keep the collector, and the
+    interpreter's shutdown collections, from traversing it again."""
+    gc.freeze()
     main()
+
+
+if __name__ == "__main__":  # pragma: no cover
+    run()

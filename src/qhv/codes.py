@@ -15,7 +15,6 @@ coefficient of the interpolating polynomial doubly extends it to
 
 from __future__ import annotations
 
-import hashlib
 import json
 import warnings
 from dataclasses import dataclass
@@ -275,6 +274,8 @@ def code_metadata(code: FqLinearCode, eval_code: EvalCode, genmat: str,
                   rs_report: RSReport | None = None,
                   extra_meta: dict | None = None) -> dict:
     """Metadata for the code and its generator matrix text ``genmat``."""
+    import hashlib  # loads OpenSSL: only commands that write a digest pay it
+
     ctx = eval_code.params.ctx
     meta = {
         "q": code.q,

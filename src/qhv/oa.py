@@ -8,7 +8,6 @@ OA(q^{2n-1}, q^{2n-2}, q, 2) of index q^{2n-3}.
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations
@@ -194,6 +193,8 @@ def oa_sidecar(A: OrthogonalArray, csv: bytes, strength: StrengthReport,
                simple: bool, extra_meta: dict | None = None) -> dict:
     """Metadata for the array and its CSV bytes, recording the caller's
     verification verdicts."""
+    import hashlib  # loads OpenSSL: only commands that write a digest pay it
+
     ctx = A.params.ctx if A.params is not None else None
     digest = hashlib.sha256(csv).hexdigest()
     sidecar = {

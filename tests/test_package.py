@@ -1,5 +1,7 @@
-"""The package surface: lazily executed submodules, eagerly registered names."""
+"""The package surface: lazily executed submodules, eagerly registered names;
+and the process entry point that runs the CLI."""
 
+import gc
 import json
 import os
 import subprocess
@@ -7,8 +9,10 @@ import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 import qhv
+from qhv import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -28,19 +32,36 @@ try:
     qhv.cli.main.main(args=sys.argv[1:], prog_name="qhv")
 except SystemExit as exc:
     code = exc.code
-print(json.dumps({"before": before, "after": unexecuted(), "exit": code}))
+print(json.dumps({"before": before, "after": unexecuted(), "exit": code,
+                  "hashlib": "_hashlib" in sys.modules}))
+"""
+
+# what the interpreter has frozen when it starts to shut down after run()
+FREEZE_PROBE = """\
+import atexit, gc, sys
+import qhv.cli
+
+atexit.register(lambda: print(gc.get_freeze_count()))
+qhv.cli.run()
 """
 
 LIBRARY = ["qhv.codes", "qhv.collineations", "qhv.geometry",
            "qhv.intersecting_family", "qhv.linalg", "qhv.oa", "qhv.oracles"]
 
 
-def _probe(tmp_path, *args):
+def _python(tmp_path, *argv):
+    """Run the interpreter on this checkout's sources, in ``tmp_path``, with
+    no budget taken from the environment."""
     env = dict(os.environ)
+    env.pop(cli.BUDGET_ENV, None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    res = subprocess.run([sys.executable, "-c", PROBE, *args], cwd=tmp_path,
-                         env=env, capture_output=True, text=True, timeout=120)
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
+def _probe(tmp_path, *args):
+    res = _python(tmp_path, "-c", PROBE, *args)
     assert res.returncode == 0, res.stderr
     return json.loads(res.stdout.splitlines()[-1])
 
@@ -51,6 +72,7 @@ def _probe(tmp_path, *args):
       "qhv.linalg", "qhv.oa", "qhv.oracles"]),
     (["oa", "--q", "2", "--n", "2"], ["qhv.codes", "qhv.oracles"]),
     (["code", "--q", "5"], ["qhv.oa", "qhv.oracles"]),
+    (["grid", "--instances", "2,2"], ["qhv.codes"]),
 ])
 def test_a_command_executes_only_the_modules_it_uses(tmp_path, args, unexecuted):
     probe = _probe(tmp_path, *args)
@@ -58,6 +80,43 @@ def test_a_command_executes_only_the_modules_it_uses(tmp_path, args, unexecuted)
     assert probe["before"] == LIBRARY
     assert probe["exit"] == 0
     assert probe["after"] == unexecuted
+    # only the commands that write a digest load OpenSSL's _hashlib
+    assert probe["hashlib"] is (args[0] in ("oa", "code"))
+
+
+def test_entry_point_freezes_the_heap_until_exit(tmp_path):
+    res = _python(tmp_path, "-c", FREEZE_PROBE, "variety", "--q", "2", "--n", "2")
+    assert res.returncode == 0, res.stderr
+    assert int(res.stdout.splitlines()[-1]) > 0
+
+
+def test_in_process_callers_of_main_freeze_nothing(tmp_path):
+    frozen = gc.get_freeze_count()
+    res = CliRunner().invoke(cli.main, ["variety", "--q", "2", "--n", "2",
+                                        "--out", str(tmp_path / "v")])
+    assert res.exit_code == 0, res.output
+    assert gc.get_freeze_count() == frozen
+
+
+@pytest.mark.parametrize("args,code", [
+    (["variety", "--q", "2", "--n", "2"], 0),
+    (["oa", "--q", "6"], 2),
+    (["variety", "--q", "3", "--n", "3", "--budget", "10"], 3),
+], ids=["ok", "bad-params", "budget"])
+def test_module_entry_point_matches_in_process_run(tmp_path, monkeypatch, args,
+                                                   code):
+    spawned, in_process = tmp_path / "spawned", tmp_path / "in_process"
+    spawned.mkdir(), in_process.mkdir()
+    res = _python(spawned, "-m", "qhv.cli", *args)
+    assert res.returncode == code, res.stderr
+    monkeypatch.delenv(cli.BUDGET_ENV, raising=False)
+    monkeypatch.chdir(in_process)
+    ref = CliRunner().invoke(cli.main, args)
+    assert ref.exit_code == code
+    assert (res.stdout, res.stderr) == (ref.stdout, ref.stderr)
+    files = {p.name: p.read_bytes() for p in spawned.iterdir()}
+    assert files == {p.name: p.read_bytes() for p in in_process.iterdir()}
+    assert bool(files) is (code == 0)
 
 
 def test_every_export_is_its_submodules_object():
