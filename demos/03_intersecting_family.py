@@ -3,6 +3,8 @@ exactly q^{2n-2} affine points.
 """
 
 from qhv import (
+    act_on_form,
+    base_form,
     build_R,
     family,
     field_context,
@@ -25,8 +27,11 @@ for g in R[:4]:
 print("  ...")
 print()
 
-forms = family(params, R)
-counts = intersection_count(forms)
+u, v = family(params)
+print("the family as coefficient arrays: member m is the base form plus "
+      "Sum u[m, i] X_i^q + v[m, i] X_i")
+print(f"  u = {u[:, 0].tolist()}\n  v = {v[:, 0].tolist()}")
+counts = intersection_count(params, u, v)
 print("affine intersection counts, member by member:")
 print(counts)
 print(f"off the diagonal all = q^(2n-2) = {q**(2*n-2)}; on it the affine "
@@ -36,7 +41,9 @@ print()
 # the separation property behind simplicity of the orthogonal array
 W = [tuple(row) for row in w_set(ctx, n).tolist()]
 P, P2 = W[0], W[1]
-g = separating_g(params, P, P2, forms)
-f = next(f for f in forms if f.g == g)
-print(f"points {P} and {P2} are separated by the member with alphas "
+g = separating_g(params, P, P2, (u, v))
+f = act_on_form(g, base_form(params))   # the scalar pullback, one member
+m = R.index(g)
+assert (f.u, f.v, f.w) == (tuple(u[m].tolist()), tuple(v[m].tolist()), 0)
+print(f"points {P} and {P2} are separated by member {m}, with alphas "
       f"{g.alphas}: values {f.evaluate(P)} vs {f.evaluate(P2)}")

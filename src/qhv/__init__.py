@@ -34,8 +34,7 @@ _MODULES = {
                  "expected_spectrum_support", "family_params",
                  "hermitian_size", "scan_params", "separating_map",
                  "separation_value", "validate_params"),
-    "collineations": ("Collineation", "build_R", "in_psi", "psi_group",
-                      "r_elements"),
+    "collineations": ("Collineation", "build_R", "in_psi", "psi_group"),
     "intersecting_family": ("AffineForm", "act_on_form", "base_form", "family",
                             "intersection_count", "s_coefficients",
                             "separating_g", "w_set"),

@@ -22,10 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .collineations import r_elements
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .geometry import BMParams, separating_map
-from .intersecting_family import act_on_form, base_form, form_values, w_set
+from .intersecting_family import family, form_values, w_set
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,8 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
     if omega is None:
         omega = omega_set(ctx)
     # column i is the family form pulled back along the i-th Omega pair
-    base = base_form(params)
-    forms = [act_on_form(g, base) for g in r_elements(params, omega.pairs)]
     domain = w_set(ctx, 3)
-    words = form_values(forms, domain)
+    words = form_values(params, *family(params, omega.pairs), domain)
     return EvalCode(params, omega, domain, words)
 
 

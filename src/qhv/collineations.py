@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-import numpy as np
-
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .geometry import (BMParams, affine_points, affine_rhs, bab_affine_eval,
                        lex_grid, normalize_point, separating_map)
@@ -128,23 +126,6 @@ def psi_group(params: BMParams) -> list[Collineation]:
             for pt in affine_points(params).tolist()]
 
 
-def r_elements(params: BMParams, heads) -> tuple[Collineation, ...]:
-    """The R-member over each alpha head (alpha_1..alpha_{n-1}) of ``heads``.
-
-    All betas vanish and alpha_n is the unique transversal solution of the
-    stabilizer equation, so distinct members differ by an element outside the
-    stabilizer and index distinct varieties.
-    """
-    heads = np.asarray(heads, dtype=np.int32)
-    try:
-        an = params.ctx.transversal_roots(affine_rhs(params, heads))
-    except ValueError:
-        raise RuntimeError(
-            "right-hand side has nonzero trace; arithmetic bug") from None
-    return tuple(Collineation((*head, a), (0,) * (params.n - 1))
-                 for head, a in zip(heads.tolist(), an.tolist()))
-
-
 def check_R_budget(params: BMParams, budget: int) -> None:
     """Raise ``BudgetExceededError`` when R's q^{2n-2} members exceed the budget."""
     k = params.ctx.q2 ** (params.n - 1)
@@ -155,6 +136,16 @@ def check_R_budget(params: BMParams, budget: int) -> None:
 
 def build_R(params: BMParams,
             budget: int = DEFAULT_BUDGET) -> tuple[Collineation, ...]:
-    """One collineation per (alpha_1..alpha_{n-1}), in lexicographic order."""
+    """One collineation per alpha head (alpha_1..alpha_{n-1}), in
+    lexicographic order: no betas, and alpha_n the transversal root that puts
+    alpha on the variety, so distinct members differ by an element outside
+    the stabilizer and index distinct varieties."""
     check_R_budget(params, budget)
-    return r_elements(params, lex_grid((params.ctx.q2,) * (params.n - 1)))
+    heads = lex_grid((params.ctx.q2,) * (params.n - 1))
+    try:
+        an = params.ctx.transversal_roots(affine_rhs(params, heads))
+    except ValueError:
+        raise RuntimeError(
+            "right-hand side has nonzero trace; arithmetic bug") from None
+    return tuple(Collineation((*head, a), (0,) * (params.n - 1))
+                 for head, a in zip(heads.tolist(), an.tolist()))

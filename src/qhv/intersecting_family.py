@@ -2,9 +2,10 @@
 
 Pulling the base affine form back along a group element only shifts the
 coefficients of X_i^q and X_i (i < n) and the constant; an ``AffineForm``
-stores exactly that coefficient table.  For elements of R the constant
-vanishes, every value on an affine point is trace-zero, and any two distinct
-members share exactly q^{2n-2} affine points.
+stores exactly that coefficient table for one element.  For elements of R
+the constant vanishes, so the family is two k x (n-1) arrays (u, v) of
+coefficients, every value on an affine point is trace-zero, and any two
+distinct members share exactly q^{2n-2} affine points.
 """
 
 from __future__ import annotations
@@ -42,9 +43,6 @@ class AffineForm:
                 val = F.add(val, F.mul(vi, xi))
         return F.add(val, self.w)
 
-    def __call__(self, x) -> int:
-        return self.evaluate(x)
-
 
 def base_form(params: BMParams) -> AffineForm:
     n = params.n
@@ -74,19 +72,20 @@ def act_on_form(g: Collineation, form: AffineForm) -> AffineForm:
     return AffineForm(params, g, tuple(u), tuple(v), w)
 
 
-def family(params: BMParams,
-           rset: tuple[Collineation, ...] | None = None,
-           budget: int = DEFAULT_BUDGET) -> list[AffineForm]:
-    """The q^{2n-2} pullbacks of the base form, in R order."""
-    check_R_budget(params, budget)
-    if rset is None:
-        rset = build_R(params, budget)
-    base = base_form(params)
-    forms = [act_on_form(g, base) for g in rset]
-    for f in forms:
-        if f.w != 0:
-            raise RuntimeError("R-form has nonzero constant")  # pragma: no cover
-    return forms
+def family(params: BMParams, heads=None,
+           budget: int = DEFAULT_BUDGET) -> tuple[np.ndarray, np.ndarray]:
+    """(u, v) of the pullback along the R-member over each alpha head of
+    ``heads``, k x (n-1) int32: u = L(alpha)^q, v = -L(alpha) (L =
+    ``separating_map``; R has no betas and w = 0, so alpha_n is not needed).
+    ``heads`` defaults to all q^{2n-2}, in R order, within the budget."""
+    ctx = params.ctx
+    if heads is None:
+        check_R_budget(params, budget)
+        heads = lex_grid((ctx.q2,) * (params.n - 1))
+    L = np.array([separating_map(params, x) for x in range(ctx.q2)],
+                 dtype=np.int32)
+    s = L[np.asarray(heads, dtype=np.intp)]
+    return ctx.np_frob()[s], ctx.Fq2.np_neg_table()[s]
 
 
 def w_set(ctx: FieldCtx, n: int) -> np.ndarray:
@@ -98,34 +97,33 @@ def w_set(ctx: FieldCtx, n: int) -> np.ndarray:
                             np.tile(C, len(heads))])
 
 
-def form_values(forms: list[AffineForm], points) -> np.ndarray:
-    """Values of every form at every affine point, len(points) x len(forms).
+def form_values(params: BMParams, u: np.ndarray, v: np.ndarray,
+                points) -> np.ndarray:
+    """Values of the forms with coefficient rows (u, v) and constant 0 at
+    every affine point, len(points) x len(u).
 
     Each form splits coordinatewise as Z(x_n) + Sum_{i<n} [H(x_i) +
-    u_i x_i^q + v_i x_i] + w, with Z and H from ``coordinate_tables``.  Every
+    u_i x_i^q + v_i x_i], with Z and H from ``coordinate_tables``.  Every
     coordinate thus becomes a length-q^2 table per form, and a value is a sum
     of table lookups.  ``AffineForm.evaluate`` is the scalar reference for
     this.
     """
-    params = forms[0].params
     ctx, n = params.ctx, params.n
     add, mul = ctx.Fq2.np_add_table(), ctx.Fq2.np_mul_table()
     frob = ctx.np_frob()
     Z, H = coordinate_tables(params)
-    u = np.array([f.u for f in forms], dtype=np.int32)
-    v = np.array([f.v for f in forms], dtype=np.int32)
-    w = np.array([f.w for f in forms], dtype=np.int32)
     pts = np.asarray(points, dtype=np.int32).reshape(-1, n)
     values = Z[pts[:, -1], None]
     for i in range(n - 1):
         table = add[add[H, mul[u[:, i]][:, frob]], mul[v[:, i]]]
         values = add[values, table[:, pts[:, i]].T]
-    return add[values, w]
+    return values
 
 
-def intersection_count(forms: list[AffineForm],
+def intersection_count(params: BMParams, u: np.ndarray, v: np.ndarray,
                        budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """k x k matrix of common affine zeros, via the coset-matching reduction.
+    """k x k matrix of common affine zeros of the forms (u, v), via the
+    coset-matching reduction.
 
     For each head (x_1..x_{n-1}) the affine solutions in x_n form the
     Artin-Schreier coset determined by the x_n-free part of the form, so two
@@ -140,22 +138,19 @@ def intersection_count(forms: list[AffineForm],
     for the whole family; raises ``BudgetExceededError`` when its cells
     exceed the budget.
     """
-    params = forms[0].params
-    if any(f.params is not params and f.params != params for f in forms):
-        raise ValueError("forms must share parameters")
     ctx = params.ctx
-    k = len(forms)
+    k = len(u)
     cells = ctx.q * ctx.q2 ** (params.n - 1) * k
     if cells > budget:
         raise BudgetExceededError(
             f"the {k} x {k} intersection matrix would take {cells} one-hot "
             f"cells, budget is {budget}")
     # one row per head, x_n = transversal[0] = 0
-    profiles = form_values(forms, w_set(ctx, params.n)[::ctx.q])
+    profiles = form_values(params, u, v, w_set(ctx, params.n)[::ctx.q])
     pairs = np.arange(len(profiles))[:, None] * ctx.q2 + profiles
     rows, row_of = np.unique(pairs, return_inverse=True)
-    hits = np.zeros((len(rows), len(forms)), dtype=bool)
-    hits[row_of.reshape(pairs.shape), np.arange(len(forms))] = True
+    hits = np.zeros((len(rows), k), dtype=bool)
+    hits[row_of.reshape(pairs.shape), np.arange(k)] = True
     return ctx.q * gram(hits)
 
 
@@ -166,16 +161,17 @@ def s_coefficients(params: BMParams, g: Collineation, g2: Collineation) -> tuple
                  for x, y in zip(g.alphas[:-1], g2.alphas[:-1]))
 
 
-def separating_g(params: BMParams, P, P2,
-                 forms: list[AffineForm] | None = None) -> Collineation:
-    """First R-member whose form takes different values at P and P2."""
+def separating_g(params: BMParams, P, P2, forms=None) -> Collineation:
+    """First R-member whose form takes different values at P and P2;
+    ``forms`` is ``family(params)`` when the caller has already built it."""
     if tuple(P) == tuple(P2):
         raise ValueError("points must be distinct")
     if forms is None:
         forms = family(params)
-    for f in forms:
-        if f.evaluate(P) != f.evaluate(P2):
-            return f.g
+    values = form_values(params, *forms, [P, P2])
+    differ = np.flatnonzero(values[0] != values[1])
+    if len(differ):
+        return build_R(params)[differ[0]]
     raise RuntimeError(
         "no separating form exists; the separation property is violated"
     )  # pragma: no cover

@@ -14,7 +14,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .intersecting_family import AffineForm, family, form_values, w_set
+from .intersecting_family import family, form_values, w_set
 from .fields import DEFAULT_BUDGET, BudgetExceededError
 from .geometry import BMParams
 from .linalg import GRAM_BLOCK, distinct_rows, gram, gram_blocks, gram_dtype
@@ -138,7 +138,7 @@ def w_intersections(A: OrthogonalArray) -> np.ndarray:
 
 
 def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET,
-             forms: list[AffineForm] | None = None) -> OrthogonalArray:
+             forms: tuple[np.ndarray, np.ndarray] | None = None) -> OrthogonalArray:
     """Construct the array for these parameters; ``verify_strength`` and
     ``verify_simple`` check it.  ``forms`` is ``family(params)`` when the
     caller has already built it."""
@@ -150,7 +150,7 @@ def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET,
             f"array would have {N * k} cells, budget is {budget}")
     if forms is None:
         forms = family(params, budget=budget)
-    values = form_values(forms, w_set(ctx, n))
+    values = form_values(params, *forms, w_set(ctx, n))
     level = np.full(ctx.q2, -1, dtype=np.int16)
     level[list(ctx.t0)] = np.arange(q)
     entries = level[values]

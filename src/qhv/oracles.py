@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations, product
 
 import numpy as np
@@ -25,7 +26,7 @@ from . import codes as codes_mod
 from . import geometry as geo
 from . import oa as oa_mod
 from .collineations import Collineation, build_R, to_matrix
-from .intersecting_family import family, intersection_count
+from .intersecting_family import AffineForm, family, intersection_count
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, field_context
 from .geometry import BMParams, ParameterError
 
@@ -81,6 +82,20 @@ def _power_tables(F, order: int, exponents) -> dict:
             for e in exponents}
 
 
+@lru_cache(maxsize=8)
+def _scalar_tables(F) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only add_flat and times, filled once per field from scalar
+    ``F.add`` and ``F.mul``: add(u, v) = add_flat[u order + v]; times[c] is
+    the row x -> x c."""
+    elems = range(F.order)
+    add_flat = np.array([F.add(x, y) for x in elems for y in elems],
+                        dtype=np.int32)
+    times = np.array([[F.mul(x, c) for x in elems] for c in elems],
+                     dtype=np.int32)
+    add_flat.flags.writeable = times.flags.writeable = False
+    return add_flat, times
+
+
 #: members per block times q^{2n} points stays at most this many cells
 #: (at least one member per block), so each block's index arrays stay small
 ORACLE_BLOCK_CELLS = 2**14
@@ -121,11 +136,7 @@ def zero_set_masks(params: BMParams, R, budget: int = DEFAULT_BUDGET) -> np.ndar
         raise BudgetExceededError(f"oracle zero sets would take {evals} form "
                                   f"evaluations, budget is {budget}")
     elems = range(q2)
-    # add(u, v) = add_flat[u q^2 + v]; times[c] is the row x -> x c
-    add_flat = np.array([F.add(x, y) for x in elems for y in elems],
-                        dtype=np.int32)
-    times = np.array([[F.mul(x, c) for x in elems] for c in elems],
-                     dtype=np.int32)
+    add_flat, times = _scalar_tables(F)
     power = _power_tables(F, q2, (q, 2 * q, 2, q + 1))
     aq, bq = F.pow(params.a, q), F.pow(params.b, q)
     bq_b = F.sub(bq, params.b)
@@ -257,46 +268,49 @@ def _first_pair(bad: np.ndarray) -> list[int]:
     return list(divmod(int(np.flatnonzero(bad)[0]), bad.shape[1]))
 
 
-def _oracle_witness(params: BMParams, forms, masks: np.ndarray,
+def _oracle_witness(params: BMParams, R, forms, masks: np.ndarray,
                     mu_matrix: np.ndarray, oracle: np.ndarray) -> dict:
     """The first pair whose counts differ, and for the first of its members
     whose form and brute-force zero set differ, the first affine point (in
-    ``product`` order) in one zero set and not in the other."""
+    ``product`` order) in one zero set and not in the other.  The member's
+    form is evaluated by the scalar ``AffineForm.evaluate``."""
     i, j = _first_pair(oracle != mu_matrix)
     witness = {"pair": [i, j], "count": int(mu_matrix[i, j]),
                "oracle_count": int(oracle[i, j])}
+    u, v = forms
     points = list(product(range(params.ctx.q2), repeat=params.n))
     for member in sorted({i, j}):
+        form = AffineForm(params, R[member], tuple(u[member].tolist()),
+                          tuple(v[member].tolist()), 0)
         for pt, in_oracle in zip(points, masks[member].tolist()):
-            if (forms[member].evaluate(pt) == 0) != in_oracle:
+            if (form.evaluate(pt) == 0) != in_oracle:
                 return {**witness, "member": member, "point": list(pt),
                         "in_oracle_zero_set": in_oracle}
     return witness
 
 
-def _check_family(report: dict, params: BMParams, spec: GridSpec) -> list | None:
+def _check_family(report: dict, params: BMParams, spec: GridSpec) -> tuple | None:
     """family_size, mutual_mu and oracle_agreement; a stage over budget is
     recorded as skipped, together with every check that needs it.  Returns
-    the family, or None when it was skipped."""
+    the family's (u, v), or None when it was skipped."""
     n, q = params.n, params.ctx.q
     try:
-        R = build_R(params, spec.budget)
-        forms = family(params, R, spec.budget)
+        forms = family(params, budget=spec.budget)
     except BudgetExceededError as exc:
         _check(report, "family_size", False, skipped=str(exc))
         for name in ("mutual_mu", "oracle_agreement"):
             _check(report, name, False, skipped="the family was skipped")
         return None
+    k = len(forms[0])
     mu = q ** (2 * n - 2)
-    _check(report, "family_size", len(forms) == mu, size=len(forms), expected=mu)
+    _check(report, "family_size", k == mu, size=k, expected=mu)
     try:
-        mu_matrix = intersection_count(forms, spec.budget)
+        mu_matrix = intersection_count(params, *forms, spec.budget)
     except BudgetExceededError as exc:
         # the oracle is compared against the matrix, so it goes too
         for name in ("mutual_mu", "oracle_agreement"):
             _check(report, name, False, skipped=str(exc))
         return forms
-    k = len(forms)
     # histogram of the k(k-1)/2 counts above the diagonal, in count order
     tally = np.bincount(mu_matrix[np.triu_indices(k, 1)])
     counts = {int(c): int(tally[c]) for c in np.flatnonzero(tally)}
@@ -309,6 +323,7 @@ def _check_family(report: dict, params: BMParams, spec: GridSpec) -> list | None
     _check(report, "mutual_mu", mu_ok,
            histogram={str(c): v for c, v in counts.items()},
            expected_mu=mu, **witness)
+    R = build_R(params, spec.budget)  # the oracle's dense matrices
     try:
         masks = zero_set_masks(params, R, spec.budget)
     except BudgetExceededError as exc:
@@ -322,7 +337,7 @@ def _check_family(report: dict, params: BMParams, spec: GridSpec) -> list | None
     oracle = incidence @ incidence.T
     agree = np.array_equal(oracle, mu_matrix)
     witness = {} if agree else {"witness": _oracle_witness(
-        params, forms, masks, mu_matrix, oracle)}
+        params, R, forms, masks, mu_matrix, oracle)}
     _check(report, "oracle_agreement", agree, pairs_checked=k * (k - 1) // 2,
            **witness)
     return forms

@@ -15,7 +15,7 @@ from qhv import intersecting_family as fam
 from qhv import geometry as geo
 from qhv import oa as oam
 from qhv.fields import field_context
-from qhv.oracles import DEFAULT_GRID, GridSpec, run_grid
+from qhv.oracles import DEFAULT_GRID, GridSpec, run_grid, zero_set_masks
 
 FAMILY_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (3, 5)]
 
@@ -28,13 +28,13 @@ def _family_params(n, q):
 def test_criterion_1_mutual_mu(n, q):
     """q^{2n-2} distinct varieties, every pairwise count exactly q^{2n-2}."""
     params = _family_params(n, q)
-    forms = fam.family(params)
+    u, v = fam.family(params)
     mu = q ** (2 * n - 2)
-    assert len(forms) == mu
+    assert u.shape == v.shape == (mu, n - 1)
     # self-intersection q^{2n-1} on the diagonal, mu between distinct members
     expected = np.full((mu, mu), mu)
     np.fill_diagonal(expected, q ** (2 * n - 1))
-    counts = fam.intersection_count(forms)
+    counts = fam.intersection_count(params, u, v)
     assert counts.shape == (mu, mu)
     bad = np.argwhere(counts != expected)
     assert bad.size == 0, bad[:5]
@@ -83,6 +83,50 @@ def test_criterion_2_w_relative_mu(n, q):
     print(f"\n[acceptance] criterion 2 W-relative (n={n}, q={q}): PASS - "
           f"{k} members each meet W in {q ** (2 * n - 2)} points, all "
           f"{k * (k - 1) // 2} pairs meet in W in {mu}")
+
+
+# family-admissible (a, b) per (n, q), a = 0 included: 632 pairs in all
+EVERY_PAIR = {(2, 3): 30, (2, 4): 192, (3, 3): 30, (2, 5): 380}
+
+
+@pytest.mark.parametrize("n,q", sorted(EVERY_PAIR))
+def test_criteria_1_2_at_every_family_pair(n, q):
+    """Every family-admissible (a, b), none sampled: q^{2n-2} members,
+    mutual mu, the simple OA of strength 2 and index q^{2n-3}, brute-force
+    zero sets that agree with the intersection matrix, and coefficient arrays
+    that are the scalar pullbacks' rows."""
+    ctx = field_context(q)
+    k = mu = q ** (2 * n - 2)
+    lam = q ** (2 * n - 3)
+    off = ~np.eye(k, dtype=bool)
+    pairs = 0
+    for a in range(ctx.q2):
+        for b in range(ctx.q2):
+            try:
+                params = geo.family_params(ctx, n, a, b)
+            except geo.ParameterError:
+                continue
+            pairs += 1
+            u, v = fam.family(params)
+            assert u.shape == v.shape == (k, n - 1), (a, b)
+            counts = fam.intersection_count(params, u, v)
+            assert (counts[off] == mu).all(), (a, b)
+            A = oam.build_oa(params, forms=(u, v))
+            report = oam.verify_strength(A, 2)
+            assert report.ok and report.index == lam, (a, b)
+            assert oam.verify_simple(A), (a, b)
+            R = col.build_R(params)
+            # float32 takes the BLAS path and is exact for counts below 2^24
+            masks = zero_set_masks(params, R).astype(np.float32)
+            assert np.array_equal(masks @ masks.T, counts), (a, b)
+            base = fam.base_form(params)
+            pulled = [fam.act_on_form(g, base) for g in R]
+            assert u.tolist() == [list(f.u) for f in pulled], (a, b)
+            assert v.tolist() == [list(f.v) for f in pulled], (a, b)
+    assert pairs == EVERY_PAIR[(n, q)]
+    print(f"\n[acceptance] criteria 1-2 at every pair (n={n}, q={q}): PASS - "
+          f"{pairs} pairs, each {k} members meeting in {mu}, a simple "
+          f"OA of index {lam}, oracle zero sets agreeing")
 
 
 def _row_keys(words, base: int) -> np.ndarray:
@@ -211,7 +255,9 @@ def test_criterion_6_property_suite():
     for n, q in injective_at:
         ctx = field_context(q)
         params = _family_params(n, q)
-        forms = fam.family(params)
+        R = col.build_R(params)
+        base = fam.base_form(params)
+        forms = [fam.act_on_form(g, base) for g in R]
         W = fam.w_set(ctx, n).tolist()
         rows = {tuple(f.evaluate(p) for f in forms) for p in W}
         assert len(rows) == len(W) == q ** (2 * n - 1)

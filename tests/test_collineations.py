@@ -169,7 +169,7 @@ def test_r_element_reports_nonzero_trace_as_arithmetic_bug(monkeypatch):
     monkeypatch.setattr(col, "affine_rhs",
                         lambda params, heads: np.full(len(heads), d))
     with pytest.raises(RuntimeError, match="nonzero trace; arithmetic bug"):
-        col.r_elements(params, [(1,)])
+        col.build_R(params)
 
 
 def test_apply_commutes_with_scalar_rescaling():

@@ -314,8 +314,13 @@ PAIR_SWEEP = {
 @pytest.mark.parametrize("n,q", sorted(PAIR_SWEEP))
 def test_every_pair_sweep(n, q):
     """Every pair, none sampled: the QH and classical labels promise two
-    characters, and |M| is the Hermitian count whatever the pair."""
+    characters, and |M| is the Hermitian count whatever the pair.  The
+    multiplicities count every hyperplane once, and every point on each of
+    the (q^{2n}-1)/(q^2-1) hyperplanes through it; with two characters these
+    two sums fix the whole spectrum."""
     ctx = field_context(q)
+    hyperplanes = geo.num_projective_points(ctx.q2, n)
+    through_a_point = (q ** (2 * n) - 1) // (q * q - 1)
     found = {}
     for a in range(ctx.q2):
         for b in range(ctx.q2):
@@ -327,8 +332,11 @@ def test_every_pair_sweep(n, q):
                 params = geo.BMParams(ctx, n, a, b, "rejected")
             S = geo.bm_variety(params)
             assert len(S) == geo.hermitian_size(n, q), (a, b)
-            two = set(geo.character_spectrum(S, ctx)) == \
-                geo.expected_spectrum_support(n, q)
+            spectrum = geo.character_spectrum(S, ctx)
+            assert sum(spectrum.values()) == hyperplanes, (a, b)
+            assert sum(c * m for c, m in spectrum.items()) == \
+                len(S) * through_a_point, (a, b)
+            two = set(spectrum) == geo.expected_spectrum_support(n, q)
             label = "QH" if params.condition.startswith("QH") else params.condition
             found.setdefault(label, Counter())[two] += 1
     assert found == {label: Counter({two: pairs})

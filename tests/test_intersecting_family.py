@@ -17,18 +17,50 @@ def _params(n, q):
     return geo.scan_params(field_context(q), n, mode="family")
 
 
+def _member(params, forms, m, R=None):
+    """Member m of the family arrays as a scalar ``AffineForm``."""
+    g = (R or col.build_R(params))[m]
+    return fam.AffineForm(params, g, tuple(forms[0][m].tolist()),
+                          tuple(forms[1][m].tolist()), 0)
+
+
 def test_family_sizes():
-    assert len(fam.family(_params(2, 3))) == 9
-    assert len(fam.family(_params(2, 2))) == 4
+    for (n, q), k in (((2, 3), 9), ((2, 2), 4), ((3, 2), 16)):
+        u, v = fam.family(_params(n, q))
+        assert u.shape == v.shape == (k, n - 1)
+        assert u.dtype == v.dtype == np.int32
 
 
 def test_identity_member_is_base_form():
     params = _params(2, 3)
-    forms = fam.family(params)
+    u, v = fam.family(params)
     base = fam.base_form(params)
-    assert forms[0].u == base.u and forms[0].v == base.v and forms[0].w == 0
-    for x in product(range(9), repeat=2):
-        assert forms[0].evaluate(x) == base.evaluate(x)
+    assert tuple(u[0]) == base.u and tuple(v[0]) == base.v
+    points = list(product(range(9), repeat=2))
+    values = fam.form_values(params, u, v, points)
+    assert values[:, 0].tolist() == [base.evaluate(x) for x in points]
+
+
+@pytest.mark.parametrize("n,q", [(2, 2), (3, 2)])
+def test_family_arrays_are_the_act_on_form_rows(n, q):
+    # the scalar pullback along every R-member: same u and v, and w = 0
+    # (every pair at (2,3), (2,4), (3,3) and (2,5) is in the acceptance gate)
+    params = _params(n, q)
+    u, v = fam.family(params)
+    base = fam.base_form(params)
+    forms = [fam.act_on_form(g, base) for g in col.build_R(params)]
+    assert u.tolist() == [list(f.u) for f in forms]
+    assert v.tolist() == [list(f.v) for f in forms]
+    assert all(f.w == 0 for f in forms)
+
+
+def test_family_over_given_heads_is_the_default_family_restricted():
+    params = _params(3, 2)
+    u, v = fam.family(params)
+    heads = [(3, 1), (0, 0), (2, 3)]
+    rows = [4 * a + b for a, b in heads]
+    hu, hv = fam.family(params, heads)
+    assert np.array_equal(hu, u[rows]) and np.array_equal(hv, v[rows])
 
 
 def test_family_zero_sets_pairwise_distinct_2_2():
@@ -105,7 +137,10 @@ def test_values_on_w_are_trace_zero():
         ctx = field_context(q)
         params = _params(n, q)
         W = fam.w_set(ctx, n).tolist()
-        for f in fam.family(params):
+        R = col.build_R(params)
+        forms = fam.family(params)
+        for m in range(len(R)):
+            f = _member(params, forms, m, R)
             for pt in W:
                 assert ctx.trace(f.evaluate(pt)) == 0
 
@@ -134,7 +169,7 @@ def test_w_set_row_order(n, q):
 @pytest.mark.parametrize("n,q,mu", [(2, 2, 4), (2, 3, 9), (3, 2, 16)])
 def test_intersection_counts(n, q, mu):
     params = _params(n, q)
-    counts = fam.intersection_count(fam.family(params))
+    counts = fam.intersection_count(params, *fam.family(params))
     expected = np.full((mu, mu), mu)
     np.fill_diagonal(expected, q ** (2 * n - 1))
     assert np.array_equal(counts, expected)
@@ -143,7 +178,7 @@ def test_intersection_counts(n, q, mu):
 def test_intersection_count_matches_naive_double_loop():
     params = _params(2, 3)
     R = col.build_R(params)
-    counts = fam.intersection_count(fam.family(params, R))
+    counts = fam.intersection_count(params, *fam.family(params))
     for i in (0, 3):
         for j in (1, 5, 8):
             assert counts[i, j] == \
@@ -157,18 +192,11 @@ def test_family_and_intersection_budgets_name_their_numbers():
         with pytest.raises(BudgetExceededError,
                            match="R would have 81 members, budget is 80"):
             build(params, budget=80)
-    forms = fam.family(params, budget=81)
+    u, v = fam.family(params, budget=81)
     with pytest.raises(BudgetExceededError,
                        match="would take 19683 one-hot cells, budget is 19682"):
-        fam.intersection_count(forms, budget=19682)
-    assert fam.intersection_count(forms, budget=19683).shape == (81, 81)
-
-
-def test_intersection_requires_shared_params():
-    f1 = fam.family(_params(2, 2))[0]
-    f2 = fam.family(_params(2, 3))[0]
-    with pytest.raises(ValueError):
-        fam.intersection_count([f1, f2])
+        fam.intersection_count(params, u, v, budget=19682)
+    assert fam.intersection_count(params, u, v, budget=19683).shape == (81, 81)
 
 
 # -- s-coefficients ---------------------------------------------------------------
@@ -201,13 +229,14 @@ def test_s_trace_zero_tuple_count():
 def test_separating_g_all_pairs(n, q):
     ctx = field_context(q)
     params = _params(n, q)
+    R = col.build_R(params)
     forms = fam.family(params)
     W = fam.w_set(ctx, n).tolist()
     assert len(W) == q ** (2 * n - 1)
     for i, P in enumerate(W):
         for P2 in W[i + 1:]:
             g = fam.separating_g(params, P, P2, forms)
-            f = next(f for f in forms if f.g == g)
+            f = _member(params, forms, R.index(g), R)
             assert f.evaluate(P) != f.evaluate(P2)
 
 
@@ -219,13 +248,14 @@ def test_separating_g_equal_points_rejected():
 
 def test_separating_g_deterministic_first_hit():
     params = _params(2, 3)
+    R = col.build_R(params)
     forms = fam.family(params)
     W = fam.w_set(params.ctx, 2).tolist()
     P, P2 = W[0], W[5]
     g = fam.separating_g(params, P, P2, forms)
-    for f in forms:
-        if f.g == g:
-            break
+    assert g == fam.separating_g(params, P, P2)
+    for m in range(R.index(g)):
+        f = _member(params, forms, m, R)
         assert f.evaluate(P) == f.evaluate(P2)
 
 
@@ -235,7 +265,8 @@ def test_row_map_injective(n, q):
     params = _params(n, q)
     forms = fam.family(params)
     W = fam.w_set(ctx, n).tolist()
-    rows = {tuple(f.evaluate(p) for f in forms) for p in W}
+    members = [_member(params, forms, m) for m in range(len(forms[0]))]
+    rows = {tuple(f.evaluate(p) for f in members) for p in W}
     assert len(rows) == q ** (2 * n - 1)
 
 
@@ -247,8 +278,12 @@ def test_form_values_match_naive_oracle(n, q):
     gs = [g for g in col.all_collineations(params.ctx, n) if all(g.betas)][::5]
     forms = [fam.act_on_form(g, base) for g in gs]
     assert any(f.w for f in forms)
+    u, v = (np.array([getattr(f, c) for f in forms], dtype=np.int32)
+            for c in "uv")
     points = list(product(range(q * q), repeat=n))
-    values = fam.form_values(forms, points)
+    # form_values leaves out the constant: add each member's w
+    add = params.ctx.Fq2.np_add_table()
+    values = add[fam.form_values(params, u, v, points), [f.w for f in forms]]
     assert values.shape == (len(points), len(forms))
     for r, pt in enumerate(points):
         for c, g in enumerate(gs):
@@ -264,3 +299,35 @@ def test_zero_set_of_pullback_is_preimage():
         ginv = col.inverse(ctx, g)
         pulled = {col.apply(ctx, ginv, (1,) + pt)[1:] for pt in base_zeros}
         assert naive_zero_set(params, g) == pulled
+
+
+def test_array_and_code_need_no_collineation_or_scalar_pullback(monkeypatch):
+    # build_oa and build_code run on the coefficient arrays alone: with
+    # act_on_form and build_R raising at every binding, entries and codewords
+    # are those of the scalar pullbacks
+    from qhv import codes as cod
+    from qhv import oa as oam
+
+    params = _params(3, 2)
+    code_params = geo.scan_params(field_context(5), 3, mode="family")
+    entries = oam.build_oa(params).entries
+    words = cod.build_code(code_params).codewords
+    base = fam.base_form(params)
+    pulled = [fam.act_on_form(g, base) for g in col.build_R(params)]
+    W = fam.w_set(params.ctx, 3).tolist()
+    level = params.ctx.t0
+    assert [[level[x] for x in row] for row in entries.tolist()] == \
+        [[f.evaluate(p) for f in pulled] for p in W]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("scalar path taken")
+
+    for real in (fam.act_on_form, col.build_R):
+        for module in (col, fam, cod, oam):
+            for name, value in list(vars(module).items()):
+                if value is real:
+                    monkeypatch.setattr(module, name, refuse)
+    with pytest.raises(AssertionError, match="scalar path taken"):
+        col.build_R(params)
+    assert np.array_equal(oam.build_oa(params).entries, entries)
+    assert np.array_equal(cod.build_code(code_params).codewords, words)

@@ -163,9 +163,10 @@ def test_raw_values_trace_zero_via_level_map(n, q):
     ctx = field_context(q)
     params = geo.scan_params(ctx, n, mode="family")
     A = oam.build_oa(params)
-    from qhv.intersecting_family import family, w_set
+    from qhv.collineations import build_R
+    from qhv.intersecting_family import act_on_form, base_form, w_set
 
-    forms = family(params)
+    forms = [act_on_form(g, base_form(params)) for g in build_R(params)]
     W = w_set(ctx, n).tolist()
     for i, pt in enumerate(W):
         for j, f in enumerate(forms):
@@ -175,8 +176,8 @@ def test_raw_values_trace_zero_via_level_map(n, q):
 def test_non_trace_zero_value_names_its_cell(monkeypatch):
     real = oam.form_values
 
-    def corrupted(forms, points):
-        values = real(forms, points)
+    def corrupted(params, u, v, points):
+        values = real(params, u, v, points)
         values[4, 2] = 1  # trace(1) = 2 in GF(9)
         return values
 
