@@ -48,7 +48,7 @@ print(f"Reed-Solomon equivalence: every codeword interpolates to a degree<=4 "
       f"evaluation vectors occur -> two-sided: {rs.two_sided}")
 print()
 
-dx = doubly_extend(ec, code)
+dx = doubly_extend(ec)
 d2 = min_distance(dx)
 print(f"doubly extended (append the degree-4 coefficient): "
       f"[{dx.length}, {dx.dimension}, {d2}], MDS: {dx.is_mds}")

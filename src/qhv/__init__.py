@@ -43,7 +43,7 @@ _MODULES = {
            "write_oa"),
     "codes": ("EvalCode", "FqLinearCode", "OmegaSet", "build_code",
               "check_luc1", "doubly_extend", "min_distance", "omega_set",
-              "rs_equivalence_check", "scale_to_fq"),
+              "puncture", "rs_equivalence_check", "scale_to_fq"),
     "oracles": ("DEFAULT_GRID", "GridInstance", "GridSpec", "run_grid"),
 }
 

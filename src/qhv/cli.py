@@ -206,7 +206,11 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
             # stderr line below already cover it
             warnings.simplefilter("ignore")
             ec = codes_mod.build_code(params, budget=_budget(budget))
-    c = codes_mod.scale_to_fq(ec)
+    if extend and q > 4:
+        dx = codes_mod.doubly_extend(ec)
+        c = codes_mod.puncture(dx)
+    else:
+        c = codes_mod.scale_to_fq(ec)
     d = codes_mod.min_distance(c)
     if q <= 4:
         # contracts disabled: emit the artifacts and report what exists
@@ -218,6 +222,8 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
             click.echo(p)
         click.echo(f"[{c.length},{c.dimension},{d}] built")
         click.echo("warning: q <= 4, MDS/RS contracts not applicable", err=True)
+        if extend:
+            click.echo("--doubly-extend ignored: q <= 4", err=True)
         sys.exit(EXIT_OK)
     rs = codes_mod.rs_equivalence_check(c, ec.omega)
     if rs.first_mismatch is not None:
@@ -227,7 +233,6 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     ok = c.dimension == 5 and d == q - 4 and bool(c.is_mds) and rs.two_sided
     label = f"[{c.length},{c.dimension},{d}]"
     if extend:
-        dx = codes_mod.doubly_extend(ec, c)
         d2 = codes_mod.min_distance(dx)
         ok = ok and dx.dimension == 5 and d2 == q - 3 and bool(dx.is_mds)
         c = dx

@@ -115,20 +115,14 @@ class FqLinearCode:
     is_mds: bool | None = None
 
 
-def _to_fq(ctx: FieldCtx, words: np.ndarray) -> np.ndarray:
-    """Divide by theta and check that every entry lands in GF(q)."""
-    mul = ctx.Fq2.np_mul_table()
-    scaled = mul[ctx.Fq2.inv(ctx.theta)][words]
+def _fq_code(ctx: FieldCtx, words: np.ndarray) -> FqLinearCode:
+    """Divide by theta, check every entry lands in GF(q), and span the rows."""
+    scaled = ctx.Fq2.np_mul_table()[ctx.Fq2.inv(ctx.theta)][words]
     if not np.all(scaled < ctx.q):
         raise RuntimeError(
             "a rescaled coordinate fell outside GF(q); the trace-zero "
             "invariant is violated")
-    return scaled.astype(np.int16)
-
-
-def _fq_code(ctx: FieldCtx, words: np.ndarray) -> FqLinearCode:
-    """Divide by theta, check every entry lands in GF(q), and span the rows."""
-    scaled = _to_fq(ctx, words)
+    scaled = scaled.astype(np.int16)
     builder = linalg.row_space(ctx.Fq, scaled)
     return FqLinearCode(ctx.q, scaled.shape[1], scaled, builder.rank,
                         builder.matrix())
@@ -217,9 +211,8 @@ def rs_equivalence_check(code: FqLinearCode, omega: OmegaSet) -> RSReport:
     )
 
 
-def doubly_extend(code: EvalCode,
-                  scaled: FqLinearCode | None = None) -> FqLinearCode:
-    """Append the degree-4 coefficient coordinate and rescale.
+def doubly_extend(code: EvalCode) -> FqLinearCode:
+    """Append the degree-4 coefficient coordinate, rescale and span.
 
     On the polynomial side every codeword is a degree-<=4 polynomial in t;
     the appended coordinate is its leading coefficient (the evaluation "at
@@ -227,35 +220,30 @@ def doubly_extend(code: EvalCode,
 
         L(eps)^q y^q - L(eps) y,    L = ``separating_map``,
 
-    up to the usual theta rescaling.  The result is a [q+1, 5, q-3] code.
-
-    ``scaled`` is ``scale_to_fq(code)``, computed here when not given.  Its
-    rows are already proved to equal rows[:, pivots] · basis, so the q^5
-    rows are not spanned again: only the pivot columns and the appended
-    coordinate go through ``row_space``.  Its RREF is [I | e] when the
-    appended coordinate is rows[:, pivots] · e on every row, and then the
-    extended generator is [basis | e]; otherwise the appended coordinate
-    adds a pivot of its own.  Either way the generator is the RREF of the
-    extended rows.
+    up to the usual theta rescaling.  The result is a [q+1, 5, q-3] code,
+    and ``puncture`` of it is ``scale_to_fq(code)`` without a second span.
     """
     params = code.params
     ctx = params.ctx
-    F, Fq = ctx.Fq2, ctx.Fq
-    if scaled is None:
-        scaled = scale_to_fq(code)
+    F = ctx.Fq2
     c2 = separating_map(params, ctx.epsilon)
     c1 = ctx.frob[c2]
     ext = np.array([F.sub(F.mul(c1, ctx.frob[y]), F.mul(c2, y)) for y in range(ctx.q2)],
                    dtype=np.int32)
-    col = _to_fq(ctx, ext[code.domain[:, 1]])
-    words = np.concatenate([scaled.codewords, col[:, None]], axis=1)
-    gen = scaled.generator
-    pivots = np.argmax(gen != 0, axis=1)
-    aug = linalg.row_space(Fq, np.column_stack([scaled.codewords[:, pivots], col]))
-    coeffs = aug.matrix()
-    generator = np.concatenate(
-        [linalg.linear_image(Fq, coeffs[:, :-1], gen), coeffs[:, -1:]], axis=1)
-    return FqLinearCode(ctx.q, words.shape[1], words, aug.rank, generator)
+    return _fq_code(ctx, np.column_stack([code.codewords, ext[code.domain[:, 1]]]))
+
+
+def puncture(code: FqLinearCode) -> FqLinearCode:
+    """The code with its last coordinate deleted, read off the generator.
+
+    In an RREF the last column is either no pivot, or its pivot row is the
+    unit vector there and every other row is 0 in it; so the rows with a
+    pivot before the last column, cut to the first length - 1 columns, are
+    the RREF of the punctured code, and no elimination is needed.
+    """
+    gen = code.generator[code.generator[:, :-1].any(axis=1), :-1]
+    return FqLinearCode(code.q, code.length - 1, code.codewords[:, :-1],
+                        len(gen), gen)
 
 
 # ---------------------------------------------------------------------------

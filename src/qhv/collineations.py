@@ -12,9 +12,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
+from .fields import DEFAULT_BUDGET, FieldCtx
 from .geometry import (BMParams, affine_points, affine_rhs, bab_affine_eval,
-                       lex_grid, normalize_point, separating_map)
+                       check_R_budget, lex_grid, normalize_point, separating_map)
 
 
 @dataclass(frozen=True)
@@ -124,14 +124,6 @@ def psi_group(params: BMParams) -> list[Collineation]:
     return [Collineation(tuple(pt), tuple(_beta_constraint(params, a)
                                           for a in pt[:-1]))
             for pt in affine_points(params).tolist()]
-
-
-def check_R_budget(params: BMParams, budget: int) -> None:
-    """Raise ``BudgetExceededError`` when R's q^{2n-2} members exceed the budget."""
-    k = params.ctx.q2 ** (params.n - 1)
-    if k > budget:
-        raise BudgetExceededError(
-            f"R would have {k} members, budget is {budget}")
 
 
 def build_R(params: BMParams,

@@ -245,6 +245,14 @@ def lex_grid(shape) -> np.ndarray:
     return np.indices(shape, dtype=np.int32).reshape(len(shape), -1).T
 
 
+def check_R_budget(params: BMParams, budget: int) -> None:
+    """Raise ``BudgetExceededError`` when R's q^{2n-2} members exceed the budget."""
+    k = params.ctx.q2 ** (params.n - 1)
+    if k > budget:
+        raise BudgetExceededError(
+            f"R would have {k} members, budget is {budget}")
+
+
 def projective_points(F, n: int, first: int = 0) -> np.ndarray:
     """The normalized points of PG(n, order(F)) whose leading 1 is at position
     ``first`` or later, as int32 rows: by that position, then lexicographically."""

@@ -11,14 +11,17 @@ distinct members share exactly q^{2n-2} affine points.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .collineations import Collineation, build_R, check_R_budget, identity
-from .geometry import (BMParams, bab_affine_eval, coordinate_tables, lex_grid,
-                       separating_map)
+from .geometry import (BMParams, bab_affine_eval, check_R_budget,
+                       coordinate_tables, lex_grid, separating_map)
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .linalg import gram
+
+if TYPE_CHECKING:  # an annotation only: the family is coefficient arrays
+    from .collineations import Collineation
 
 
 @dataclass(frozen=True)
@@ -45,6 +48,8 @@ class AffineForm:
 
 
 def base_form(params: BMParams) -> AffineForm:
+    from .collineations import identity  # family() and its callers never load it
+
     n = params.n
     return AffineForm(params, identity(n), (0,) * (n - 1), (0,) * (n - 1), 0)
 
@@ -171,6 +176,8 @@ def separating_g(params: BMParams, P, P2, forms=None) -> Collineation:
     values = form_values(params, *forms, [P, P2])
     differ = np.flatnonzero(values[0] != values[1])
     if len(differ):
+        from .collineations import build_R  # only the answer is a group element
+
         return build_R(params)[differ[0]]
     raise RuntimeError(
         "no separating form exists; the separation property is violated"

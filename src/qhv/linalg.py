@@ -2,8 +2,8 @@
 
 `SpanBuilder` is the one Gaussian elimination: ranks, spans and inverses
 all go through it.  `linear_image` is the one bulk product X·M: span
-membership, Reed-Solomon consistency and the double extension all ask
-whether one column block is a fixed linear image of another.  `gram_blocks` is the one co-occurrence counter: OA
+membership and Reed-Solomon consistency both ask whether one column block
+is a fixed linear image of another.  `gram_blocks` is the one co-occurrence counter: OA
 strength, mutual intersections and the W-relative intersections are all
 blocks of the Gram matrix of a 0/1 matrix.
 """

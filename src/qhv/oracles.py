@@ -412,10 +412,10 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
         except BudgetExceededError as exc:
             _check(report, "code", False, skipped=str(exc))
         else:
-            c = codes_mod.scale_to_fq(ec)
+            dx = codes_mod.doubly_extend(ec)
+            c = codes_mod.puncture(dx)
             d = codes_mod.min_distance(c)
             rs = codes_mod.rs_equivalence_check(c, ec.omega)
-            dx = codes_mod.doubly_extend(ec, c)
             d2 = codes_mod.min_distance(dx)
             naive_d = naive_min_weight(c.codewords)
             _check(report, "code",

@@ -165,8 +165,12 @@ def test_criterion_3_mds_codes(q):
     assert c.is_mds and d == c.length - c.dimension + 1
     rs = cod.rs_equivalence_check(c, ec.omega)
     assert rs.consistent and rs.two_sided
-    dx = cod.doubly_extend(ec, c)
+    dx = cod.doubly_extend(ec)
     assert (dx.length, dx.dimension) == (q + 1, 5)
+    # the extension spans the scaled code's words with one more coordinate
+    punctured = cod.puncture(dx)
+    assert np.array_equal(punctured.codewords, c.codewords)
+    assert np.array_equal(punctured.generator, c.generator)
     d2 = cod.min_distance(dx)
     assert d2 == q - 3 and dx.is_mds
     # sampled linearity of the scaled code

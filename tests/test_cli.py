@@ -176,6 +176,25 @@ def test_code_small_q_warns_but_builds(runner, tmp_path):
                                "--out", str(tmp_path / "c4w")])
     assert res.exit_code == 0
     assert "MDS/RS contracts not applicable" in res.output
+    assert "--doubly-extend" not in res.stderr
+
+
+def test_code_small_q_says_it_ignores_doubly_extend(runner, tmp_path):
+    # the q <= 4 code has no extension: same artifacts, and stderr says so
+    metas = []
+    for name, flag in (("plain", []), ("ext", ["--doubly-extend"])):
+        res = runner.invoke(main, ["code", "--q", "4", *flag,
+                                   "--out", str(tmp_path / name)])
+        assert res.exit_code == 0, res.output
+        metas.append(json.loads((tmp_path / f"{name}.json").read_text()))
+    assert res.stderr.splitlines()[-2:] == [
+        "warning: q <= 4, MDS/RS contracts not applicable",
+        "--doubly-extend ignored: q <= 4"]
+    assert ((tmp_path / "plain.genmat.txt").read_bytes()
+            == (tmp_path / "ext.genmat.txt").read_bytes())
+    for meta in metas:
+        del meta["config"]["out"], meta["config"]["doubly_extend"]
+    assert metas[0] == metas[1] and metas[1]["length"] == 4
 
 
 def test_grid_command(runner, tmp_path):

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from qhv import codes as cod
 from qhv import collineations as col
@@ -11,7 +12,8 @@ from qhv import intersecting_family as fam
 from qhv import geometry as geo
 from qhv import linalg
 from qhv.fields import BudgetExceededError, field_context
-from qhv.oracles import naive_min_weight
+from qhv.cli import main
+from qhv.oracles import GridSpec, naive_min_weight, run_grid
 
 
 def _params(q):
@@ -380,23 +382,67 @@ def test_doubly_extend(q, d2):
     assert dx.is_mds
 
 
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_puncture_of_the_extension_is_the_scaled_code(q):
+    ec = _code(q)
+    c = cod.scale_to_fq(ec)
+    punctured = cod.puncture(cod.doubly_extend(ec))
+    assert (punctured.q, punctured.length) == (q, q)
+    assert np.array_equal(punctured.codewords, c.codewords)
+    assert punctured.dimension == c.dimension == 5
+    assert np.array_equal(punctured.generator, c.generator)
+
+
 def test_extension_proof_catches_a_row_at_first_middle_last_position():
-    # moving one domain point's y changes only that row's appended coordinate
+    # moving one domain point's y changes only that row's appended coordinate;
+    # the extension then has a pivot in its last column, which the puncture
+    # drops without touching the rest of the generator
     q = 8
     ec = _code(q)
     c = cod.scale_to_fq(ec)
-    plain = cod.doubly_extend(ec, c).codewords[:, q]
+    plain = cod.doubly_extend(ec).codewords[:, q]
     N = len(ec)
     for row in (0, N // 2, N - 1):
         domain = ec.domain.copy()
         for y in range(ec.params.ctx.q2):
             domain[row, 1] = y
             moved = cod.EvalCode(ec.params, ec.omega, domain, ec.codewords)
-            dx = cod.doubly_extend(moved, c)
+            dx = cod.doubly_extend(moved)
             if dx.codewords[row, q] != plain[row]:
                 break
         assert (dx.codewords[:, q] != plain).sum() == 1
         assert dx.dimension == 6, row
+        assert dx.generator[-1].tolist() == [0] * q + [1]
+        punctured = cod.puncture(dx)
+        assert punctured.dimension == 5
+        assert np.array_equal(punctured.generator, c.generator)
+        assert np.array_equal(punctured.codewords, c.codewords)
+
+
+def _count_spans(monkeypatch) -> list:
+    real, shapes = linalg.row_space, []
+
+    def counting(F, matrix):
+        shapes.append(np.shape(matrix))
+        return real(F, matrix)
+    monkeypatch.setattr(linalg, "row_space", counting)
+    return shapes
+
+
+def test_code_doubly_extend_takes_one_span(monkeypatch, tmp_path):
+    shapes = _count_spans(monkeypatch)
+    res = CliRunner().invoke(main, ["code", "--q", "7", "--doubly-extend",
+                                    "--out", str(tmp_path / "c7x")])
+    assert res.exit_code == 0, res.output
+    assert shapes == [(7**5, 8)]
+
+
+def test_grid_code_check_takes_one_span(monkeypatch):
+    shapes = _count_spans(monkeypatch)
+    # at this budget the code check runs and the family, oracle and array skip
+    report = run_grid(GridSpec.of((3, 5), budget=10**5))
+    assert report["instances"][0]["checks"]["code"]["ok"]
+    assert shapes == [(5**5, 6)]
 
 
 def test_zero_matrix_spans_rank_zero_code():
@@ -417,7 +463,7 @@ def test_extension_column_is_leading_coefficient(q):
     # on every row; q = 8 pins the even case, where 2a = 0
     ec = _code(q)
     c = cod.scale_to_fq(ec)
-    dx = cod.doubly_extend(ec, c)
+    dx = cod.doubly_extend(ec)
     assert (dx.codewords[:, :q] == c.codewords).all()
     Fq = field_context(q).Fq
     add, mul = Fq.np_add_table(), Fq.np_mul_table()

@@ -455,7 +455,7 @@ def test_grid_builds_r_and_the_family_once_per_instance(monkeypatch):
         monkeypatch.setattr(module, name, wrapper)
 
     counting(oracles, "build_R")
-    counting(fam, "build_R")
+    counting(col, "build_R")
     counting(oracles, "family")
     counting(oam, "family")
     report = run_grid(GridSpec.of((2, 3), (3, 2), (2, 4)))

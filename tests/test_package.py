@@ -70,8 +70,11 @@ def _probe(tmp_path, *args):
     (["variety", "--q", "2", "--n", "2"],
      ["qhv.codes", "qhv.collineations", "qhv.intersecting_family",
       "qhv.linalg", "qhv.oa", "qhv.oracles"]),
-    (["oa", "--q", "2", "--n", "2"], ["qhv.codes", "qhv.oracles"]),
-    (["code", "--q", "5"], ["qhv.oa", "qhv.oracles"]),
+    (["oa", "--q", "2", "--n", "2"],
+     ["qhv.codes", "qhv.collineations", "qhv.oracles"]),
+    (["code", "--q", "5"], ["qhv.collineations", "qhv.oa", "qhv.oracles"]),
+    (["code", "--q", "7", "--doubly-extend"],
+     ["qhv.collineations", "qhv.oa", "qhv.oracles"]),
     (["grid", "--instances", "2,2"], ["qhv.codes"]),
 ])
 def test_a_command_executes_only_the_modules_it_uses(tmp_path, args, unexecuted):
