@@ -18,19 +18,19 @@ print()
 # trace and norm map onto the subfield
 print("x, x^q, trace(x), norm(x):")
 for x in range(ctx.q2):
-    print(f"  {x:2d}  {ctx.frobenius(x):2d}  {ctx.trace(x):2d}  {ctx.norm(x):2d}")
+    print(f"  {x:2d}  {ctx.frob[x]:2d}  {ctx.trace(x):2d}  {ctx.norm(x):2d}")
 print()
 
-print(f"trace-zero set T0 = {sorted(ctx.t0_set())}")
+print(f"trace-zero set T0 = {list(ctx.t0)}")
 print(f"transversal C     = {list(ctx.transversal)} (coset reps of GF(q))")
 print()
 
 # Artin-Schreier equations Z^q - Z = d: solvable exactly on T0
 for d in range(ctx.q2):
-    roots = ctx.artin_schreier_roots(d)
+    roots = [z for z in ctx.as_roots[d].tolist() if z >= 0]  # -1: no root
     if roots:
-        in_c = ctx.unique_root_in_transversal(d)
-        print(f"Z^q - Z = {d}: roots {sorted(roots)}, transversal root {in_c}")
+        in_c = int(ctx.transversal_roots(d))
+        print(f"Z^q - Z = {d}: roots {roots}, transversal root {in_c}")
 print()
 
 # arithmetic is exact and table-backed

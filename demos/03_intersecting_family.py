@@ -10,7 +10,7 @@ from qhv import (
     field_context,
     intersection_count,
     scan_params,
-    separating_g,
+    separating_member,
     w_set,
 )
 
@@ -41,9 +41,8 @@ print()
 # the separation property behind simplicity of the orthogonal array
 W = [tuple(row) for row in w_set(ctx, n).tolist()]
 P, P2 = W[0], W[1]
-g = separating_g(params, P, P2, (u, v))
-f = act_on_form(g, base_form(params))   # the scalar pullback, one member
-m = R.index(g)
+m = separating_member(params, P, P2, (u, v))
+f = act_on_form(R[m], base_form(params))   # the scalar pullback, one member
 assert (f.u, f.v, f.w) == (tuple(u[m].tolist()), tuple(v[m].tolist()), 0)
 print(f"points {P} and {P2} are separated by member {m}, with alphas "
-      f"{g.alphas}: values {f.evaluate(P)} vs {f.evaluate(P2)}")
+      f"{R[m].alphas}: values {f.evaluate(P)} vs {f.evaluate(P2)}")

@@ -4,9 +4,10 @@ The library constructs, over any desk-scale prime power q:
 
 * the degree-2q point sets M_{a,b} in PG(n, q^2) and their hyperplane
   character spectra (``geometry``);
-* the collineation section R and the mutually intersecting family of
-  q^{2n-2} varieties meeting pairwise in q^{2n-2} affine points
-  (``collineations``, ``family``);
+* the collineation section R and the pullback of forms along group elements
+  (``collineations``), and the mutually intersecting family of q^{2n-2}
+  varieties meeting pairwise in q^{2n-2} affine points, as coefficient
+  arrays (``intersecting_family``);
 * simple orthogonal arrays OA(q^{2n-1}, q^{2n-2}, q, 2) of index q^{2n-3}
   (``oa``);
 * GF(q)-linear [q, 5, q-4] MDS codes equivalent to extended Reed-Solomon
@@ -34,10 +35,11 @@ _MODULES = {
                  "expected_spectrum_support", "family_params",
                  "hermitian_size", "scan_params", "separating_map",
                  "separation_value", "validate_params"),
-    "collineations": ("Collineation", "build_R", "in_psi", "psi_group"),
-    "intersecting_family": ("AffineForm", "act_on_form", "base_form", "family",
-                            "intersection_count", "s_coefficients",
-                            "separating_g", "w_set"),
+    "collineations": ("Collineation", "act_on_form", "build_R", "in_psi",
+                      "psi_group"),
+    "intersecting_family": ("AffineForm", "base_form", "family",
+                            "intersection_count", "separating_member",
+                            "w_set"),
     "linalg": (),
     "oa": ("OrthogonalArray", "build_oa", "verify_simple", "verify_strength",
            "write_oa"),

@@ -201,17 +201,20 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     with _exit_on_bad_input():
         ctx = field_context(q)
         params = _params(ctx, 3, a, b, mode="family")
+        limit = _budget(budget)
         with warnings.catch_warnings():
             # omega_set warns for q <= 4; the --strict check above and the
             # stderr line below already cover it
             warnings.simplefilter("ignore")
-            ec = codes_mod.build_code(params, budget=_budget(budget))
+            ec = codes_mod.build_code(params, budget=limit)
     if extend and q > 4:
         dx = codes_mod.doubly_extend(ec)
         c = codes_mod.puncture(dx)
     else:
         c = codes_mod.scale_to_fq(ec)
-    d = codes_mod.min_distance(c)
+    with _exit_on_bad_input():
+        d = codes_mod.min_distance(c, limit)
+        d2 = codes_mod.min_distance(dx, limit) if extend and q > 4 else None
     if q <= 4:
         # contracts disabled: emit the artifacts and report what exists
         base = out or f"code_q{q}"
@@ -233,7 +236,6 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     ok = c.dimension == 5 and d == q - 4 and bool(c.is_mds) and rs.two_sided
     label = f"[{c.length},{c.dimension},{d}]"
     if extend:
-        d2 = codes_mod.min_distance(dx)
         ok = ok and dx.dimension == 5 and d2 == q - 3 and bool(dx.is_mds)
         c = dx
         label += f" doubly extended to [{dx.length},{dx.dimension},{d2}]"

@@ -4,7 +4,8 @@ Group elements are stored by their parameter vectors (alpha_1..alpha_n,
 beta_1..beta_{n-1}); the corresponding matrix is upper unitriangular with the
 alphas across the first row and the betas down the last column.  Composition
 and inversion are done symbolically from that block structure; ``to_matrix``
-rebuilds the dense form for cross-checks.
+rebuilds the dense form for cross-checks, and ``act_on_form`` pulls an
+``AffineForm`` back along an element.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from itertools import product
 from .fields import DEFAULT_BUDGET, FieldCtx
 from .geometry import (BMParams, affine_points, affine_rhs, bab_affine_eval,
                        check_R_budget, lex_grid, normalize_point, separating_map)
+from .intersecting_family import AffineForm
 
 
 @dataclass(frozen=True)
@@ -75,6 +77,29 @@ def compose(ctx: FieldCtx, g1: Collineation, g2: Collineation) -> Collineation:
         an = F.add(an, F.mul(g1.alphas[i], g2.betas[i]))
     betas = tuple(F.add(a, b) for a, b in zip(g1.betas, g2.betas))
     return Collineation(tuple(alphas) + (an,), betas)
+
+
+def act_on_form(g: Collineation, form: AffineForm) -> AffineForm:
+    """The pullback F^g with (F^g)(P) = F(g applied to P) for affine P.
+
+    With shift_i = L(alpha_i) + beta_i (L = ``separating_map``), u_i gains
+    shift_i^q and v_i loses shift_i.
+    """
+    params = form.params
+    if g.n != params.n:
+        raise ValueError("dimension mismatch")
+    F = params.ctx.Fq2
+    frob = params.ctx.frob
+    u, v = [], []
+    for ui, vi, alpha, beta in zip(form.u, form.v, g.alphas[:-1], g.betas):
+        shift = F.add(separating_map(params, alpha), beta)
+        u.append(F.add(ui, frob[shift]))
+        v.append(F.sub(vi, shift))
+    w = F.add(form.w, bab_affine_eval(params, g.alphas))
+    for ui, vi, alpha in zip(form.u, form.v, g.alphas[:-1]):
+        w = F.add(w, F.mul(ui, frob[alpha]))
+        w = F.add(w, F.mul(vi, alpha))
+    return AffineForm(params, tuple(u), tuple(v), w)
 
 
 def inverse(ctx: FieldCtx, g: Collineation) -> Collineation:

@@ -439,10 +439,6 @@ class FieldCtx:
 
     # -- basic maps --------------------------------------------------------
 
-    def frobenius(self, x: int) -> int:
-        """The involution x -> x^q of GF(q^2)."""
-        return self.frob[x]
-
     def trace(self, x: int) -> int:
         """x + x^q; lands in GF(q) (a code < q)."""
         return self.Fq2.add(x, self.frob[x])
@@ -468,14 +464,6 @@ class FieldCtx:
 
     # -- trace-zero machinery ----------------------------------------------
 
-    def t0_set(self) -> set[int]:
-        """All x in GF(q^2) with trace zero."""
-        return set(self.t0)
-
-    def artin_schreier_roots(self, d: int) -> set[int]:
-        """All Z with Z^q - Z = d: a coset of GF(q) if trace(d) = 0, else empty."""
-        return set(self.as_roots[d].tolist()) - {-1}
-
     def transversal_roots(self, d) -> np.ndarray:
         """The solution of Z^q - Z = d in the transversal, for each entry of
         the int array d; raises ``ValueError`` if any d has nonzero trace."""
@@ -484,10 +472,6 @@ class FieldCtx:
         if not hit.any(axis=-1).all():
             raise ValueError("Z^q - Z = d is unsolvable: trace(d) != 0")
         return roots[hit].reshape(np.shape(d))
-
-    def unique_root_in_transversal(self, d: int) -> int:
-        """The single solution of Z^q - Z = d lying in the transversal."""
-        return int(self.transversal_roots(d))
 
     # -- encoding ------------------------------------------------------------
 

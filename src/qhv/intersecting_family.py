@@ -2,16 +2,15 @@
 
 Pulling the base affine form back along a group element only shifts the
 coefficients of X_i^q and X_i (i < n) and the constant; an ``AffineForm``
-stores exactly that coefficient table for one element.  For elements of R
-the constant vanishes, so the family is two k x (n-1) arrays (u, v) of
-coefficients, every value on an affine point is trace-zero, and any two
-distinct members share exactly q^{2n-2} affine points.
+stores exactly that coefficient table.  For elements of R the constant
+vanishes, so the family is two k x (n-1) arrays (u, v) of coefficients,
+every value on an affine point is trace-zero, and any two distinct members
+share exactly q^{2n-2} affine points.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -20,16 +19,12 @@ from .geometry import (BMParams, bab_affine_eval, check_R_budget,
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .linalg import gram
 
-if TYPE_CHECKING:  # an annotation only: the family is coefficient arrays
-    from .collineations import Collineation
-
 
 @dataclass(frozen=True)
 class AffineForm:
     """Base affine form plus Sum u_i X_i^q + Sum v_i X_i + w."""
 
     params: BMParams
-    g: Collineation
     u: tuple[int, ...]
     v: tuple[int, ...]
     w: int
@@ -48,33 +43,8 @@ class AffineForm:
 
 
 def base_form(params: BMParams) -> AffineForm:
-    from .collineations import identity  # family() and its callers never load it
-
-    n = params.n
-    return AffineForm(params, identity(n), (0,) * (n - 1), (0,) * (n - 1), 0)
-
-
-def act_on_form(g: Collineation, form: AffineForm) -> AffineForm:
-    """The pullback F^g with (F^g)(P) = F(g applied to P) for affine P.
-
-    With shift_i = L(alpha_i) + beta_i (L = ``separating_map``), u_i gains
-    shift_i^q and v_i loses shift_i.
-    """
-    params = form.params
-    if g.n != params.n:
-        raise ValueError("dimension mismatch")
-    F = params.ctx.Fq2
-    frob = params.ctx.frob
-    u, v = [], []
-    for ui, vi, alpha, beta in zip(form.u, form.v, g.alphas[:-1], g.betas):
-        shift = F.add(separating_map(params, alpha), beta)
-        u.append(F.add(ui, frob[shift]))
-        v.append(F.sub(vi, shift))
-    w = F.add(form.w, bab_affine_eval(params, g.alphas))
-    for ui, vi, alpha in zip(form.u, form.v, g.alphas[:-1]):
-        w = F.add(w, F.mul(ui, frob[alpha]))
-        w = F.add(w, F.mul(vi, alpha))
-    return AffineForm(params, g, tuple(u), tuple(v), w)
+    zeros = (0,) * (params.n - 1)
+    return AffineForm(params, zeros, zeros, 0)
 
 
 def family(params: BMParams, heads=None,
@@ -159,16 +129,10 @@ def intersection_count(params: BMParams, u: np.ndarray, v: np.ndarray,
     return ctx.q * gram(hits)
 
 
-def s_coefficients(params: BMParams, g: Collineation, g2: Collineation) -> tuple[int, ...]:
-    """L(alpha_i - alpha'_i) for i < n, with L = ``separating_map``."""
-    F = params.ctx.Fq2
-    return tuple(separating_map(params, F.sub(x, y))
-                 for x, y in zip(g.alphas[:-1], g2.alphas[:-1]))
-
-
-def separating_g(params: BMParams, P, P2, forms=None) -> Collineation:
-    """First R-member whose form takes different values at P and P2;
-    ``forms`` is ``family(params)`` when the caller has already built it."""
+def separating_member(params: BMParams, P, P2, forms=None) -> int:
+    """Index of the first family member whose form takes different values at
+    P and P2; ``forms`` is ``family(params)`` when the caller has already
+    built it."""
     if tuple(P) == tuple(P2):
         raise ValueError("points must be distinct")
     if forms is None:
@@ -176,9 +140,7 @@ def separating_g(params: BMParams, P, P2, forms=None) -> Collineation:
     values = form_values(params, *forms, [P, P2])
     differ = np.flatnonzero(values[0] != values[1])
     if len(differ):
-        from .collineations import build_R  # only the answer is a group element
-
-        return build_R(params)[differ[0]]
+        return int(differ[0])
     raise RuntimeError(
         "no separating form exists; the separation property is violated"
     )  # pragma: no cover

@@ -268,7 +268,7 @@ def _first_pair(bad: np.ndarray) -> list[int]:
     return list(divmod(int(np.flatnonzero(bad)[0]), bad.shape[1]))
 
 
-def _oracle_witness(params: BMParams, R, forms, masks: np.ndarray,
+def _oracle_witness(params: BMParams, forms, masks: np.ndarray,
                     mu_matrix: np.ndarray, oracle: np.ndarray) -> dict:
     """The first pair whose counts differ, and for the first of its members
     whose form and brute-force zero set differ, the first affine point (in
@@ -280,7 +280,7 @@ def _oracle_witness(params: BMParams, R, forms, masks: np.ndarray,
     u, v = forms
     points = list(product(range(params.ctx.q2), repeat=params.n))
     for member in sorted({i, j}):
-        form = AffineForm(params, R[member], tuple(u[member].tolist()),
+        form = AffineForm(params, tuple(u[member].tolist()),
                           tuple(v[member].tolist()), 0)
         for pt, in_oracle in zip(points, masks[member].tolist()):
             if (form.evaluate(pt) == 0) != in_oracle:
@@ -337,7 +337,7 @@ def _check_family(report: dict, params: BMParams, spec: GridSpec) -> tuple | Non
     oracle = incidence @ incidence.T
     agree = np.array_equal(oracle, mu_matrix)
     witness = {} if agree else {"witness": _oracle_witness(
-        params, R, forms, masks, mu_matrix, oracle)}
+        params, forms, masks, mu_matrix, oracle)}
     _check(report, "oracle_agreement", agree, pairs_checked=k * (k - 1) // 2,
            **witness)
     return forms
@@ -414,9 +414,9 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
         else:
             dx = codes_mod.doubly_extend(ec)
             c = codes_mod.puncture(dx)
-            d = codes_mod.min_distance(c)
+            d = codes_mod.min_distance(c, spec.budget)
             rs = codes_mod.rs_equivalence_check(c, ec.omega)
-            d2 = codes_mod.min_distance(dx)
+            d2 = codes_mod.min_distance(dx, spec.budget)
             naive_d = naive_min_weight(c.codewords)
             _check(report, "code",
                    c.dimension == 5 and d == q - 4 and c.is_mds

@@ -120,7 +120,7 @@ def test_criteria_1_2_at_every_family_pair(n, q):
             masks = zero_set_masks(params, R).astype(np.float32)
             assert np.array_equal(masks @ masks.T, counts), (a, b)
             base = fam.base_form(params)
-            pulled = [fam.act_on_form(g, base) for g in R]
+            pulled = [col.act_on_form(g, base) for g in R]
             assert u.tolist() == [list(f.u) for f in pulled], (a, b)
             assert v.tolist() == [list(f.v) for f in pulled], (a, b)
     assert pairs == EVERY_PAIR[(n, q)]
@@ -261,7 +261,7 @@ def test_criterion_6_property_suite():
         params = _family_params(n, q)
         R = col.build_R(params)
         base = fam.base_form(params)
-        forms = [fam.act_on_form(g, base) for g in R]
+        forms = [col.act_on_form(g, base) for g in R]
         W = fam.w_set(ctx, n).tolist()
         rows = {tuple(f.evaluate(p) for f in forms) for p in W}
         assert len(rows) == len(W) == q ** (2 * n - 1)

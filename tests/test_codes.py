@@ -96,9 +96,9 @@ def test_codewords_agree_with_family_forms():
     base = fam.base_form(params)
     for i, (w1, w2) in enumerate(ec.omega.pairs):
         d = int(geo.affine_rhs(params, (w1, w2)))
-        an = params.ctx.unique_root_in_transversal(d)
+        an = int(params.ctx.transversal_roots(d))
         g = col.Collineation((w1, w2, an), (0, 0))
-        form = fam.act_on_form(g, base)
+        form = col.act_on_form(g, base)
         for r in range(q**5):
             x, y, z = ec.domain[r]
             assert ec.codewords[r, i] == form.evaluate((int(x), int(y), int(z)))
@@ -443,6 +443,28 @@ def test_grid_code_check_takes_one_span(monkeypatch):
     report = run_grid(GridSpec.of((3, 5), budget=10**5))
     assert report["instances"][0]["checks"]["code"]["ok"]
     assert shapes == [(5**5, 6)]
+
+
+@pytest.mark.parametrize("argv,calls,exit_code", [
+    (["code", "--q", "7"], 1, 0),
+    (["code", "--q", "7", "--doubly-extend"], 2, 0),
+    # the grid's code check passes; the intersection matrix is over budget
+    (["grid", "--instances", "3,5"], 2, 1),
+], ids=["code", "doubly-extend", "grid"])
+def test_min_distance_scans_within_the_command_budget(monkeypatch, tmp_path,
+                                                      argv, calls, exit_code):
+    # 7^6 <= budget: the code is built, and every scan must get the same budget
+    real, budgets = cod.min_distance, []
+
+    def recording(code, budget=cod.DEFAULT_BUDGET):
+        budgets.append(budget)
+        return real(code, budget)
+    monkeypatch.setattr(cod, "min_distance", recording)
+    budget = 7**6 + 1
+    res = CliRunner().invoke(main, [*argv, "--budget", str(budget),
+                                    "--out", str(tmp_path / "out")])
+    assert res.exit_code == exit_code, res.output
+    assert budgets == [budget] * calls
 
 
 def test_zero_matrix_spans_rank_zero_code():

@@ -1,3 +1,5 @@
+import inspect
+import re
 from itertools import product
 
 import numpy as np
@@ -17,10 +19,9 @@ def _params(n, q):
     return geo.scan_params(field_context(q), n, mode="family")
 
 
-def _member(params, forms, m, R=None):
+def _member(params, forms, m):
     """Member m of the family arrays as a scalar ``AffineForm``."""
-    g = (R or col.build_R(params))[m]
-    return fam.AffineForm(params, g, tuple(forms[0][m].tolist()),
+    return fam.AffineForm(params, tuple(forms[0][m].tolist()),
                           tuple(forms[1][m].tolist()), 0)
 
 
@@ -48,7 +49,7 @@ def test_family_arrays_are_the_act_on_form_rows(n, q):
     params = _params(n, q)
     u, v = fam.family(params)
     base = fam.base_form(params)
-    forms = [fam.act_on_form(g, base) for g in col.build_R(params)]
+    forms = [col.act_on_form(g, base) for g in col.build_R(params)]
     assert u.tolist() == [list(f.u) for f in forms]
     assert v.tolist() == [list(f.v) for f in forms]
     assert all(f.w == 0 for f in forms)
@@ -75,7 +76,7 @@ def test_act_on_form_pointwise_exhaustive_2_2():
     params = _params(2, 2)
     base = fam.base_form(params)
     for g in col.all_collineations(ctx, 2):
-        Fg = fam.act_on_form(g, base)
+        Fg = col.act_on_form(g, base)
         for pt in product(range(4), repeat=2):
             img = col.apply(ctx, g, (1,) + pt)
             assert Fg.evaluate(pt) == base.evaluate(img[1:])
@@ -103,19 +104,19 @@ def test_act_on_form_is_a_right_action_along_compose(args):
     params, g, h, x = args
     ctx = params.ctx
     base = fam.base_form(params)
-    twice = fam.act_on_form(h, fam.act_on_form(g, base))
-    once = fam.act_on_form(col.compose(ctx, h, g), base)
+    twice = col.act_on_form(h, col.act_on_form(g, base))
+    once = col.act_on_form(col.compose(ctx, h, g), base)
     assert (twice.u, twice.v, twice.w) == (once.u, once.v, once.w)
     hx = col.apply(ctx, h, (1,) + x)[1:]
     ghx = col.apply(ctx, g, (1,) + hx)[1:]
-    assert twice.evaluate(x) == fam.act_on_form(g, base).evaluate(hx) \
+    assert twice.evaluate(x) == col.act_on_form(g, base).evaluate(hx) \
         == base.evaluate(ghx)
 
 
 def test_act_on_form_identity():
     params = _params(2, 3)
     base = fam.base_form(params)
-    same = fam.act_on_form(col.identity(2), base)
+    same = col.act_on_form(col.identity(2), base)
     assert (same.u, same.v, same.w) == (base.u, base.v, base.w)
 
 
@@ -127,7 +128,7 @@ def test_xq_coefficient_formula():
     two_aq = F.mul(2 % ctx.p, ctx.frob[params.a])
     bqmb = F.sub(ctx.frob[params.b], params.b)
     for g in col.build_R(params):
-        form = fam.act_on_form(g, fam.base_form(params))
+        form = col.act_on_form(g, fam.base_form(params))
         a1 = g.alphas[0]
         assert form.u[0] == F.sub(F.mul(two_aq, ctx.frob[a1]), F.mul(bqmb, a1))
 
@@ -137,10 +138,9 @@ def test_values_on_w_are_trace_zero():
         ctx = field_context(q)
         params = _params(n, q)
         W = fam.w_set(ctx, n).tolist()
-        R = col.build_R(params)
         forms = fam.family(params)
-        for m in range(len(R)):
-            f = _member(params, forms, m, R)
+        for m in range(len(forms[0])):
+            f = _member(params, forms, m)
             for pt in W:
                 assert ctx.trace(f.evaluate(pt)) == 0
 
@@ -200,15 +200,24 @@ def test_family_and_intersection_budgets_name_their_numbers():
 
 
 # -- s-coefficients ---------------------------------------------------------------
+# s = L(alpha_i - alpha_j) = v[j] - v[i] (L = separating_map), read off the arrays
+
+def _s_coefficients(params, v, i, j):
+    F = params.ctx.Fq2
+    return tuple(F.sub(int(b), int(a)) for a, b in zip(v[i], v[j]))
+
 
 def test_s_coefficients():
-    ctx = field_context(3)
     params = _params(2, 3)
     R = col.build_R(params)
-    for g in R:
-        assert fam.s_coefficients(params, g, g) == (0,)
-        for g2 in R:
-            s = fam.s_coefficients(params, g, g2)
+    _, v = fam.family(params)
+    F = params.ctx.Fq2
+    for i, g in enumerate(R):
+        assert _s_coefficients(params, v, i, i) == (0,)
+        for j, g2 in enumerate(R):
+            s = _s_coefficients(params, v, i, j)
+            assert s == tuple(geo.separating_map(params, F.sub(x, y))
+                              for x, y in zip(g.alphas[:-1], g2.alphas[:-1]))
             assert (g == g2) == all(x == 0 for x in s)
 
 
@@ -216,9 +225,8 @@ def test_s_trace_zero_tuple_count():
     # the hyperplane-style condition trace(s . X) = 0 has q^{2n-3} solutions
     ctx = field_context(3)
     params = _params(2, 3)
-    R = col.build_R(params)
-    g, g2 = R[0], R[4]
-    (s1,) = fam.s_coefficients(params, g, g2)
+    _, v = fam.family(params)
+    (s1,) = _s_coefficients(params, v, 0, 4)
     count = sum(1 for x in range(9) if ctx.trace(ctx.Fq2.mul(s1, x)) == 0)
     assert count == 3 ** (2 * 2 - 3)
 
@@ -229,33 +237,31 @@ def test_s_trace_zero_tuple_count():
 def test_separating_g_all_pairs(n, q):
     ctx = field_context(q)
     params = _params(n, q)
-    R = col.build_R(params)
     forms = fam.family(params)
     W = fam.w_set(ctx, n).tolist()
     assert len(W) == q ** (2 * n - 1)
     for i, P in enumerate(W):
         for P2 in W[i + 1:]:
-            g = fam.separating_g(params, P, P2, forms)
-            f = _member(params, forms, R.index(g), R)
+            m = fam.separating_member(params, P, P2, forms)
+            f = _member(params, forms, m)
             assert f.evaluate(P) != f.evaluate(P2)
 
 
 def test_separating_g_equal_points_rejected():
     params = _params(2, 2)
     with pytest.raises(ValueError):
-        fam.separating_g(params, (0, 0), (0, 0))
+        fam.separating_member(params, (0, 0), (0, 0))
 
 
 def test_separating_g_deterministic_first_hit():
     params = _params(2, 3)
-    R = col.build_R(params)
     forms = fam.family(params)
     W = fam.w_set(params.ctx, 2).tolist()
     P, P2 = W[0], W[5]
-    g = fam.separating_g(params, P, P2, forms)
-    assert g == fam.separating_g(params, P, P2)
-    for m in range(R.index(g)):
-        f = _member(params, forms, m, R)
+    first = fam.separating_member(params, P, P2, forms)
+    assert first == fam.separating_member(params, P, P2)
+    for m in range(first):
+        f = _member(params, forms, m)
         assert f.evaluate(P) == f.evaluate(P2)
 
 
@@ -276,7 +282,7 @@ def test_form_values_match_naive_oracle(n, q):
     params = _params(n, q)
     base = fam.base_form(params)
     gs = [g for g in col.all_collineations(params.ctx, n) if all(g.betas)][::5]
-    forms = [fam.act_on_form(g, base) for g in gs]
+    forms = [col.act_on_form(g, base) for g in gs]
     assert any(f.w for f in forms)
     u, v = (np.array([getattr(f, c) for f in forms], dtype=np.int32)
             for c in "uv")
@@ -313,7 +319,7 @@ def test_array_and_code_need_no_collineation_or_scalar_pullback(monkeypatch):
     entries = oam.build_oa(params).entries
     words = cod.build_code(code_params).codewords
     base = fam.base_form(params)
-    pulled = [fam.act_on_form(g, base) for g in col.build_R(params)]
+    pulled = [col.act_on_form(g, base) for g in col.build_R(params)]
     W = fam.w_set(params.ctx, 3).tolist()
     level = params.ctx.t0
     assert [[level[x] for x in row] for row in entries.tolist()] == \
@@ -322,7 +328,7 @@ def test_array_and_code_need_no_collineation_or_scalar_pullback(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("scalar path taken")
 
-    for real in (fam.act_on_form, col.build_R):
+    for real in (col.act_on_form, col.build_R):
         for module in (col, fam, cod, oam):
             for name, value in list(vars(module).items()):
                 if value is real:
@@ -331,3 +337,10 @@ def test_array_and_code_need_no_collineation_or_scalar_pullback(monkeypatch):
         col.build_R(params)
     assert np.array_equal(oam.build_oa(params).entries, entries)
     assert np.array_equal(cod.build_code(code_params).codewords, words)
+
+
+def test_family_module_names_no_group_element():
+    # the family is coefficient arrays; only qhv.collineations builds,
+    # composes or pulls back along group elements
+    source = inspect.getsource(fam)
+    assert not re.findall(r"collineations|Collineation|build_R", source)

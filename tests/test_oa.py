@@ -163,8 +163,8 @@ def test_raw_values_trace_zero_via_level_map(n, q):
     ctx = field_context(q)
     params = geo.scan_params(ctx, n, mode="family")
     A = oam.build_oa(params)
-    from qhv.collineations import build_R
-    from qhv.intersecting_family import act_on_form, base_form, w_set
+    from qhv.collineations import act_on_form, build_R
+    from qhv.intersecting_family import base_form, w_set
 
     forms = [act_on_form(g, base_form(params)) for g in build_R(params)]
     W = w_set(ctx, n).tolist()

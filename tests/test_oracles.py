@@ -57,7 +57,7 @@ def test_naive_form_value_matches_coefficient_table():
     points = list(product(range(9), repeat=2))[:30]
     values = fam.form_values(params, *fam.family(params), points)
     for m, g in enumerate(R):
-        f = fam.act_on_form(g, base)
+        f = col.act_on_form(g, base)
         for r, pt in enumerate(points):
             assert naive_form_value(params, g, pt) == f.evaluate(pt) \
                 == values[r, m]

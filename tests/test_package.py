@@ -45,6 +45,16 @@ atexit.register(lambda: print(gc.get_freeze_count()))
 qhv.cli.run()
 """
 
+# accessing the family executes its module but not qhv.collineations
+FAMILY_PROBE = """\
+import sys, types
+import qhv.intersecting_family
+
+qhv.intersecting_family.family
+print([type(sys.modules[name]) is types.ModuleType
+       for name in ("qhv.intersecting_family", "qhv.collineations")])
+"""
+
 LIBRARY = ["qhv.codes", "qhv.collineations", "qhv.geometry",
            "qhv.intersecting_family", "qhv.linalg", "qhv.oa", "qhv.oracles"]
 
@@ -85,6 +95,12 @@ def test_a_command_executes_only_the_modules_it_uses(tmp_path, args, unexecuted)
     assert probe["after"] == unexecuted
     # only the commands that write a digest load OpenSSL's _hashlib
     assert probe["hashlib"] is (args[0] in ("oa", "code"))
+
+
+def test_the_family_leaves_collineations_unexecuted(tmp_path):
+    res = _python(tmp_path, "-c", FAMILY_PROBE)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[True, False]"
 
 
 def test_entry_point_freezes_the_heap_until_exit(tmp_path):
