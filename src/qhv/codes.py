@@ -117,12 +117,11 @@ class FqLinearCode:
 
 def _fq_code(ctx: FieldCtx, words: np.ndarray) -> FqLinearCode:
     """Divide by theta, check every entry lands in GF(q), and span the rows."""
-    scaled = ctx.Fq2.np_mul_table()[ctx.Fq2.inv(ctx.theta)][words]
+    scaled = ctx.over_theta(words)
     if not np.all(scaled < ctx.q):
         raise RuntimeError(
             "a rescaled coordinate fell outside GF(q); the trace-zero "
             "invariant is violated")
-    scaled = scaled.astype(np.int16)
     builder = linalg.row_space(ctx.Fq, scaled)
     return FqLinearCode(ctx.q, scaled.shape[1], scaled, builder.rank,
                         builder.matrix())

@@ -464,6 +464,15 @@ class FieldCtx:
 
     # -- trace-zero machinery ----------------------------------------------
 
+    def over_theta(self, values) -> np.ndarray:
+        """theta^-1 x for each GF(q^2) code x of an int array, as int16.
+
+        The trace-zero set is theta GF(q), so trace-zero values land on the
+        GF(q) codes 0..q-1 and every other value above them.
+        """
+        over = self.Fq2.np_mul_table()[self.Fq2.inv(self.theta)]
+        return over[values].astype(np.int16)
+
     def transversal_roots(self, d) -> np.ndarray:
         """The solution of Z^q - Z = d in the transversal, for each entry of
         the int array d; raises ``ValueError`` if any d has nonzero trace."""

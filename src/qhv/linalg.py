@@ -1,11 +1,14 @@
 """Dense exact linear algebra over a field object (int-coded entries).
 
 `SpanBuilder` is the one Gaussian elimination: ranks, spans and inverses
-all go through it.  `linear_image` is the one bulk product X·M: span
-membership and Reed-Solomon consistency both ask whether one column block
-is a fixed linear image of another.  `gram_blocks` is the one co-occurrence counter: OA
-strength, mutual intersections and the W-relative intersections are all
-blocks of the Gram matrix of a 0/1 matrix.
+all go through it.  `row_space` proves every row of a matrix in the span it
+finds, against a listing of the span (`span_listing`) while that has no
+more vectors than the matrix has rows.  `linear_image` is the one bulk
+product X·M: membership in a wider span and Reed-Solomon consistency both
+ask whether one column block is a fixed linear image of another.
+`gram_blocks` is the one co-occurrence counter: OA strength, mutual
+intersections and the W-relative intersections are all blocks of the Gram
+matrix of a 0/1 matrix.
 """
 
 from __future__ import annotations
@@ -21,26 +24,31 @@ class SpanBuilder:
         self.ncols = ncols
         self.basis: list[list[int]] = []   # rows in RREF, ascending pivot
         self.pivots: list[int] = []
+        # set by ``row_space`` when its listing walk proves every row: row
+        # i's pivot key
+        self.keys: np.ndarray | None = None
 
     def add(self, row) -> bool:
-        """Reduce row against the basis; extend it if independent."""
+        """Reduce row against the basis; extend it if independent.
+
+        Each basis row is 0 at the other pivots, so the coefficient of basis
+        row i is the row's own entry at pivot i, read before reducing.
+        """
         F = self.F
-        row = list(row)
-        for b, p in zip(self.basis, self.pivots):
-            if row[p] != 0:
-                f = row[p]
-                row = [F.sub(x, F.mul(f, y)) for x, y in zip(row, b)]
-        piv = next((c for c, x in enumerate(row) if x != 0), None)
-        if piv is None:
+        add, mul, neg = F.np_add_table(), F.np_mul_table(), F.np_neg_table()
+        row = np.asarray(row)
+        basis = self.matrix()
+        for f, b in zip(row[self.pivots].tolist(), basis):
+            row = add[row, neg[mul[f, b]]]
+        nonzero = np.flatnonzero(row)
+        if not len(nonzero):
             return False
-        inv = F.inv(row[piv])
-        row = [F.mul(inv, x) for x in row]
-        for i, (b, p) in enumerate(zip(self.basis, self.pivots)):
-            if b[piv] != 0:
-                f = b[piv]
-                self.basis[i] = [F.sub(x, F.mul(f, y)) for x, y in zip(b, row)]
+        piv = int(nonzero[0])
+        row = mul[F.inv(int(row[piv])), row]
+        basis = add[basis, neg[mul[basis[:, piv, None], row]]]
         k = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.basis.insert(k, row)
+        self.basis = basis.tolist()
+        self.basis.insert(k, row.tolist())
         self.pivots.insert(k, piv)
         return True
 
@@ -56,8 +64,12 @@ class SpanBuilder:
 #: rows per ``linear_image`` block; a block's products are IMAGE_BLOCK x c ints
 IMAGE_BLOCK = 4096
 
-#: ``row_space`` draws its basis candidates from about this many rows
+#: ``row_space`` draws the basis candidates of a wide span from about this
+#: many rows
 SPAN_SAMPLE = 512
+
+#: matrix cells in the first block ``_scan`` checks after each new basis vector
+SCAN_CELLS = 2**12
 
 
 def linear_image(F, X, M) -> np.ndarray:
@@ -105,31 +117,99 @@ def _eliminate(builder: SpanBuilder, rows: np.ndarray) -> None:
     while len(residual):
         head = residual[0]
         piv = int(np.flatnonzero(head)[0])
-        builder.add([int(x) for x in head])
+        builder.add(head)
         row = np.asarray(builder.basis[builder.pivots.index(piv)])
         residual = add[residual, neg[mul[residual[:, piv, None], row]]]
         residual = residual[residual.any(axis=1)]
 
 
+def span_listing(F, basis: np.ndarray) -> np.ndarray:
+    """Every vector of the span of an RREF basis, one row each, int16.
+
+    Row number sum_j c_j q^(r-1-j) is sum_j c_j basis[j].  Basis row j is 1
+    at pivot j and 0 at the other pivots, so a listed vector's entries at
+    the pivots are the base-q digits of its own row number: its pivot key.
+    """
+    q, k = F.order, basis.shape[1]
+    add = F.np_add_table().ravel().astype(np.int16)
+    times = F.np_mul_table().astype(np.int16) * q   # c·b, premultiplied by q
+    E = np.zeros((1, k), dtype=np.int16)
+    for b in basis:
+        E = add.take(np.add(E[:, None, :], times[:, b], order="C"))
+        E = E.reshape(-1, k)
+    return E
+
+
+def pivot_keys(rows: np.ndarray, pivots, q: int) -> np.ndarray:
+    """Each row's entries at the pivots as one base-q int64 key, the first
+    pivot most significant: a span vector's row number in `span_listing`."""
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for p in pivots:
+        keys *= q
+        keys += rows[:, p]
+    return keys
+
+
+def _scan(builder: SpanBuilder, matrix: np.ndarray) -> tuple[int, np.ndarray]:
+    """Prove rows in order against the listed span while it has at most
+    len(matrix) vectors.  Returns how many leading rows are proved and, when
+    that is all of them, every row's pivot key.
+
+    A row lies in the span exactly when it equals the listed vector under
+    its pivot key.  The first row that does not is a new basis vector: it
+    enters through `SpanBuilder.add`, the span is listed again, and the scan
+    goes on after it; rows already passed lie in every larger span.  Blocks
+    start at SCAN_CELLS cells after each new basis vector and double while
+    they pass, so a block cut short by a new vector wastes little.
+    """
+    F, N, k = builder.F, len(matrix), matrix.shape[1]
+    q, first = F.order, max(SCAN_CELLS // max(k, 1), 1)
+    keys = np.empty(N, dtype=np.int64)
+    pos = changed = 0
+    while pos < N and q ** builder.rank <= N:
+        E, step = span_listing(F, builder.matrix()), first
+        while pos < N:
+            block = matrix[pos:pos + step]
+            keys[pos:pos + len(block)] = pivot_keys(block, builder.pivots, q)
+            listed = np.take(E, keys[pos:pos + len(block)], axis=0)
+            outside = (block != listed).any(axis=1)
+            if outside.any():
+                pos += int(np.argmax(outside))
+                builder.add(matrix[pos])
+                pos = changed = pos + 1
+                break
+            pos, step = pos + len(block), 2 * step
+    if pos == N:  # keys before the last new basis vector used an older basis
+        keys[:changed] = pivot_keys(matrix[:changed], builder.pivots, q)
+    return pos, keys
+
+
 def row_space(F, matrix: np.ndarray) -> SpanBuilder:
     """RREF basis of the span of every row of an int-coded matrix.
 
-    Sample, prove, fall back.  The basis candidates come from every
-    (N // SPAN_SAMPLE + 1)-th row; the + 1 keeps a power-of-two N (the q^5
-    codewords at even q) off a power-of-two stride, which missed a basis
-    direction at q = 8 and 16.  One `linear_image` pass then checks every
-    row against that basis, and the rows it rejects go through the same
-    `_eliminate`.  The sample only picks candidates: every row is proved to
-    lie in the span, and the RREF of a span is unique, so the basis does not
-    depend on the sample.
+    While the span has at most N vectors (N the number of rows), `_scan`
+    lists it and proves each row against the listing, picking the basis
+    from the rows it meets in order; when it proves every row, the
+    builder's ``keys`` hold each row's pivot key.  A wider span (q^rank >
+    N) falls back for the rows not yet proved: basis candidates from every
+    (n // SPAN_SAMPLE + 1)-th such row (the + 1 keeps a power-of-two n off
+    a power-of-two stride), one `linear_image` pass that checks them all,
+    and `_eliminate` for the rows it rejects.  Either way every row is
+    proved to lie in the span, and the RREF of a span is unique, so the
+    basis does not depend on the order in which rows are met.
     """
     matrix = np.asarray(matrix, dtype=np.int16)
     builder = SpanBuilder(F, matrix.shape[1])
-    _eliminate(builder, matrix[::len(matrix) // SPAN_SAMPLE + 1])
-    # a span vector is fixed by its entries at the pivots, so a row lies in
-    # the span exactly when it equals rows[:, pivots] · basis
-    image = linear_image(F, matrix[:, builder.pivots], builder.matrix())
-    _eliminate(builder, matrix[(image != matrix).any(axis=1)])
+    proved, keys = _scan(builder, matrix)
+    rest = matrix[proved:]
+    if len(rest):
+        _eliminate(builder, rest[::len(rest) // SPAN_SAMPLE + 1])
+        # a span vector is fixed by its entries at the pivots, so a row lies
+        # in the span exactly when it equals rows[:, pivots] · basis
+        image = linear_image(F, rest[:, builder.pivots], builder.matrix())
+        _eliminate(builder, rest[(image != rest).any(axis=1)])
+    else:
+        builder.keys = keys
     return builder
 
 

@@ -14,10 +14,10 @@ from itertools import combinations
 
 import numpy as np
 
+from . import linalg
 from .intersecting_family import family, form_values, w_set
 from .fields import DEFAULT_BUDGET, BudgetExceededError
 from .geometry import BMParams
-from .linalg import GRAM_BLOCK, distinct_rows, gram, gram_blocks, gram_dtype
 
 #: verify_strength stops listing violations after this many
 MAX_VIOLATIONS = 1000
@@ -48,6 +48,64 @@ class StrengthReport:
 
 
 def verify_strength(A: OrthogonalArray, t: int) -> StrengthReport:
+    """Check that every tuple of symbols appears exactly N / v^t times in
+    every N x t column subset.
+
+    For t = 2, an array built over GF(q) first gets a linear-code
+    certificate (`_is_linear_code_array`); when it holds, every pair of
+    columns is balanced and the report is the clean one the count would
+    give.  Otherwise the tuples are counted (`_count_strength`), which alone
+    names violations.
+    """
+    if t == 2 and 2 <= A.factors and _is_linear_code_array(A):
+        k = A.factors
+        return StrengthReport(2, A.runs // A.levels**2, k * (k - 1) // 2, [])
+    return _count_strength(A, t)
+
+
+def _is_linear_code_array(A: OrthogonalArray) -> bool:
+    """Whether the rows are the codewords of a GF(q)-linear code, each once,
+    whose generator columns are nonzero and pairwise non-proportional.
+
+    Such an array has strength 2 with index N / q^2: for independent
+    generator columns g_i, g_j the map m -> (m g_i, m g_j) from GF(q)^rank
+    onto GF(q)^2 is linear and onto, so each pair of symbols has
+    q^(rank-2) preimages (Delsarte's theorem at dual distance 3).  Level i
+    must stand for theta c i, for one c != 0, as in every built array; the
+    entries, read as GF(q) codes, are then c^-1 theta^-1 times the values
+    and span the same code as the rescaled values the codes span.
+    `linalg.row_space` proves every row lies in the span; the rows are then
+    the whole code exactly when q^rank = N and no pivot key repeats.
+    """
+    if A.params is None or A.levels != A.params.ctx.q:
+        return False
+    ctx, q, N = A.params.ctx, A.levels, A.runs
+    fq = ctx.over_theta(np.asarray(A.level_map))
+    if fq[1] == 0 or not np.array_equal(fq, ctx.Fq.np_mul_table()[fq[1]]):
+        return False
+    span = linalg.row_space(ctx.Fq, A.entries)
+    if span.keys is None or q**span.rank != N:
+        return False
+    seen = np.zeros(N, dtype=bool)
+    seen[span.keys] = True
+    return bool(seen.all()) and _projective_columns(ctx.Fq, span.matrix())
+
+
+def _projective_columns(F, G: np.ndarray) -> bool:
+    """Whether the columns of G are nonzero and pairwise non-proportional:
+    each column scaled to lead with 1 is a distinct base-q key."""
+    nonzero = G != 0
+    if not nonzero.any(axis=0).all():
+        return False
+    q = F.order
+    inverse = np.array([0] + [F.inv(x) for x in range(1, q)], dtype=np.intp)
+    lead = G[np.argmax(nonzero, axis=0), np.arange(G.shape[1])]
+    scaled = F.np_mul_table()[inverse[lead], G]
+    keys = np.sort(linalg.pivot_keys(scaled.T, range(len(G)), q))
+    return bool(np.all(keys[1:] != keys[:-1]))
+
+
+def _count_strength(A: OrthogonalArray, t: int) -> StrengthReport:
     """Count symbol tuples in every N x t column subset.
 
     The array has strength t iff every tuple appears exactly N / v^t times.
@@ -70,7 +128,7 @@ def verify_strength(A: OrthogonalArray, t: int) -> StrengthReport:
     lam = N // v**t
     entries = np.asarray(A.entries)
     depth = max(t - 2, 0)
-    width = max(GRAM_BLOCK // v, 1)  # columns per band
+    width = max(linalg.GRAM_BLOCK // v, 1)  # columns per band
     violations = []
     checked = 0
     for prefix in combinations(range(k - 2), depth):
@@ -78,7 +136,8 @@ def verify_strength(A: OrthogonalArray, t: int) -> StrengthReport:
         later = entries[:, first:]
         m = later.shape[1]
         key = entries[:, list(prefix)] @ v ** np.arange(depth - 1, -1, -1)
-        grams = [gram_blocks(_one_hot(later, key == s, v), m * v, width * v)
+        grams = [linalg.gram_blocks(_one_hot(later, key == s, v), m * v,
+                                    width * v)
                  for s in range(v**depth)]
         for bands in zip(*grams):
             lo = bands[0][0] // v
@@ -112,7 +171,8 @@ def _one_hot(entries: np.ndarray, rows: np.ndarray, v: int):
     multiples of v."""
     def band(lo, hi):
         cells = entries[rows, lo // v:hi // v]
-        X = np.zeros((len(cells), cells.shape[1] * v), dtype=gram_dtype(len(cells)))
+        X = np.zeros((len(cells), cells.shape[1] * v),
+                     dtype=linalg.gram_dtype(len(cells)))
         at = np.arange(0, cells.shape[1] * v, v) + cells
         np.put_along_axis(X, at, 1, axis=1)
         return X
@@ -121,7 +181,7 @@ def _one_hot(entries: np.ndarray, rows: np.ndarray, v: int):
 
 def verify_simple(A: OrthogonalArray) -> bool:
     """True iff no two rows coincide."""
-    return distinct_rows(A.entries) == A.runs
+    return linalg.distinct_rows(A.entries) == A.runs
 
 
 def w_intersections(A: OrthogonalArray) -> np.ndarray:
@@ -134,7 +194,7 @@ def w_intersections(A: OrthogonalArray) -> np.ndarray:
     """
     if A.level_map[0] != 0:
         raise ValueError("level 0 must stand for the field's 0")
-    return gram(np.asarray(A.entries) == 0)
+    return linalg.gram(np.asarray(A.entries) == 0)
 
 
 def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET,

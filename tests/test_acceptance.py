@@ -64,6 +64,9 @@ def test_criterion_2_orthogonal_arrays(n, q, N, k, v, lam):
     report = oam.verify_strength(A, 2)
     assert report.ok and report.index == lam
     assert report.subsets_checked == k * (k - 1) // 2
+    # the linear-code certificate gave the report; the Gram count agrees
+    assert oam._is_linear_code_array(A)
+    assert oam._count_strength(A, 2) == report
     assert oam.verify_simple(A)
     print(f"\n[acceptance] criterion 2 (n={n}, q={q}): PASS - "
           f"simple OA({N},{k},{v},2), index {lam}, exhaustive column pairs")
@@ -114,6 +117,8 @@ def test_criteria_1_2_at_every_family_pair(n, q):
             A = oam.build_oa(params, forms=(u, v))
             report = oam.verify_strength(A, 2)
             assert report.ok and report.index == lam, (a, b)
+            assert oam._is_linear_code_array(A), (a, b)
+            assert oam._count_strength(A, 2) == report, (a, b)
             assert oam.verify_simple(A), (a, b)
             R = col.build_R(params)
             # float32 takes the BLAS path and is exact for counts below 2^24

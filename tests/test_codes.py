@@ -11,6 +11,7 @@ from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
 from qhv import linalg
+from qhv import oa as oam
 from qhv.fields import BudgetExceededError, field_context
 from qhv.cli import main
 from qhv.oracles import GridSpec, naive_min_weight, run_grid
@@ -368,6 +369,19 @@ def test_span_proof_catches_a_row_at_first_middle_last_position():
         doctored[row, 0] ^= 1
         c = cod._fq_code(ctx, doctored)
         assert c.dimension == 6, row
+
+
+def test_mds_code_is_the_oa_code_punctured_to_omega():
+    # both evaluate family members over W in W order; the code keeps the q
+    # members whose head (w1, w2) lies in Omega, column w1 q^2 + w2 of the OA
+    q = 5
+    params = _params(q)
+    ec = cod.build_code(params)
+    A = oam.build_oa(params)
+    columns = [w1 * q * q + w2 for w1, w2 in ec.omega.pairs]
+    assert ec.codewords.shape == (q**5, q)
+    assert np.array_equal(ec.codewords,
+                          np.array(A.level_map)[A.entries][:, columns])
 
 
 # -- double extension ------------------------------------------------------------------

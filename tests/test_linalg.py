@@ -141,6 +141,35 @@ def test_row_space_matches_row_by_row_feed(q, kind):
     assert got.rank == {"full": 6, "zero": 0}.get(kind, 3)
 
 
+@pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
+@pytest.mark.parametrize("kind", ["full", "deficient", "duplicated", "zero"])
+def test_row_space_keys_find_each_row_in_the_listing(q, kind):
+    F = field_context(q).Fq
+    m = _matrix(F, kind, np.random.default_rng(q))
+    got = linalg.row_space(F, m)
+    # keys exist whenever the span never outgrew the rows
+    assert (got.keys is None) <= (q ** got.rank > len(m))
+    if got.keys is None:
+        return
+    assert np.array_equal(got.keys, linalg.pivot_keys(m, got.pivots, q))
+    assert np.array_equal(linalg.span_listing(F, got.matrix())[got.keys], m)
+
+
+@pytest.mark.parametrize("q", [2, 4, 5, 9])
+def test_span_listing_is_every_combination_in_key_order(q):
+    F = field_context(q).Fq
+    rng = np.random.default_rng(q)
+    basis = linalg.row_space(F, rng.integers(0, q, (3, 7))).matrix()
+    r = len(basis)
+    keys = np.arange(q ** r)
+    digits = keys[:, None] // q ** np.arange(r - 1, -1, -1) % q
+    listed = linalg.span_listing(F, basis)
+    assert listed.dtype == np.int16
+    assert np.array_equal(listed, _combos(F, digits, basis))
+    pivots = [int(np.flatnonzero(b)[0]) for b in basis]
+    assert np.array_equal(linalg.pivot_keys(listed, pivots, q), keys)
+
+
 def test_row_space_finds_one_row_outside_a_rank_5_span():
     F = field_context(7).Fq
     rng = np.random.default_rng(5)

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qhv import geometry as geo
+from qhv import linalg
 from qhv import oa as oam
 from qhv.fields import BudgetExceededError, field_context
 from qhv.oracles import naive_strength_violations
@@ -239,9 +240,109 @@ def test_w_intersections_need_zero_at_level_zero():
         oam.w_intersections(shifted)
 
 
-def test_strength_three_runs_without_contract():
-    # no strength-3 claim is made; the checker must still run and report
-    A = _build(2, 2)
+# -- the linear-code certificate for t = 2 -------------------------------------
+
+CERTIFIED = [(2, 2), (2, 3), (3, 2), (2, 4), (3, 3), (2, 5)]
+
+
+def _as_array(A, entries):
+    """A copy of A with other entries; params and level map kept."""
+    return oam.OrthogonalArray(len(entries), entries.shape[1], A.levels, 2,
+                               A.index, entries, A.level_map, A.params)
+
+
+def _certificate_cases(A):
+    """The built array and doctored copies, each with whether the
+    certificate must accept it."""
+    E = A.entries
+    q, (N, k) = A.levels, E.shape
+    rng = np.random.default_rng(N * k)
+    swapped = E.copy()
+    r1, r2 = 0, int(np.flatnonzero(E[:, 0] != E[0, 0])[0])
+    swapped[[r1, r2], 0] = swapped[[r2, r1], 0]
+    duplicated = E.copy()
+    duplicated[:, k - 1] = E[:, 0]
+    overwritten = E.copy()
+    overwritten[N - 1] = E[1]
+    cases = {"built": (E, True), "swapped": (swapped, False),
+             "duplicated": (duplicated, False),
+             "rows_permuted": (E[rng.permutation(N)], True),
+             "row_overwritten": (overwritten, False)}
+    if q > 2:  # c(column i) in GF(q) with c not in {0, 1}, back to levels
+        ctx = A.params.ctx
+        fq = ctx.over_theta(np.array(A.level_map))
+        level_of = np.argsort(fq)
+        c = 2 if q % 2 else ctx.Fq.generator
+        scaled = E.copy()
+        scaled[:, 1] = level_of[ctx.Fq.np_mul_table()[c][fq[E[:, 0]]]]
+        cases["scaled_column"] = (scaled, False)
+    return cases
+
+
+@pytest.mark.parametrize("n,q", CERTIFIED, ids=[f"{n}-{q}" for n, q in CERTIFIED])
+def test_certificate_agrees_with_gram_count_and_oracle(n, q):
+    A = _build(n, q)
+    for name, (entries, accepts) in _certificate_cases(A).items():
+        arr = _as_array(A, entries)
+        assert oam._is_linear_code_array(arr) is accepts, name
+        rep = oam.verify_strength(arr, 2)
+        assert rep == oam._count_strength(arr, 2), name
+        assert rep.violations == naive_strength_violations(entries, q, 2)[
+            :oam.MAX_VIOLATIONS], name
+        assert rep.ok is accepts, name
+
+
+@pytest.mark.parametrize("n,q", CERTIFIED, ids=[f"{n}-{q}" for n, q in CERTIFIED])
+def test_certified_arrays_never_reach_the_gram_count(n, q, monkeypatch):
+    class Counted(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Counted
+    monkeypatch.setattr(linalg, "gram_blocks", refuse)
+    A = _build(n, q)
+    for name, (entries, accepts) in _certificate_cases(A).items():
+        arr = _as_array(A, entries)
+        if accepts:
+            assert oam.verify_strength(arr, 2).ok, name
+        else:
+            with pytest.raises(Counted):
+                oam.verify_strength(arr, 2)
+
+
+def test_certificate_needs_params_and_a_scalar_level_map():
+    A = _build(2, 5)
+
+    def relabelled(level_map, params=A.params):
+        return oam.OrthogonalArray(A.runs, A.factors, 5, 2, A.index,
+                                   A.entries, level_map, params)
+    unbuilt = relabelled(A.level_map, None)
+    assert not oam._is_linear_code_array(unbuilt)
+    # every level standing for one field element
+    assert not oam._is_linear_code_array(relabelled((A.level_map[0],) * 5))
+    # levels 1 and 2 swapped: no longer theta c i for one c, so the count
+    # decides; a relabelling keeps the strength
+    m = A.level_map
+    swapped = relabelled((m[0], m[2], m[1]) + m[3:])
+    assert not oam._is_linear_code_array(swapped)
+    assert (oam.verify_strength(unbuilt, 2) == oam.verify_strength(swapped, 2)
+            == oam.verify_strength(A, 2))
+
+
+# -- exact strength: 3 at q = 2, 2 at q > 2 ------------------------------------
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_strength_three_at_q_two(n):
+    # the code is RM(1, 2n - 2), whose dual (extended Hamming) has d = 4
+    A = _build(n, 2)
     rep = oam.verify_strength(A, 3)
-    assert rep.index == 1
-    assert isinstance(rep.ok, bool)
+    assert rep.ok and rep.index == A.runs // 8
+
+
+@pytest.mark.parametrize("n,q,count", [(2, 3, 3), (2, 4, 4), (3, 3, 27)])
+def test_first_strength_three_violation_above_q_two(n, q, count):
+    # the first three generator columns are collinear points of AG(2n-2, q)
+    rep = oam.verify_strength(_build(n, q), 3)
+    assert not rep.ok
+    assert rep.violations[0] == ((0, 1, 2), (0, 0, 0), count)
+    assert count == q ** (2 * n - 3)

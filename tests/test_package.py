@@ -33,7 +33,8 @@ try:
 except SystemExit as exc:
     code = exc.code
 print(json.dumps({"before": before, "after": unexecuted(), "exit": code,
-                  "hashlib": "_hashlib" in sys.modules}))
+                  "hashlib": "_hashlib" in sys.modules,
+                  "numpy_ma": "numpy.ma" in sys.modules}))
 """
 
 # what the interpreter has frozen when it starts to shut down after run()
@@ -95,6 +96,8 @@ def test_a_command_executes_only_the_modules_it_uses(tmp_path, args, unexecuted)
     assert probe["after"] == unexecuted
     # only the commands that write a digest load OpenSSL's _hashlib
     assert probe["hashlib"] is (args[0] in ("oa", "code"))
+    # a plain np.unique imports numpy.ma (about 16 ms cold); none may load it
+    assert probe["numpy_ma"] is False
 
 
 def test_the_family_leaves_collineations_unexecuted(tmp_path):
