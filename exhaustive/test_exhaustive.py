@@ -7,11 +7,18 @@ Run it whenever a change touches the family, the orthogonal array, the
 codes or the spectrum, and report its result next to the tier-1 count.
 """
 
+import sys
+from pathlib import Path
+
 import pytest
 
 from qhv import geometry as geo
 from qhv import oa as oam
 from qhv.fields import field_context
+
+# tier-1's acceptance checks, run here on larger instances
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
+from test_acceptance import check_every_family_pair, check_mds_code  # noqa: E402
 
 
 def _array(n, q):
@@ -40,3 +47,14 @@ def test_certificate_and_simplicity_where_the_count_is_slow(n, q):
     A = _array(n, q)
     _assert_certified(A, n, q)
     assert oam.verify_simple(A)
+
+
+@pytest.mark.parametrize("n,q,pairs", [(2, 7, 1722), (3, 4, 192)])
+def test_criteria_1_2_at_every_family_pair(n, q, pairs):
+    assert check_every_family_pair(n, q) == pairs
+
+
+@pytest.mark.parametrize("q", [16, 17])
+def test_criterion_3_mds_codes(q):
+    # q^6 codeword-table cells exceed the default budget of 10^7 at both
+    assert check_mds_code(q, budget=10**8) == (q - 4, q - 3)

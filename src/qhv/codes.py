@@ -17,17 +17,17 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import linalg
+from ._record import record
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .geometry import BMParams, separating_map
 from .intersecting_family import family, form_values, w_set
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class OmegaSet:
     """Twisted-cubic pairs in psi order: index 0 is t = 0, index i is omega^i."""
 
@@ -71,7 +71,7 @@ def check_luc1(ctx: FieldCtx, omega: OmegaSet, indices) -> bool:
     return all(span.add(row) for row in rows)
 
 
-@dataclass
+@record
 class EvalCode:
     """Raw evaluation code: q^5 words over the trace-zero set, length q."""
 
@@ -102,7 +102,7 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
     return EvalCode(params, omega, domain, words)
 
 
-@dataclass
+@record
 class FqLinearCode:
     """Codeword list over GF(q) with its dimension and generator matrix."""
 
@@ -147,7 +147,7 @@ def min_distance(code: FqLinearCode,
     return d
 
 
-@dataclass
+@record
 class RSReport:
     checked: int
     mismatches: int

@@ -10,16 +10,16 @@ rebuilds the dense form for cross-checks, and ``act_on_form`` pulls an
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
+from ._record import record
 from .fields import DEFAULT_BUDGET, FieldCtx
 from .geometry import (BMParams, affine_points, affine_rhs, bab_affine_eval,
                        check_R_budget, lex_grid, normalize_point, separating_map)
 from .intersecting_family import AffineForm
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Collineation:
     alphas: tuple[int, ...]
     betas: tuple[int, ...]

@@ -17,11 +17,11 @@ the point-count oracle (|M| must equal the Hermitian count) arbitrates.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import reduce
 
 import numpy as np
 
+from ._record import record
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, absolute_trace
 
 
@@ -29,7 +29,7 @@ class ParameterError(ValueError):
     """Rejected variety parameters."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class BMParams:
     """Validated parameters (a, b) for the degree-2q variety in PG(n, q^2).
 
@@ -265,7 +265,7 @@ def num_projective_points(order: int, n: int) -> int:
     return (order ** (n + 1) - 1) // (order - 1)
 
 
-@dataclass(frozen=True, eq=False)
+@record(frozen=True, eq=False)
 class PointSet:
     """Duplicate-free set of normalized points of PG(n, q^2): a read-only
     |S| x (n+1) int32 array whose rows are in lexicographic order."""
@@ -288,7 +288,9 @@ class PointSet:
 
 def point_set(n: int, pts) -> PointSet:
     rows = np.asarray(pts, dtype=np.int32).reshape(-1, n + 1)
-    return PointSet(n, np.unique(rows, axis=0))  # sorted, duplicates dropped
+    # sorted, duplicates dropped; asking for the inverse keeps np.unique off
+    # its masked-array check, which imports numpy.ma (about 15 ms cold)
+    return PointSet(n, np.unique(rows, axis=0, return_inverse=True)[0])
 
 
 def bab_affine_eval(params: BMParams, x) -> int:

@@ -10,17 +10,16 @@ share exactly q^{2n-2} affine points.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import record
 from .geometry import (BMParams, bab_affine_eval, check_R_budget,
                        coordinate_tables, lex_grid, separating_map)
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .linalg import gram
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class AffineForm:
     """Base affine form plus Sum u_i X_i^q + Sum v_i X_i + w."""
 

@@ -9,12 +9,12 @@ OA(q^{2n-1}, q^{2n-2}, q, 2) of index q^{2n-3}.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
 
 from . import linalg
+from ._record import record
 from .intersecting_family import family, form_values, w_set
 from .fields import DEFAULT_BUDGET, BudgetExceededError
 from .geometry import BMParams
@@ -23,7 +23,7 @@ from .geometry import BMParams
 MAX_VIOLATIONS = 1000
 
 
-@dataclass
+@record
 class OrthogonalArray:
     runs: int                 # N
     factors: int              # k
@@ -35,7 +35,7 @@ class OrthogonalArray:
     params: BMParams | None = None
 
 
-@dataclass
+@record
 class StrengthReport:
     strength: int
     index: int | None

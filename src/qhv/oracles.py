@@ -16,7 +16,6 @@ form and its brute-force zero set disagree.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 
@@ -25,6 +24,7 @@ import numpy as np
 from . import codes as codes_mod
 from . import geometry as geo
 from . import oa as oa_mod
+from ._record import record
 from .collineations import Collineation, build_R, to_matrix
 from .intersecting_family import AffineForm, family, intersection_count
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, field_context
@@ -238,7 +238,7 @@ def naive_min_weight(matrix) -> int:
 # the grid
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GridInstance:
     n: int
     q: int
@@ -246,7 +246,7 @@ class GridInstance:
     b: int | None = None
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GridSpec:
     instances: tuple[GridInstance, ...]
     budget: int = DEFAULT_BUDGET   # bounds every enumeration of an instance

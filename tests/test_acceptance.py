@@ -5,6 +5,7 @@ criterion.
 """
 
 import functools
+import random
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from qhv import collineations as col
 from qhv import intersecting_family as fam
 from qhv import geometry as geo
 from qhv import oa as oam
-from qhv.fields import field_context
+from qhv.fields import DEFAULT_BUDGET, field_context
 from qhv.oracles import DEFAULT_GRID, GridSpec, run_grid, zero_set_masks
 
 FAMILY_GRID = [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (3, 4), (3, 5)]
@@ -92,12 +93,11 @@ def test_criterion_2_w_relative_mu(n, q):
 EVERY_PAIR = {(2, 3): 30, (2, 4): 192, (3, 3): 30, (2, 5): 380}
 
 
-@pytest.mark.parametrize("n,q", sorted(EVERY_PAIR))
-def test_criteria_1_2_at_every_family_pair(n, q):
+def check_every_family_pair(n, q) -> int:
     """Every family-admissible (a, b), none sampled: q^{2n-2} members,
     mutual mu, the simple OA of strength 2 and index q^{2n-3}, brute-force
     zero sets that agree with the intersection matrix, and coefficient arrays
-    that are the scalar pullbacks' rows."""
+    that are the scalar pullbacks' rows.  Returns the number of pairs."""
     ctx = field_context(q)
     k = mu = q ** (2 * n - 2)
     lam = q ** (2 * n - 3)
@@ -128,10 +128,17 @@ def test_criteria_1_2_at_every_family_pair(n, q):
             pulled = [col.act_on_form(g, base) for g in R]
             assert u.tolist() == [list(f.u) for f in pulled], (a, b)
             assert v.tolist() == [list(f.v) for f in pulled], (a, b)
+    return pairs
+
+
+@pytest.mark.parametrize("n,q", sorted(EVERY_PAIR))
+def test_criteria_1_2_at_every_family_pair(n, q):
+    pairs = check_every_family_pair(n, q)
     assert pairs == EVERY_PAIR[(n, q)]
+    k = mu = q ** (2 * n - 2)
     print(f"\n[acceptance] criteria 1-2 at every pair (n={n}, q={q}): PASS - "
           f"{pairs} pairs, each {k} members meeting in {mu}, a simple "
-          f"OA of index {lam}, oracle zero sets agreeing")
+          f"OA of index {q ** (2 * n - 3)}, oracle zero sets agreeing")
 
 
 def _row_keys(words, base: int) -> np.ndarray:
@@ -151,12 +158,12 @@ def _distinct(keys: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
-@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
-def test_criterion_3_mds_codes(q):
+def check_mds_code(q, budget=DEFAULT_BUDGET) -> tuple[int, int]:
     """|C| = q^5, dimension 5, d = q-4 (brute force), MDS, RS-equivalent,
-    doubly extended to [q+1, 5, q-3] MDS."""
+    doubly extended to [q+1, 5, q-3] MDS; ``budget`` bounds the codeword
+    table and both scans.  Returns the two minimum distances."""
     params = geo.scan_params(field_context(q), 3, mode="quasi_hermitian")
-    ec = cod.build_code(params)
+    ec = cod.build_code(params, budget=budget)
     assert len(ec) == q**5
     # rows that differ on their first five coordinates are distinct (and
     # any five coordinates of a [q, 5] MDS code determine its word)
@@ -164,8 +171,9 @@ def test_criterion_3_mds_codes(q):
     c = cod.scale_to_fq(ec)
     assert c.dimension == 5
     # every row lies in the span, so q^5 distinct rows make the whole span
-    assert _distinct(_row_keys(c.codewords[:, :5], q)) == q ** c.dimension
-    d = cod.min_distance(c)
+    heads = _row_keys(c.codewords[:, :5], q)
+    assert _distinct(heads) == q ** c.dimension
+    d = cod.min_distance(c, budget)
     assert d == q - 4
     assert c.is_mds and d == c.length - c.dimension + 1
     rs = cod.rs_equivalence_check(c, ec.omega)
@@ -176,11 +184,9 @@ def test_criterion_3_mds_codes(q):
     punctured = cod.puncture(dx)
     assert np.array_equal(punctured.codewords, c.codewords)
     assert np.array_equal(punctured.generator, c.generator)
-    d2 = cod.min_distance(dx)
+    d2 = cod.min_distance(dx, budget)
     assert d2 == q - 3 and dx.is_mds
     # sampled linearity of the scaled code
-    import random
-
     rng = random.Random(q)
     Fq = field_context(q).Fq
     combos = []
@@ -188,9 +194,18 @@ def test_criterion_3_mds_codes(q):
         u, v = rng.choice(c.codewords), rng.choice(c.codewords)
         lam = rng.randrange(q)
         combos.append([Fq.add(int(x), Fq.mul(lam, int(y))) for x, y in zip(u, v)])
-    # the rows are distinct, so are their keys
-    assert np.isin(np.unique(_row_keys(np.array(combos), q)),
-                   _row_keys(c.codewords, q), assume_unique=True).all()
+    # the heads cover 0..q^5-1, so each combination's head finds the one
+    # codeword with those first five coordinates; it must be the whole word
+    order = np.argsort(heads)
+    combos = np.array(combos)
+    found = order[np.searchsorted(heads[order], _row_keys(combos[:, :5], q))]
+    assert np.array_equal(c.codewords[found], combos)
+    return d, d2
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_criterion_3_mds_codes(q):
+    d, d2 = check_mds_code(q)
     print(f"\n[acceptance] criterion 3 (q={q}): PASS - "
           f"[{q},5,{d}] MDS, RS-equivalent two-sided, extended [{q+1},5,{d2}] MDS")
 

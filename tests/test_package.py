@@ -34,7 +34,8 @@ except SystemExit as exc:
     code = exc.code
 print(json.dumps({"before": before, "after": unexecuted(), "exit": code,
                   "hashlib": "_hashlib" in sys.modules,
-                  "numpy_ma": "numpy.ma" in sys.modules}))
+                  "numpy_ma": "numpy.ma" in sys.modules,
+                  "dataclasses": "dataclasses" in sys.modules}))
 """
 
 # what the interpreter has frozen when it starts to shut down after run()
@@ -54,6 +55,15 @@ import qhv.intersecting_family
 qhv.intersecting_family.family
 print([type(sys.modules[name]) is types.ModuleType
        for name in ("qhv.intersecting_family", "qhv.collineations")])
+"""
+
+# a point set's sort and deduplication leaves numpy.ma unloaded
+POINT_SET_PROBE = """\
+import sys
+from qhv.geometry import point_set
+
+print(point_set(2, [[0, 1, 1], [0, 0, 1], [0, 1, 1]]).points.tolist(),
+      "numpy.ma" in sys.modules)
 """
 
 LIBRARY = ["qhv.codes", "qhv.collineations", "qhv.geometry",
@@ -98,12 +108,20 @@ def test_a_command_executes_only_the_modules_it_uses(tmp_path, args, unexecuted)
     assert probe["hashlib"] is (args[0] in ("oa", "code"))
     # a plain np.unique imports numpy.ma (about 16 ms cold); none may load it
     assert probe["numpy_ma"] is False
+    # the records are built without generated code, so without dataclasses
+    assert probe["dataclasses"] is False
 
 
 def test_the_family_leaves_collineations_unexecuted(tmp_path):
     res = _python(tmp_path, "-c", FAMILY_PROBE)
     assert res.returncode == 0, res.stderr
     assert res.stdout.strip() == "[True, False]"
+
+
+def test_point_set_leaves_numpy_ma_unloaded(tmp_path):
+    res = _python(tmp_path, "-c", POINT_SET_PROBE)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[[0, 0, 1], [0, 1, 1]] False"
 
 
 def test_entry_point_freezes_the_heap_until_exit(tmp_path):
