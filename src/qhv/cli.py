@@ -207,11 +207,8 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
             # stderr line below already cover it
             warnings.simplefilter("ignore")
             ec = codes_mod.build_code(params, budget=limit)
-    if extend and q > 4:
-        dx = codes_mod.doubly_extend(ec)
-        c = codes_mod.puncture(dx)
-    else:
-        c = codes_mod.scale_to_fq(ec)
+    dx = codes_mod.doubly_extend(ec)
+    c = codes_mod.puncture(dx)
     with _exit_on_bad_input():
         d = codes_mod.min_distance(c, limit)
         d2 = codes_mod.min_distance(dx, limit) if extend and q > 4 else None

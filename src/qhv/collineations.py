@@ -83,7 +83,7 @@ def act_on_form(g: Collineation, form: AffineForm) -> AffineForm:
     """The pullback F^g with (F^g)(P) = F(g applied to P) for affine P.
 
     With shift_i = L(alpha_i) + beta_i (L = ``separating_map``), u_i gains
-    shift_i^q and v_i loses shift_i.
+    shift_i^q, v_i loses shift_i, and the constant becomes F(alpha).
     """
     params = form.params
     if g.n != params.n:
@@ -95,11 +95,7 @@ def act_on_form(g: Collineation, form: AffineForm) -> AffineForm:
         shift = F.add(separating_map(params, alpha), beta)
         u.append(F.add(ui, frob[shift]))
         v.append(F.sub(vi, shift))
-    w = F.add(form.w, bab_affine_eval(params, g.alphas))
-    for ui, vi, alpha in zip(form.u, form.v, g.alphas[:-1]):
-        w = F.add(w, F.mul(ui, frob[alpha]))
-        w = F.add(w, F.mul(vi, alpha))
-    return AffineForm(params, tuple(u), tuple(v), w)
+    return AffineForm(params, tuple(u), tuple(v), form.evaluate(g.alphas))
 
 
 def inverse(ctx: FieldCtx, g: Collineation) -> Collineation:

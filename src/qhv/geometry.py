@@ -377,39 +377,32 @@ def bm_variety(params: BMParams, budget: int = DEFAULT_BUDGET) -> PointSet:
 # hyperplane characters
 # ---------------------------------------------------------------------------
 
-def _prefix_sums(cols, add, mul, order: int, rows: int):
+def _prefix_sums(cols, add, mul, order: int):
     """s = sum_i h_i x_i for every normalized dual prefix (h_0..h_{k-1}).
 
     ``cols`` are the k coordinate columns x_0..x_{k-1} of the points.  The
     prefixes are walked depth first in ``projective_points`` order, so each
     partial sum is computed once and shared by every prefix that extends
-    it.  The last coordinate's values are taken together: each yielded block
-    stacks the sums of at most ``rows`` consecutive prefixes.
+    it; one sum is yielded per prefix.
     """
     k = len(cols)
 
     def walk(i, s):
-        if i == k - 1:
-            for c in range(0, order, rows):
-                yield add[s, mul[c:c + rows, cols[i]]]
+        if i == k:
+            yield s
             return
         yield from walk(i + 1, s)
         for c in range(1, order):
             yield from walk(i + 1, add[s, mul[c][cols[i]]])
 
-    for lead in range(k - 1):
+    for lead in range(k):
         yield from walk(lead + 1, cols[lead])
-    yield cols[k - 1][None]
 
 
 #: most cells of the gather index of ``_hyperplane_counts``: with tail width
 #: t it has q^{2t} q^{2t} (q^2 + 1), one per (tail coordinates of a point,
 #: tail prefix, value of h_n or the slot at infinity)
 SPECTRUM_INDEX_CELLS = 2**20
-
-#: most keys plus gathered cells per block of heads, unless one head alone
-#: has more; larger blocks were no faster and raised the peak memory
-SPECTRUM_BLOCK_CELLS = 2**13
 
 
 def _gather_cells(q2: int, t: int) -> int:
@@ -430,13 +423,6 @@ def _tail_width(n: int, q2: int, npoints: int) -> int:
 
     return min((t for t in range(n)
                 if _gather_cells(q2, t) <= SPECTRUM_INDEX_CELLS), key=cost)
-
-
-def _block_rows(q2: int, t: int, npoints: int) -> int:
-    """Heads per block: at most q^2, and at most ``SPECTRUM_BLOCK_CELLS``
-    keys and gathered cells together unless one head alone has more."""
-    return max(1, min(q2, SPECTRUM_BLOCK_CELLS
-                      // (npoints + _gather_cells(q2, t))))
 
 
 def _tail_index(F, q2: int, t: int) -> np.ndarray:
@@ -462,7 +448,7 @@ def _tail_index(F, q2: int, t: int) -> np.ndarray:
 
 
 def _hyperplane_counts(S: PointSet, ctx: FieldCtx, budget: int):
-    """|S meet H| for every hyperplane H but (0, ..., 0, 1), block by block;
+    """|S meet H| for every hyperplane H but (0, ..., 0, 1), head by head;
     raises ``BudgetExceededError`` first when the hyperplanes exceed the budget.
 
     Hyperplanes h, in dual coordinates normalized like points, are grouped
@@ -473,16 +459,15 @@ def _hyperplane_counts(S: PointSet, ctx: FieldCtx, budget: int):
     otherwise.
 
     The prefix splits into a head, walked by ``_prefix_sums``, and its last
-    t coordinates, t from ``_tail_width``.  Per block of heads one bincount
-    over the keys (head, s, x_{n-t}..x_{n-1}, x_n = 0) is the joint
-    histogram, and one gather through ``_tail_index`` turns it into the
-    counts of every tail and every value of h_n.  The zero head comes last
-    and keeps the normalized nonzero tails only, in their own
-    ``projective_points`` order.
+    t coordinates, t from ``_tail_width``.  Per head one bincount over the
+    keys (s, x_{n-t}..x_{n-1}, x_n = 0) is the joint histogram, and one
+    gather through ``_tail_index`` turns it into the counts of every tail
+    and every value of h_n.  The zero head comes last and keeps the
+    normalized nonzero tails only, in their own ``projective_points`` order.
 
-    Yields 2-D blocks whose rows, concatenated, follow the prefixes of
-    ``projective_points(F, n - 1)``; column v is the hyperplane with
-    h_n = -v.  Every hyperplane gets an exact count from every point.
+    Yields one 2-D block per head; the rows, concatenated, follow the
+    prefixes of ``projective_points(F, n - 1)``; column v is the hyperplane
+    with h_n = -v.  Every hyperplane gets an exact count from every point.
     """
     n, q2 = S.n, ctx.q2
     hyperplanes = num_projective_points(q2, n)
@@ -499,26 +484,21 @@ def _hyperplane_counts(S: PointSet, ctx: FieldCtx, budget: int):
     width = q2**t
     idx = _tail_index(F, q2, t)
     cells = 2 * q2 * width
-    rows = _block_rows(q2, t, len(S))
     point_key = at_infinity * (q2 * width)  # the (y, x_n = 0) part
     for j in range(t):
         point_key += pts[:, n - t + j] * q2 ** (t - 1 - j)
-    head_offset = np.arange(rows)[:, None] * cells  # one histogram per head
 
     def counts(s):
         key = np.multiply(s, width, dtype=np.intp)
         key += point_key
-        key += head_offset[:len(s)]
-        joint = np.bincount(key.ravel(),
-                            minlength=len(s) * cells).reshape(len(s), cells)
-        c = np.take(joint, idx, axis=1).sum(axis=1)
-        return c[..., :q2] + c[..., q2:]
+        c = np.take(np.bincount(key, minlength=cells), idx).sum(axis=0)
+        return c[:, :q2] + c[:, q2:]
 
-    for s in _prefix_sums([pts[:, i] for i in range(n - t)], add, mul, q2, rows):
-        yield counts(s).reshape(-1, q2)
+    for s in _prefix_sums([pts[:, i] for i in range(n - t)], add, mul, q2):
+        yield counts(s)
     if t:  # the normalized tails (0..0, 1, rest) by lead, rest as an integer
         tails = [q2**k + np.arange(q2**k) for k in range(t - 1, -1, -1)]
-        yield counts(np.zeros((1, len(S)), dtype=np.int32))[0, np.concatenate(tails)]
+        yield counts(np.zeros(len(S), dtype=np.int32))[np.concatenate(tails)]
 
 
 def character_spectrum(S: PointSet, ctx: FieldCtx,

@@ -64,10 +64,6 @@ class SpanBuilder:
 #: rows per ``linear_image`` block; a block's products are IMAGE_BLOCK x c ints
 IMAGE_BLOCK = 4096
 
-#: ``row_space`` draws the basis candidates of a wide span from about this
-#: many rows
-SPAN_SAMPLE = 512
-
 #: matrix cells in the first block ``_scan`` checks after each new basis vector
 SCAN_CELLS = 2**12
 
@@ -191,23 +187,16 @@ def row_space(F, matrix: np.ndarray) -> SpanBuilder:
     lists it and proves each row against the listing, picking the basis
     from the rows it meets in order; when it proves every row, the
     builder's ``keys`` hold each row's pivot key.  A wider span (q^rank >
-    N) falls back for the rows not yet proved: basis candidates from every
-    (n // SPAN_SAMPLE + 1)-th such row (the + 1 keeps a power-of-two n off
-    a power-of-two stride), one `linear_image` pass that checks them all,
-    and `_eliminate` for the rows it rejects.  Either way every row is
-    proved to lie in the span, and the RREF of a span is unique, so the
-    basis does not depend on the order in which rows are met.
+    N) leaves the rows not yet proved to one `_eliminate`.  Either way
+    every row is proved to lie in the span, and the RREF of a span is
+    unique, so the basis does not depend on the order in which rows are
+    met.
     """
     matrix = np.asarray(matrix, dtype=np.int16)
     builder = SpanBuilder(F, matrix.shape[1])
     proved, keys = _scan(builder, matrix)
-    rest = matrix[proved:]
-    if len(rest):
-        _eliminate(builder, rest[::len(rest) // SPAN_SAMPLE + 1])
-        # a span vector is fixed by its entries at the pivots, so a row lies
-        # in the span exactly when it equals rows[:, pivots] · basis
-        image = linear_image(F, rest[:, builder.pivots], builder.matrix())
-        _eliminate(builder, rest[(image != rest).any(axis=1)])
+    if proved < len(matrix):
+        _eliminate(builder, matrix[proved:])
     else:
         builder.keys = keys
     return builder

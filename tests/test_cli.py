@@ -2,6 +2,7 @@ import hashlib
 import json
 import re
 import time
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -195,6 +196,23 @@ def test_code_small_q_says_it_ignores_doubly_extend(runner, tmp_path):
     for meta in metas:
         del meta["config"]["out"], meta["config"]["doubly_extend"]
     assert metas[0] == metas[1] and metas[1]["length"] == 4
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_plain_code_writes_the_scale_to_fq_generator(runner, tmp_path, q):
+    # plain `qhv code` punctures the double extension; the span of the
+    # [q, 5] code itself is the reference
+    from qhv import codes, geometry
+    from qhv.fields import field_context
+
+    res = runner.invoke(main, ["code", "--q", str(q), "--out", str(tmp_path / "c")])
+    assert res.exit_code == 0, res.output
+    params = geometry.scan_params(field_context(q), 3, mode="family")
+    with pytest.warns(UserWarning, match="<= 4") if q <= 4 else nullcontext():
+        ref = codes.scale_to_fq(codes.build_code(params))
+    written = [[int(x) for x in line.split()] for line in
+               (tmp_path / "c.genmat.txt").read_text().splitlines()]
+    assert written == ref.generator.tolist()
 
 
 def test_grid_command(runner, tmp_path):

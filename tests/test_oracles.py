@@ -223,11 +223,7 @@ def test_tail_width_keeps_the_gather_under_the_cell_cap(q):
                         geo.num_projective_points(q2, n)):
             t = geo._tail_width(n, q2, npoints)
             assert 0 <= t < n
-            cells = geo._gather_cells(q2, t)
-            assert cells <= geo.SPECTRUM_INDEX_CELLS
-            rows = geo._block_rows(q2, t, npoints)
-            assert rows * (npoints + cells) <= max(geo.SPECTRUM_BLOCK_CELLS,
-                                                   npoints + cells)
+            assert geo._gather_cells(q2, t) <= geo.SPECTRUM_INDEX_CELLS
     for t in range(5 - q):  # q = 2: t < 3, q = 3: t < 2
         idx = geo._tail_index(field_context(q).Fq2, q2, t)
         assert idx.size == geo._gather_cells(q2, t)
@@ -362,9 +358,8 @@ def test_oracles_share_no_optimized_evaluation_code():
                         r"np_add_table|np_mul_table|np_neg_table|"
                         r"gram|gram_blocks|gram_dtype|linear_image|row_space|"
                         r"_prefix_sums|_tail_width|_tail_index|"
-                        r"_gather_cells|_block_rows|_hyperplane_counts|"
-                        r"first_hyperplane_outside|SPECTRUM_INDEX_CELLS|"
-                        r"SPECTRUM_BLOCK_CELLS)\b",
+                        r"_gather_cells|_hyperplane_counts|"
+                        r"first_hyperplane_outside|SPECTRUM_INDEX_CELLS)\b",
                         source)
     assert not shared
 
