@@ -15,6 +15,7 @@ import pytest
 from qhv import geometry as geo
 from qhv import oa as oam
 from qhv.fields import field_context
+from qhv.oracles import GridInstance, GridSpec, run_instance
 
 # tier-1's acceptance checks, run here on larger instances
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))
@@ -58,3 +59,30 @@ def test_criteria_1_2_at_every_family_pair(n, q, pairs):
 def test_criterion_3_mds_codes(q):
     # q^6 codeword-table cells exceed the default budget of 10^7 at both
     assert check_mds_code(q, budget=10**8) == (q - 4, q - 3)
+
+
+def test_grid_instance_with_its_oracle_at_3_5():
+    # 625 forms x 5^6 points = 9765625 evaluations, under a budget of 10^8
+    report = run_instance(GridInstance(3, 5), GridSpec((), budget=10**8))
+    checks = report["checks"]
+    assert len(checks) == 9 and report["ok"], checks
+    assert all("skipped" not in c for c in checks.values())
+    assert checks["oracle_agreement"]["pairs_checked"] == 625 * 624 // 2
+
+
+@pytest.mark.parametrize("n,q,size,spectrum", [
+    (4, 5, 81276, {3151: 81276, 3276: 325625}),
+    (6, 3, 199108, {21961: 199108, 22204: 398763}),
+])
+def test_character_spectrum(n, q, size, spectrum):
+    ctx = field_context(q)
+    S = geo.bm_variety(geo.scan_params(ctx, n, mode="variety"))
+    found = geo.character_spectrum(S, ctx)
+    assert len(S) == size == geo.hermitian_size(n, q)
+    assert dict(found) == spectrum
+    # test_every_pair_sweep's identities: every hyperplane counted once, and
+    # every point on each of the (q^{2n}-1)/(q^2-1) hyperplanes through it
+    assert set(found) == geo.expected_spectrum_support(n, q)
+    assert sum(found.values()) == geo.num_projective_points(ctx.q2, n)
+    assert sum(c * m for c, m in found.items()) == \
+        size * (q ** (2 * n) - 1) // (q * q - 1)

@@ -247,6 +247,17 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     sys.exit(EXIT_OK if ok else EXIT_VERIFY_FAILED)
 
 
+def _grid_status(inst: dict) -> str:
+    """"ok", "FAILED", or, when every failing check was skipped over the
+    budget rather than run, "skipped" and their names."""
+    failing = [name for name, check in inst["checks"].items() if not check["ok"]]
+    if not failing:
+        return "ok"
+    if all("skipped" in inst["checks"][name] for name in failing):
+        return f"skipped ({', '.join(failing)})"
+    return "FAILED"
+
+
 @main.command()
 @click.option("--instances", type=str, default="2,2;2,3;2,4;3,2;3,3",
               show_default=True, help="semicolon-separated n,q pairs")
@@ -275,8 +286,7 @@ def grid(instances, out, budget):
         _write_json(base + ".json", report)
     click.echo(base + ".json")
     for inst in report["instances"]:
-        status = "ok" if inst["ok"] else "FAILED"
-        click.echo(f"(n={inst['n']}, q={inst['q']}): {status}")
+        click.echo(f"(n={inst['n']}, q={inst['q']}): {_grid_status(inst)}")
         for name, check in inst["checks"].items():
             if "witness" in check:
                 click.echo(f"(n={inst['n']}, q={inst['q']}) {name}: first "

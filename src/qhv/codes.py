@@ -24,7 +24,7 @@ from . import linalg
 from ._record import record
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .geometry import BMParams, separating_map
-from .intersecting_family import family, form_values, w_set
+from .intersecting_family import family, w_set, w_values
 
 
 @record(frozen=True)
@@ -97,9 +97,8 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
     if omega is None:
         omega = omega_set(ctx)
     # column i is the family form pulled back along the i-th Omega pair
-    domain = w_set(ctx, 3)
-    words = form_values(params, *family(params, omega.pairs), domain)
-    return EvalCode(params, omega, domain, words)
+    words = w_values(params, *family(params, omega.pairs))
+    return EvalCode(params, omega, w_set(ctx, 3), words)
 
 
 @record
@@ -115,9 +114,9 @@ class FqLinearCode:
     is_mds: bool | None = None
 
 
-def _fq_code(ctx: FieldCtx, words: np.ndarray) -> FqLinearCode:
-    """Divide by theta, check every entry lands in GF(q), and span the rows."""
-    scaled = ctx.over_theta(words)
+def _fq_code(ctx: FieldCtx, scaled: np.ndarray) -> FqLinearCode:
+    """Check that every theta-rescaled entry lands in GF(q), and span the
+    rows."""
     if not np.all(scaled < ctx.q):
         raise RuntimeError(
             "a rescaled coordinate fell outside GF(q); the trace-zero "
@@ -129,7 +128,8 @@ def _fq_code(ctx: FieldCtx, words: np.ndarray) -> FqLinearCode:
 
 def scale_to_fq(code: EvalCode) -> FqLinearCode:
     """The GF(q)-code theta^{-1} C, with Gauss-computed dimension."""
-    return _fq_code(code.params.ctx, code.codewords)
+    ctx = code.params.ctx
+    return _fq_code(ctx, ctx.over_theta(code.codewords))
 
 
 def min_distance(code: FqLinearCode,
@@ -139,9 +139,12 @@ def min_distance(code: FqLinearCode,
     if rows > budget:
         raise BudgetExceededError(
             f"codeword scan would read {rows} codewords, budget is {budget}")
-    weights = np.count_nonzero(code.codewords, axis=1)
-    nz = weights[weights > 0]
-    d = int(nz.min())
+    # a column's nonzero flags at a time: a row-wise count over a few
+    # columns is slower
+    weights = np.zeros(rows, dtype=np.min_scalar_type(code.length))
+    for column in code.codewords.T:
+        weights += column != 0
+    d = int(weights[weights > 0].min())
     code.min_dist = d
     code.is_mds = d == code.length - code.dimension + 1
     return d
@@ -229,7 +232,11 @@ def doubly_extend(code: EvalCode) -> FqLinearCode:
     c1 = ctx.frob[c2]
     ext = np.array([F.sub(F.mul(c1, ctx.frob[y]), F.mul(c2, y)) for y in range(ctx.q2)],
                    dtype=np.int32)
-    return _fq_code(ctx, np.column_stack([code.codewords, ext[code.domain[:, 1]]]))
+    words = code.codewords
+    scaled = np.empty((len(words), words.shape[1] + 1), dtype=np.int16)
+    scaled[:, :-1] = ctx.over_theta(words)
+    scaled[:, -1] = ctx.over_theta(ext)[code.domain[:, 1]]
+    return _fq_code(ctx, scaled)
 
 
 def puncture(code: FqLinearCode) -> FqLinearCode:

@@ -471,7 +471,7 @@ class FieldCtx:
         GF(q) codes 0..q-1 and every other value above them.
         """
         over = self.Fq2.np_mul_table()[self.Fq2.inv(self.theta)]
-        return over[values].astype(np.int16)
+        return over.astype(np.int16)[values]
 
     def transversal_roots(self, d) -> np.ndarray:
         """The solution of Z^q - Z = d in the transversal, for each entry of

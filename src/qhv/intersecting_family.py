@@ -94,6 +94,28 @@ def form_values(params: BMParams, u: np.ndarray, v: np.ndarray,
     return values
 
 
+def _head_values(params: BMParams, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``form_values`` at the q^{2n-2} heads (x_1, ..., x_{n-1}, 0), in
+    lexicographic order; Z(0) = 0, so these are the x_n-free parts."""
+    return form_values(params, u, v,
+                       lex_grid((params.ctx.q2,) * (params.n - 1) + (1,)))
+
+
+def w_values(params: BMParams, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``form_values(params, u, v, w_set(ctx, n))``, q^{2n-1} x len(u).
+
+    A point of W is a head and x_n in the transversal, and every form is
+    Z(x_n) plus its value at the head with x_n = 0.  So only the q^{2n-2}
+    heads go through ``form_values``; each row of head values is then added
+    to the q values of Z on the transversal in one broadcast.
+    """
+    ctx = params.ctx
+    heads = _head_values(params, u, v)
+    Z = coordinate_tables(params)[0][list(ctx.transversal)]
+    values = ctx.Fq2.np_add_table()[Z[:, None], heads[:, None, :]]
+    return values.reshape(-1, len(u))
+
+
 def intersection_count(params: BMParams, u: np.ndarray, v: np.ndarray,
                        budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """k x k matrix of common affine zeros of the forms (u, v), via the
@@ -119,8 +141,7 @@ def intersection_count(params: BMParams, u: np.ndarray, v: np.ndarray,
         raise BudgetExceededError(
             f"the {k} x {k} intersection matrix would take {cells} one-hot "
             f"cells, budget is {budget}")
-    # one row per head, x_n = transversal[0] = 0
-    profiles = form_values(params, u, v, w_set(ctx, params.n)[::ctx.q])
+    profiles = _head_values(params, u, v)
     pairs = np.arange(len(profiles))[:, None] * ctx.q2 + profiles
     rows, row_of = np.unique(pairs, return_inverse=True)
     hits = np.zeros((len(rows), k), dtype=bool)

@@ -75,20 +75,25 @@ def linear_image(F, X, M) -> np.ndarray:
     a block of rows gathers one table row per entry of X and sums the r
     gathered blocks through the flat add table.  Only IMAGE_BLOCK rows are
     in flight at a time, so the temporaries stay a fixed size.  Field codes
-    stay below DENSE_TABLE_LIMIT, so int16 holds every entry.
+    stay below DENSE_TABLE_LIMIT, so the tables, the flat add index a·q + b
+    and every sum stay int16.  The gathers use ``take``, which widens its
+    int16 indices to intp in one copy, at most a block's worth here, and is
+    then about twice as fast as fancy indexing on int16 indices.
     """
     X, M = np.asarray(X), np.asarray(M, dtype=np.intp)
     q = F.order
-    add = F.np_add_table().ravel().astype(np.intp)
-    tables = [F.np_mul_table()[:, m].astype(np.intp) for m in M]
+    add = F.np_add_table().ravel().astype(np.int16)
+    tables = [F.np_mul_table()[:, m].astype(np.int16) for m in M]
     out = np.zeros((len(X), M.shape[1]), dtype=np.int16)
     if not tables:
         return out
     for lo in range(0, len(X), IMAGE_BLOCK):
         block = X[lo:lo + IMAGE_BLOCK]
-        acc = tables[0][block[:, 0]]
+        acc = tables[0].take(block[:, 0], axis=0)
         for k in range(1, len(tables)):
-            acc = add[acc * q + tables[k][block[:, k]]]
+            acc *= q
+            acc += tables[k].take(block[:, k], axis=0)
+            acc = add.take(acc)
         out[lo:lo + IMAGE_BLOCK] = acc
     return out
 
@@ -125,6 +130,8 @@ def span_listing(F, basis: np.ndarray) -> np.ndarray:
     Row number sum_j c_j q^(r-1-j) is sum_j c_j basis[j].  Basis row j is 1
     at pivot j and 0 at the other pivots, so a listed vector's entries at
     the pivots are the base-q digits of its own row number: its pivot key.
+    Any choice of the basis columns lists those columns of the same
+    vectors, in the same order; with no column, q^r empty rows.
     """
     q, k = F.order, basis.shape[1]
     add = F.np_add_table().ravel().astype(np.int16)
@@ -132,7 +139,7 @@ def span_listing(F, basis: np.ndarray) -> np.ndarray:
     E = np.zeros((1, k), dtype=np.int16)
     for b in basis:
         E = add.take(np.add(E[:, None, :], times[:, b], order="C"))
-        E = E.reshape(-1, k)
+        E = E.reshape(len(E) * q, k)
     return E
 
 
@@ -152,9 +159,13 @@ def _scan(builder: SpanBuilder, matrix: np.ndarray) -> tuple[int, np.ndarray]:
     that is all of them, every row's pivot key.
 
     A row lies in the span exactly when it equals the listed vector under
-    its pivot key.  The first row that does not is a new basis vector: it
-    enters through `SpanBuilder.add`, the span is listed again, and the scan
-    goes on after it; rows already passed lie in every larger span.  Blocks
+    its pivot key.  That vector equals the row at the pivots by the key's
+    definition, so the columns before the first free (non-pivot) column,
+    all pivots, are neither listed nor compared: for the extended code's
+    RREF that leaves its 4 free columns of 9, and a span of full rank holds
+    every row.  The first row that differs is a new basis vector: it enters
+    through `SpanBuilder.add`, the span is listed again, and the scan goes
+    on after it; rows already passed lie in every larger span.  Blocks
     start at SCAN_CELLS cells after each new basis vector and double while
     they pass, so a block cut short by a new vector wastes little.
     """
@@ -163,14 +174,17 @@ def _scan(builder: SpanBuilder, matrix: np.ndarray) -> tuple[int, np.ndarray]:
     keys = np.empty(N, dtype=np.int64)
     pos = changed = 0
     while pos < N and q ** builder.rank <= N:
-        E, step = span_listing(F, builder.matrix()), first
+        lead = next((i for i, p in enumerate(builder.pivots) if p != i),
+                    builder.rank)
+        E, step = span_listing(F, builder.matrix()[:, lead:]), first
         while pos < N:
             block = matrix[pos:pos + step]
             keys[pos:pos + len(block)] = pivot_keys(block, builder.pivots, q)
             listed = np.take(E, keys[pos:pos + len(block)], axis=0)
-            outside = (block != listed).any(axis=1)
-            if outside.any():
-                pos += int(np.argmax(outside))
+            # one flat search: a row-wise any() over a few columns is slower
+            hits = np.flatnonzero(block[:, lead:] != listed)
+            if len(hits):
+                pos += int(hits[0]) // (k - lead)
                 builder.add(matrix[pos])
                 pos = changed = pos + 1
                 break

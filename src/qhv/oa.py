@@ -15,7 +15,7 @@ import numpy as np
 
 from . import linalg
 from ._record import record
-from .intersecting_family import family, form_values, w_set
+from .intersecting_family import family, w_values
 from .fields import DEFAULT_BUDGET, BudgetExceededError
 from .geometry import BMParams
 
@@ -210,7 +210,7 @@ def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET,
             f"array would have {N * k} cells, budget is {budget}")
     if forms is None:
         forms = family(params, budget=budget)
-    values = form_values(params, *forms, w_set(ctx, n))
+    values = w_values(params, *forms)
     level = np.full(ctx.q2, -1, dtype=np.int16)
     level[list(ctx.t0)] = np.arange(q)
     entries = level[values]

@@ -344,6 +344,38 @@ def test_grid_budget_skips_family_without_traceback(runner, tmp_path):
         assert not checks[name]["ok"] and "skipped" in checks[name], name
 
 
+def test_grid_status_names_the_checks_skipped_over_budget(runner, tmp_path):
+    # 2^8 forms x 16^4 points exceed the default budget of 10^7
+    res = runner.invoke(main, ["grid", "--instances", "2,16;2,2",
+                               "--out", str(tmp_path / "g")])
+    assert res.exit_code == 1
+    assert res.stdout.splitlines()[1:] == [
+        "(n=2, q=16): skipped (oracle_agreement)", "(n=2, q=2): ok"]
+    inst = json.loads((tmp_path / "g.json").read_text())["instances"][0]
+    assert not inst["ok"]
+    assert [name for name, c in inst["checks"].items() if not c["ok"]] == [
+        "oracle_agreement"]
+    assert "16777216" in inst["checks"]["oracle_agreement"]["skipped"]
+
+
+def test_grid_status_fails_when_a_run_check_fails_beside_a_skip(
+        runner, tmp_path, monkeypatch):
+    from qhv import oracles
+
+    run_grid = oracles.run_grid
+
+    def one_check_failed(spec):
+        report = run_grid(spec)
+        report["instances"][0]["checks"]["oa"]["ok"] = False
+        return report
+
+    monkeypatch.setattr(oracles, "run_grid", one_check_failed)
+    res = runner.invoke(main, ["grid", "--instances", "2,16",
+                               "--out", str(tmp_path / "g")])
+    assert res.exit_code == 1
+    assert res.stdout.splitlines()[1:] == ["(n=2, q=16): FAILED"]
+
+
 def test_oa_strength_failure_names_first_witness(runner, tmp_path, monkeypatch):
     from qhv import oa as oa_mod
     from qhv.oracles import naive_strength_violations

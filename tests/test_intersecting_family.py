@@ -344,3 +344,52 @@ def test_family_module_names_no_group_element():
     # composes or pulls back along group elements
     source = inspect.getsource(fam)
     assert not re.findall(r"collineations|Collineation|build_R", source)
+
+
+# every (n, q) at which tier-1 builds an orthogonal array, and the code's
+# n = 3 family over the Omega heads at every tier-1 code q
+W_FAMILIES = ([("R", n, q) for n, q in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2),
+                                         (3, 3), (3, 4), (3, 5), (4, 3)]]
+              + [("omega", 3, q) for q in (5, 7, 8, 9, 11, 13)])
+
+
+@pytest.mark.parametrize("heads,n,q", W_FAMILIES)
+def test_w_values_are_form_values_on_w_set(heads, n, q):
+    from qhv.codes import omega_set
+
+    params = _params(n, q)
+    forms = (fam.family(params) if heads == "R"
+             else fam.family(params, omega_set(params.ctx).pairs))
+    W = fam.w_set(params.ctx, n)
+    got = fam.w_values(params, *forms)
+    want = fam.form_values(params, *forms, W)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    # the scalar reference: three members, every point of W up to 4096
+    # points, else every 97th (coprime to q, so every x_n still occurs)
+    k = len(forms[0])
+    rows = np.arange(0, len(W), 1 if len(W) <= 4096 else 97)
+    for m in sorted({0, k // 2, k - 1}):
+        member = _member(params, forms, m)
+        assert got[rows, m].tolist() == [member.evaluate(p)
+                                          for p in W[rows].tolist()]
+
+
+@pytest.mark.parametrize("n,q,code_q", [(2, 3, 5), (3, 3, 7), (2, 4, 8)])
+def test_build_oa_and_build_code_evaluate_only_the_heads(n, q, code_q,
+                                                          monkeypatch):
+    from qhv import codes as cod
+    from qhv import oa as oam
+
+    real, sizes = fam.form_values, []
+
+    def counted(params, u, v, points):
+        sizes.append(len(points))
+        return real(params, u, v, points)
+
+    monkeypatch.setattr(fam, "form_values", counted)
+    A = oam.build_oa(_params(n, q))
+    assert sizes == [q ** (2 * n - 2)] and A.runs == q ** (2 * n - 1)
+    sizes.clear()
+    code = cod.build_code(_params(3, code_q))
+    assert sizes == [code_q ** 4] and len(code) == code_q ** 5

@@ -186,6 +186,47 @@ def test_row_space_finds_one_row_outside_a_rank_5_span():
         assert got.basis == _feed(F, m, 8).basis
 
 
+# RREF over GF(3) of rank 3 with pivots 0, 2, 5: the free columns are the
+# runs [1, 2), [3, 5) and [6, 8)
+FREE_RUN_BASIS = [[1, 2, 0, 1, 2, 0, 1, 1],
+                  [0, 0, 1, 2, 1, 0, 2, 1],
+                  [0, 0, 0, 0, 0, 1, 1, 2]]
+
+
+@pytest.mark.parametrize("where", ["first", "middle", "last"])
+@pytest.mark.parametrize("column", [1, 3, 4, 6, 7])
+def test_row_space_catches_a_row_off_in_one_free_column(column, where):
+    # a span vector changed in one free column only, among every span
+    # vector four times over: 109 rows, so the listing walk proves all of
+    # them at rank 4 too (3^4 <= 109)
+    F = field_context(3).Fq
+    span = linalg.span_listing(F, np.array(FREE_RUN_BASIS))
+    inside = np.random.default_rng(column).permutation(np.tile(span, (4, 1)))
+    off = inside[7].copy()
+    off[column] = F.add(int(off[column]), 1)
+    at = {"first": 0, "middle": len(inside) // 2, "last": len(inside)}[where]
+    m = np.insert(inside, at, off, axis=0)
+    got = linalg.row_space(F, m)
+    assert got.rank == 4
+    assert got.basis == _feed(F, m, 8).basis
+    assert got.keys is not None
+    assert np.array_equal(linalg.span_listing(F, got.matrix())[got.keys], m)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_row_space_of_the_whole_space_has_no_free_column(q):
+    # every vector of GF(q)^3 twice: a full-rank span lists no column, and
+    # the walk still proves and keys every row
+    F = field_context(q).Fq
+    space = np.indices((q,) * 3).reshape(3, -1).T
+    m = np.random.default_rng(q).permutation(np.tile(space, (2, 1)))
+    got = linalg.row_space(F, m)
+    assert got.rank == 3 and got.pivots == [0, 1, 2]
+    assert got.keys is not None
+    assert np.array_equal(got.keys, linalg.pivot_keys(m, [0, 1, 2], q))
+    assert linalg.span_listing(F, got.matrix()[:, []]).shape == (q ** 3, 0)
+
+
 @pytest.mark.parametrize("shape", [(200, 4), (50, 1), (1, 6), (300, 9)],
                          ids=["tall", "one_column", "one_row", "wide"])
 def test_distinct_rows_matches_unique(shape):

@@ -175,14 +175,14 @@ def test_raw_values_trace_zero_via_level_map(n, q):
 
 
 def test_non_trace_zero_value_names_its_cell(monkeypatch):
-    real = oam.form_values
+    real = oam.w_values
 
-    def corrupted(params, u, v, points):
-        values = real(params, u, v, points)
+    def corrupted(params, u, v):
+        values = real(params, u, v)
         values[4, 2] = 1  # trace(1) = 2 in GF(9)
         return values
 
-    monkeypatch.setattr(oam, "form_values", corrupted)
+    monkeypatch.setattr(oam, "w_values", corrupted)
     with pytest.raises(RuntimeError, match="value 1 at row 4, column 2"):
         _build(2, 3)
 

@@ -352,7 +352,8 @@ def test_zero_set_masks_fill_the_scalar_tables_once_per_field():
 def test_oracles_share_no_optimized_evaluation_code():
     # qhv.oracles is the one deliberate second copy of the arithmetic
     source = inspect.getsource(oracles)
-    shared = re.findall(r"\b(form_values|act_on_form|separating_map|r_elements|"
+    shared = re.findall(r"\b(form_values|w_values|_head_values|act_on_form|"
+                        r"separating_map|r_elements|"
                         r"coordinate_tables|affine_rhs|lex_grid|as_roots|"
                         r"transversal_roots|"
                         r"np_add_table|np_mul_table|np_neg_table|"
