@@ -7,12 +7,15 @@ Run it whenever a change touches the family, the orthogonal array, the
 codes or the spectrum, and report its result next to the tier-1 count.
 """
 
+import json
 import sys
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
 from qhv import geometry as geo
+from qhv.cli import main
 from qhv import oa as oam
 from qhv.fields import field_context
 from qhv.oracles import GridInstance, GridSpec, run_instance
@@ -59,6 +62,22 @@ def test_criteria_1_2_at_every_family_pair(n, q, pairs):
 def test_criterion_3_mds_codes(q):
     # q^6 codeword-table cells exceed the default budget of 10^7 at both
     assert check_mds_code(q, budget=10**8) == (q - 4, q - 3)
+
+
+def test_code_command_at_q_19(tmp_path):
+    # 19^6 = 47045881 cells; the span certificate proves d, MDS and RS
+    # equivalence, so no scan reads the 19^5 words again
+    res = CliRunner().invoke(main, ["code", "--q", "19", "--doubly-extend",
+                                    "--budget", "100000000",
+                                    "--out", str(tmp_path / "c19")])
+    assert res.exit_code == 0, res.output
+    assert res.stdout.endswith("[19,5,15] doubly extended to [20,5,16]: ok "
+                               "(MDS True, RS-equivalent True)\n")
+    meta = json.loads((tmp_path / "c19.json").read_text())
+    assert (meta["length"], meta["dimension"], meta["min_distance"],
+            meta["mds"], meta["codewords"]) == (20, 5, 16, True, 19**5)
+    assert meta["rs_equivalence"] == {"consistent": True, "two_sided": True,
+                                      "checked": 19**5, "mismatches": 0}
 
 
 def test_grid_instance_with_its_oracle_at_3_5():

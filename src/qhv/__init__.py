@@ -2,6 +2,8 @@
 
 The library constructs, over any desk-scale prime power q:
 
+* the admissible parameters (a, b) and the base form's tables
+  (``params``);
 * the degree-2q point sets M_{a,b} in PG(n, q^2) and their hyperplane
   character spectra (``geometry``);
 * the collineation section R and the pullback of forms along group elements
@@ -30,11 +32,11 @@ import sys
 _MODULES = {
     "fields": ("BudgetExceededError", "ExtensionField", "FieldCtx",
                "PrimeField", "absolute_trace", "field_context", "prime_power"),
-    "geometry": ("BMParams", "ParameterError", "PointSet", "bab_affine_eval",
-                 "bm_variety", "character_spectrum", "classical_params",
-                 "expected_spectrum_support", "family_params",
-                 "hermitian_size", "scan_params", "separating_map",
-                 "separation_value", "validate_params"),
+    "params": ("BMParams", "ParameterError", "bab_affine_eval",
+               "classical_params", "family_params", "scan_params",
+               "separating_map", "separation_value", "validate_params"),
+    "geometry": ("PointSet", "bm_variety", "character_spectrum",
+                 "expected_spectrum_support", "hermitian_size"),
     "collineations": ("Collineation", "act_on_form", "build_R", "in_psi",
                       "psi_group"),
     "intersecting_family": ("AffineForm", "base_form", "family",

@@ -22,9 +22,9 @@ import numpy as np
 
 from . import linalg
 from ._record import record
-from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
-from .geometry import BMParams, separating_map
-from .intersecting_family import family, w_set, w_values
+from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, field_context
+from .params import BMParams, separating_map
+from .intersecting_family import family, w_values
 
 
 @record(frozen=True)
@@ -73,11 +73,14 @@ def check_luc1(ctx: FieldCtx, omega: OmegaSet, indices) -> bool:
 
 @record
 class EvalCode:
-    """Raw evaluation code: q^5 words over the trace-zero set, length q."""
+    """Raw evaluation code: q^5 words over the trace-zero set, length q.
+
+    Row r is the point of ``w_set(ctx, 3)`` with x = r // q^3,
+    y = (r // q) mod q^2 and z the (r mod q)-th transversal element.
+    """
 
     params: BMParams
     omega: OmegaSet
-    domain: np.ndarray      # q^5 x 3 triples (x, y, z), z in the transversal
     codewords: np.ndarray   # q^5 x q over GF(q^2) codes, all trace-zero
 
     def __len__(self) -> int:
@@ -98,12 +101,17 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
         omega = omega_set(ctx)
     # column i is the family form pulled back along the i-th Omega pair
     words = w_values(params, *family(params, omega.pairs))
-    return EvalCode(params, omega, w_set(ctx, 3), words)
+    return EvalCode(params, omega, words)
 
 
 @record
 class FqLinearCode:
-    """Codeword list over GF(q) with its dimension and generator matrix."""
+    """Codeword list over GF(q) with its dimension and generator matrix.
+
+    ``keys``, when set, is ``row_space``'s proof that every codeword lies in
+    the span of the generator: codeword i is the span vector whose entries
+    at the pivots are the base-q digits of keys[i].
+    """
 
     q: int
     length: int
@@ -112,18 +120,19 @@ class FqLinearCode:
     generator: np.ndarray          # dimension x length, reduced echelon form
     min_dist: int | None = None
     is_mds: bool | None = None
+    keys: np.ndarray | None = None
 
 
 def _fq_code(ctx: FieldCtx, scaled: np.ndarray) -> FqLinearCode:
     """Check that every theta-rescaled entry lands in GF(q), and span the
-    rows."""
+    rows, keeping their pivot keys when the span proof lists them."""
     if not np.all(scaled < ctx.q):
         raise RuntimeError(
             "a rescaled coordinate fell outside GF(q); the trace-zero "
             "invariant is violated")
     builder = linalg.row_space(ctx.Fq, scaled)
     return FqLinearCode(ctx.q, scaled.shape[1], scaled, builder.rank,
-                        builder.matrix())
+                        builder.matrix(), keys=builder.keys)
 
 
 def scale_to_fq(code: EvalCode) -> FqLinearCode:
@@ -178,8 +187,6 @@ def rs_equivalence_check(code: FqLinearCode, omega: OmegaSet) -> RSReport:
     Two distinct words of minimum distance q-4 cannot agree on five
     coordinates, so consistency plus the count q^5 settles both inclusions.
     """
-    from .fields import field_context
-
     q = code.q
     Fq = field_context(q).Fq
     psi = omega.psi
@@ -213,6 +220,56 @@ def rs_equivalence_check(code: FqLinearCode, omega: OmegaSet) -> RSReport:
     )
 
 
+def rs_certificate(code: FqLinearCode, omega: OmegaSet) -> RSReport | None:
+    """``rs_equivalence_check``'s report and the minimum distance, proved
+    from the generator alone; None, with nothing set, when the proof fails.
+
+    It applies to the [q, 5] code and its doubly extended [q+1, 5] form.
+    ``row_space`` proved every word equal to the span vector under its pivot
+    key, so q^5 distinct keys make the words the whole span of the
+    generator G.  Let V be the generalized Vandermonde matrix: column i is
+    (1, t, t^2, t^3, t^4) at t = psi(i), and the extension's column q, the
+    degree-4 coefficient, is (0, 0, 0, 0, 1).  If G and V together have
+    rank 5, then span(G) = span(V): each word evaluates a polynomial of
+    degree <= 4 (none mismatches its interpolant) and each such polynomial
+    gives a word (all q^5 occur).  Any 5 columns of V on distinct points are
+    independent, so a nonzero word has at most 4 zeros: d = length - 4 and
+    the code is MDS.
+    """
+    q, keys, psi = code.q, code.keys, omega.psi
+    if (keys is None or code.dimension != 5 or len(keys) != q**5
+            or code.length - q not in (0, 1) or len(set(psi)) != q):
+        return None
+    seen = np.zeros(q**5, dtype=bool)
+    seen[keys] = True
+    if not seen.all():
+        return None
+    Fq = field_context(q).Fq
+    span = linalg.SpanBuilder(Fq, code.length)
+    for row in code.generator:
+        span.add(row)
+    for k in range(5):
+        span.add([Fq.pow(t, k) for t in psi] + [int(k == 4)] * (code.length - q))
+    if span.rank != 5:
+        return None
+    code.min_dist, code.is_mds = code.length - 4, True
+    return RSReport(checked=q**5, mismatches=0, distinct_codewords=q**5,
+                    expected_codewords=q**5, first_mismatch=None)
+
+
+def check_code(code: FqLinearCode, omega: OmegaSet,
+               budget: int = DEFAULT_BUDGET) -> RSReport | None:
+    """Set the minimum distance and MDS flag, and return the Reed-Solomon
+    report: ``rs_certificate`` when it holds, else ``min_distance`` and, for
+    the [q, 5] code, ``rs_equivalence_check``, which name what fails."""
+    report = rs_certificate(code, omega)
+    if report is None:
+        min_distance(code, budget)
+        if code.length == code.q:
+            report = rs_equivalence_check(code, omega)
+    return report
+
+
 def doubly_extend(code: EvalCode) -> FqLinearCode:
     """Append the degree-4 coefficient coordinate, rescale and span.
 
@@ -235,7 +292,9 @@ def doubly_extend(code: EvalCode) -> FqLinearCode:
     words = code.codewords
     scaled = np.empty((len(words), words.shape[1] + 1), dtype=np.int16)
     scaled[:, :-1] = ctx.over_theta(words)
-    scaled[:, -1] = ctx.over_theta(ext)[code.domain[:, 1]]
+    # row r has y = (r // q) mod q^2: the column is ext over y, each value
+    # repeated q times, the whole repeated for each x
+    scaled[:, -1].reshape(-1, ctx.q2, ctx.q)[...] = ctx.over_theta(ext)[:, None]
     return _fq_code(ctx, scaled)
 
 
@@ -245,11 +304,13 @@ def puncture(code: FqLinearCode) -> FqLinearCode:
     In an RREF the last column is either no pivot, or its pivot row is the
     unit vector there and every other row is 0 in it; so the rows with a
     pivot before the last column, cut to the first length - 1 columns, are
-    the RREF of the punctured code, and no elimination is needed.
+    the RREF of the punctured code, and no elimination is needed.  The
+    pivot keys carry over when the last column is no pivot.
     """
     gen = code.generator[code.generator[:, :-1].any(axis=1), :-1]
+    keys = code.keys if len(gen) == code.dimension else None
     return FqLinearCode(code.q, code.length - 1, code.codewords[:, :-1],
-                        len(gen), gen)
+                        len(gen), gen, keys=keys)
 
 
 # ---------------------------------------------------------------------------

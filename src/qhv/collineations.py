@@ -14,8 +14,9 @@ from itertools import product
 
 from ._record import record
 from .fields import DEFAULT_BUDGET, FieldCtx
-from .geometry import (BMParams, affine_points, affine_rhs, bab_affine_eval,
-                       check_R_budget, lex_grid, normalize_point, separating_map)
+from .geometry import affine_points, affine_rhs, normalize_point
+from .params import (BMParams, bab_affine_eval, check_R_budget, lex_grid,
+                     separating_map)
 from .intersecting_family import AffineForm
 
 

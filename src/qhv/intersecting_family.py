@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import record
-from .geometry import (BMParams, bab_affine_eval, check_R_budget,
-                       coordinate_tables, lex_grid, separating_map)
+from .params import (BMParams, bab_affine_eval, check_R_budget,
+                     coordinate_tables, lex_grid, separating_map)
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
 from .linalg import gram
 

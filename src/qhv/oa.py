@@ -17,7 +17,7 @@ from . import linalg
 from ._record import record
 from .intersecting_family import family, w_values
 from .fields import DEFAULT_BUDGET, BudgetExceededError
-from .geometry import BMParams
+from .params import BMParams
 
 #: verify_strength stops listing violations after this many
 MAX_VIOLATIONS = 1000

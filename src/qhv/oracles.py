@@ -28,7 +28,7 @@ from ._record import record
 from .collineations import Collineation, build_R, to_matrix
 from .intersecting_family import AffineForm, family, intersection_count
 from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, field_context
-from .geometry import BMParams, ParameterError
+from .params import BMParams, ParameterError
 
 
 def naive_point_image(ctx: FieldCtx, g: Collineation, point) -> tuple[int, ...]:

@@ -158,10 +158,19 @@ def _distinct(keys: np.ndarray) -> int:
     return 1 + int(np.count_nonzero(keys[1:] != keys[:-1]))
 
 
+def _certified(code, omega):
+    """``rs_certificate`` on a copy of the code, and the copy."""
+    copy = cod.FqLinearCode(code.q, code.length, code.codewords,
+                            code.dimension, code.generator, keys=code.keys)
+    return cod.rs_certificate(copy, omega), copy
+
+
 def check_mds_code(q, budget=DEFAULT_BUDGET) -> tuple[int, int]:
     """|C| = q^5, dimension 5, d = q-4 (brute force), MDS, RS-equivalent,
     doubly extended to [q+1, 5, q-3] MDS; ``budget`` bounds the codeword
-    table and both scans.  Returns the two minimum distances."""
+    table and both scans.  The span certificate must give the scans' d,
+    MDS flag and RS report, for both codes.  Returns the two minimum
+    distances."""
     params = geo.scan_params(field_context(q), 3, mode="quasi_hermitian")
     ec = cod.build_code(params, budget=budget)
     assert len(ec) == q**5
@@ -178,6 +187,9 @@ def check_mds_code(q, budget=DEFAULT_BUDGET) -> tuple[int, int]:
     assert c.is_mds and d == c.length - c.dimension + 1
     rs = cod.rs_equivalence_check(c, ec.omega)
     assert rs.consistent and rs.two_sided
+    cert, certified = _certified(c, ec.omega)
+    assert cert == rs
+    assert (certified.min_dist, certified.is_mds) == (d, c.is_mds)
     dx = cod.doubly_extend(ec)
     assert (dx.length, dx.dimension) == (q + 1, 5)
     # the extension spans the scaled code's words with one more coordinate
@@ -186,6 +198,9 @@ def check_mds_code(q, budget=DEFAULT_BUDGET) -> tuple[int, int]:
     assert np.array_equal(punctured.generator, c.generator)
     d2 = cod.min_distance(dx, budget)
     assert d2 == q - 3 and dx.is_mds
+    cert, certified = _certified(dx, ec.omega)
+    assert cert == rs
+    assert (certified.min_dist, certified.is_mds) == (d2, dx.is_mds)
     # sampled linearity of the scaled code
     rng = random.Random(q)
     Fq = field_context(q).Fq

@@ -148,17 +148,17 @@ def test_code_doubly_extended(runner, tmp_path):
 
 
 def test_code_rs_failure_names_first_witness(runner, tmp_path, monkeypatch):
-    from qhv import codes
+    from qhv import linalg
 
-    check = codes.rs_equivalence_check
+    span = linalg.row_space
 
-    def doctored_check(code, omega):
-        words = code.codewords.copy()
-        words[10, 6] = (words[10, 6] + 1) % code.q
-        return check(codes.FqLinearCode(code.q, code.length, words,
-                                        code.dimension, code.generator), omega)
+    def doctored_span(F, words):
+        # one built word leaves the code before its span is proved, so the
+        # certificate fails and the scans name the word
+        words[10, 6] = (words[10, 6] + 1) % F.order
+        return span(F, words)
 
-    monkeypatch.setattr(codes, "rs_equivalence_check", doctored_check)
+    monkeypatch.setattr(linalg, "row_space", doctored_span)
     res = runner.invoke(main, ["code", "--q", "7", "--out", str(tmp_path / "c7")])
     assert res.exit_code == 1
     assert "first at codeword 10, coordinate 6" in res.stderr
@@ -257,6 +257,14 @@ def test_bad_input_exits_2(runner, tmp_path, monkeypatch, args, env):
     assert isinstance(res.exception, SystemExit)
     assert len(res.stderr.strip().splitlines()) == 1
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("command", ["variety", "oa"])
+def test_n_below_two_exits_2_naming_the_dimension(runner, tmp_path, command):
+    res = runner.invoke(main, [command, "--q", "9", "--n", "1",
+                               "--out", str(tmp_path / "x")])
+    assert res.exit_code == 2
+    assert res.stderr == "invalid parameters: ambient dimension n must be >= 2\n"
 
 
 def test_grid_field_beyond_table_limit_exits_3(runner, tmp_path):

@@ -79,7 +79,8 @@ def test_build_rejects_wrong_dimension():
 
 def test_zero_word_at_origin():
     ec = _code(5)
-    idx = next(i for i, d in enumerate(ec.domain) if tuple(d) == (0, 0, 0))
+    W = fam.w_set(ec.params.ctx, 3)
+    idx = next(i for i, d in enumerate(W) if tuple(d) == (0, 0, 0))
     assert not ec.codewords[idx].any()
 
 
@@ -95,13 +96,14 @@ def test_codewords_agree_with_family_forms():
     params = _params(q)
     ec = _code(q)
     base = fam.base_form(params)
+    W = fam.w_set(params.ctx, 3)
     for i, (w1, w2) in enumerate(ec.omega.pairs):
         d = int(geo.affine_rhs(params, (w1, w2)))
         an = int(params.ctx.transversal_roots(d))
         g = col.Collineation((w1, w2, an), (0, 0))
         form = col.act_on_form(g, base)
         for r in range(q**5):
-            x, y, z = ec.domain[r]
+            x, y, z = W[r]
             assert ec.codewords[r, i] == form.evaluate((int(x), int(y), int(z)))
 
 
@@ -113,14 +115,15 @@ def test_closure_under_domain_law():
     params = _params(q)
     ec = _code(q)
     words = {tuple(int(v) for v in row) for row in ec.codewords}
-    index = {tuple(int(v) for v in d): i for i, d in enumerate(ec.domain)}
+    W = fam.w_set(ctx, 3)
+    index = {tuple(int(v) for v in d): i for i, d in enumerate(W)}
     rng = random.Random(9)
     two_a = F.mul(2 % ctx.p, params.a)
     bqmb = F.sub(ctx.frob[params.b], params.b)
     for _ in range(300):
         r1, r2 = rng.randrange(len(ec)), rng.randrange(len(ec))
-        x1, y1, z1 = (int(v) for v in ec.domain[r1])
-        x2, y2, z2 = (int(v) for v in ec.domain[r2])
+        x1, y1, z1 = (int(v) for v in W[r1])
+        x2, y2, z2 = (int(v) for v in W[r2])
         total = tuple(F.add(int(u), int(v))
                       for u, v in zip(ec.codewords[r1], ec.codewords[r2]))
         assert total in words
@@ -185,8 +188,7 @@ def test_theta_identity_even_q():
 
 def test_scale_rejects_non_trace_zero_input():
     ec = _code(5)
-    bad = cod.EvalCode(ec.params, ec.omega, ec.domain[:4].copy(),
-                       ec.codewords[:4].copy())
+    bad = cod.EvalCode(ec.params, ec.omega, ec.codewords[:4].copy())
     ctx = ec.params.ctx
     nz = next(x for x in range(ctx.q2) if ctx.trace(x) != 0)
     bad.codewords[0, 0] = nz
@@ -408,29 +410,44 @@ def test_puncture_of_the_extension_is_the_scaled_code(q):
 
 
 def test_extension_proof_catches_a_row_at_first_middle_last_position():
-    # moving one domain point's y changes only that row's appended coordinate;
-    # the extension then has a pivot in its last column, which the puncture
-    # drops without touching the rest of the generator
+    # one row's appended coordinate alone is off; the extension then has a
+    # pivot in its last column, which the puncture drops without touching
+    # the rest of the generator, and the pivot keys with it
     q = 8
     ec = _code(q)
+    ctx = ec.params.ctx
     c = cod.scale_to_fq(ec)
-    plain = cod.doubly_extend(ec).codewords[:, q]
+    plain = cod.doubly_extend(ec).codewords
     N = len(ec)
     for row in (0, N // 2, N - 1):
-        domain = ec.domain.copy()
-        for y in range(ec.params.ctx.q2):
-            domain[row, 1] = y
-            moved = cod.EvalCode(ec.params, ec.omega, domain, ec.codewords)
-            dx = cod.doubly_extend(moved)
-            if dx.codewords[row, q] != plain[row]:
-                break
-        assert (dx.codewords[:, q] != plain).sum() == 1
+        doctored = plain.copy()
+        doctored[row, q] ^= 1  # adds 1 in characteristic 2
+        dx = cod._fq_code(ctx, doctored)
         assert dx.dimension == 6, row
         assert dx.generator[-1].tolist() == [0] * q + [1]
+        # the last row is met by the listing walk, which then keys every row
+        assert (dx.keys is not None) is (row == N - 1)
         punctured = cod.puncture(dx)
         assert punctured.dimension == 5
         assert np.array_equal(punctured.generator, c.generator)
         assert np.array_equal(punctured.codewords, c.codewords)
+        assert punctured.keys is None
+        assert cod.rs_certificate(punctured, ec.omega) is None
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9])
+def test_extension_column_reads_y_off_the_row_number(q):
+    # row r of the evaluation code is the point r of w_set: its appended
+    # coordinate is the theta-rescaled L(eps)^q y^q - L(eps) y at its y
+    ec = _code(q)
+    ctx = ec.params.ctx
+    F = ctx.Fq2
+    c2 = geo.separating_map(ec.params, ctx.epsilon)
+    ext = [F.sub(F.mul(ctx.frob[c2], ctx.frob[y]), F.mul(c2, y))
+           for y in range(ctx.q2)]
+    y = fam.w_set(ctx, 3)[:, 1]
+    assert np.array_equal(cod.doubly_extend(ec).codewords[:, q],
+                          ctx.over_theta(np.array(ext))[y])
 
 
 def _count_spans(monkeypatch) -> list:
@@ -459,6 +476,19 @@ def test_grid_code_check_takes_one_span(monkeypatch):
     assert shapes == [(5**5, 6)]
 
 
+def _duplicate_a_word_for_the_span(monkeypatch):
+    """The span proof sees word 10 as a copy of word 11: the span is the
+    same, but its keys are not distinct, so the certificate fails, and the
+    scans run on the words as built."""
+    span = linalg.row_space
+
+    def duplicating(F, words):
+        doctored = words.copy()
+        doctored[10] = words[11]
+        return span(F, doctored)
+    monkeypatch.setattr(linalg, "row_space", duplicating)
+
+
 @pytest.mark.parametrize("argv,calls,exit_code", [
     (["code", "--q", "7"], 1, 0),
     (["code", "--q", "7", "--doubly-extend"], 2, 0),
@@ -468,6 +498,8 @@ def test_grid_code_check_takes_one_span(monkeypatch):
 def test_min_distance_scans_within_the_command_budget(monkeypatch, tmp_path,
                                                       argv, calls, exit_code):
     # 7^6 <= budget: the code is built, and every scan must get the same budget
+    if argv[0] == "code":
+        _duplicate_a_word_for_the_span(monkeypatch)
     real, budgets = cod.min_distance, []
 
     def recording(code, budget=cod.DEFAULT_BUDGET):
@@ -479,6 +511,102 @@ def test_min_distance_scans_within_the_command_budget(monkeypatch, tmp_path,
                                     "--out", str(tmp_path / "out")])
     assert res.exit_code == exit_code, res.output
     assert budgets == [budget] * calls
+
+
+# -- the span certificate ----------------------------------------------------------------
+
+def _unkeyed(code):
+    return cod.FqLinearCode(code.q, code.length, code.codewords,
+                            code.dimension, code.generator)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
+def test_certificate_agrees_with_the_scans(q):
+    ec = _code(q)
+    dx = cod.doubly_extend(ec)
+    c = cod.puncture(dx)
+    # the punctured code: every report field, d and the MDS flag
+    scanned = _unkeyed(c)
+    rs = cod.check_code(scanned, ec.omega)
+    assert rs == cod.rs_equivalence_check(scanned, ec.omega)
+    assert cod.rs_certificate(c, ec.omega) == rs
+    assert (c.min_dist, c.is_mds) == (scanned.min_dist, scanned.is_mds)
+    assert (rs.checked, rs.mismatches, rs.distinct_codewords,
+            rs.expected_codewords, rs.first_mismatch) == (q**5, 0, q**5, q**5, None)
+    # the extension: the same report (its words are the punctured words and
+    # their interpolants' leading coefficients), d = q - 3
+    scanned = _unkeyed(dx)
+    assert cod.check_code(scanned, ec.omega) is None
+    assert cod.rs_certificate(dx, ec.omega) == rs
+    assert (dx.min_dist, dx.is_mds) == (scanned.min_dist, scanned.is_mds) == (q - 3, True)
+
+
+def test_certificate_rejects_a_generator_of_another_span():
+    # distinct keys, but one free entry of the RREF moved: rank 6 with V
+    q = 7
+    c = cod.puncture(cod.doubly_extend(_code(q)))
+    omega = cod.omega_set(field_context(q))
+    free = next(j for j in range(q) if j not in range(5))
+    for row in range(5):
+        generator = c.generator.copy()
+        generator[row, free] = (generator[row, free] + 1) % q
+        other = cod.FqLinearCode(q, q, c.codewords, 5, generator, keys=c.keys)
+        assert cod.rs_certificate(other, omega) is None
+        assert other.min_dist is None and other.is_mds is None
+
+
+def test_certificate_needs_distinct_keys_and_distinct_points():
+    q = 7
+    ec = _code(q)
+    c = cod.puncture(cod.doubly_extend(ec))
+    keys = c.keys.copy()
+    keys[10] = keys[11]
+    twice = cod.FqLinearCode(q, q, c.codewords, 5, c.generator, keys=keys)
+    assert cod.rs_certificate(twice, ec.omega) is None
+    # the whole span of V at points with a repeat: rank 5 with V, but two
+    # coordinates always agree, so the code is not MDS
+    Fq = field_context(q).Fq
+    psi = (ec.omega.psi[1],) + ec.omega.psi[1:]
+    span = linalg.SpanBuilder(Fq, q)
+    for k in range(5):
+        span.add([Fq.pow(t, k) for t in psi])
+    keyed = cod.FqLinearCode(q, q, c.codewords, 5, span.matrix(),
+                             keys=np.arange(q**5))
+    assert cod.rs_certificate(keyed, cod.OmegaSet(ec.omega.pairs, psi)) is None
+    assert keyed.min_dist is None
+    assert cod.rs_certificate(c, ec.omega) is not None
+
+
+@pytest.mark.parametrize("length", ["punctured", "extended"])
+def test_a_code_without_keys_takes_the_scans(monkeypatch, length):
+    q = 7
+    ec = _code(q)
+    dx = cod.doubly_extend(ec)
+    code = _unkeyed(cod.puncture(dx) if length == "punctured" else dx)
+    calls = []
+    for name in ("min_distance", "rs_equivalence_check"):
+        real = getattr(cod, name)
+        monkeypatch.setattr(cod, name, lambda *args, real=real, name=name:
+                            calls.append(name) or real(*args))
+    rs = cod.check_code(code, ec.omega, 10**6)
+    if length == "punctured":
+        assert calls == ["min_distance", "rs_equivalence_check"]
+        assert rs.two_sided and code.min_dist == q - 4
+    else:
+        assert calls == ["min_distance"] and rs is None
+        assert code.min_dist == q - 3
+    assert code.is_mds
+
+
+def test_code_command_takes_no_scan(monkeypatch, tmp_path):
+    def refuse(*args):
+        raise AssertionError("scan run")
+    monkeypatch.setattr(cod, "min_distance", refuse)
+    monkeypatch.setattr(cod, "rs_equivalence_check", refuse)
+    res = CliRunner().invoke(main, ["code", "--q", "7", "--doubly-extend",
+                                    "--out", str(tmp_path / "c7x")])
+    assert res.exit_code == 0, res.output
+    assert "[7,5,3] doubly extended to [8,5,4]: ok" in res.output
 
 
 def test_zero_matrix_spans_rank_zero_code():

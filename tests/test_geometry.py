@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from qhv import geometry as geo
+from qhv import params as prm
 from qhv.fields import BudgetExceededError, absolute_trace, field_context
 
 
@@ -107,6 +108,27 @@ def test_family_params_fallback():
 def test_n_below_two_rejected(make):
     with pytest.raises(geo.ParameterError):
         make(field_context(3))
+
+
+@pytest.mark.parametrize("mode", ["variety", "family", "quasi_hermitian"])
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_scan_rejects_n_below_two_before_any_pair(monkeypatch, n, mode):
+    # no (a, b) is tried, and no mode falls through to "no admissible (a, b)"
+    real, calls = prm.validate_params, []
+    monkeypatch.setattr(prm, "validate_params",
+                        lambda *args: calls.append(args) or real(*args))
+    with pytest.raises(geo.ParameterError,
+                       match=r"^ambient dimension n must be >= 2$"):
+        geo.scan_params(field_context(5), n, mode=mode)
+    assert calls == []
+
+
+def test_geometry_binds_the_parameter_layer():
+    for name in ("BMParams", "ParameterError", "scan_params", "validate_params",
+                 "classical_params", "family_params", "separating_map",
+                 "separation_value", "bab_affine_eval", "check_R_budget",
+                 "coordinate_tables", "lex_grid"):
+        assert getattr(geo, name) is getattr(prm, name)
 
 
 def _outcome(make):

@@ -67,7 +67,8 @@ print(point_set(2, [[0, 1, 1], [0, 0, 1], [0, 1, 1]]).points.tolist(),
 """
 
 LIBRARY = ["qhv.codes", "qhv.collineations", "qhv.geometry",
-           "qhv.intersecting_family", "qhv.linalg", "qhv.oa", "qhv.oracles"]
+           "qhv.intersecting_family", "qhv.linalg", "qhv.oa", "qhv.oracles",
+           "qhv.params"]
 
 
 def _python(tmp_path, *argv):
@@ -91,11 +92,13 @@ def _probe(tmp_path, *args):
     (["variety", "--q", "2", "--n", "2"],
      ["qhv.codes", "qhv.collineations", "qhv.intersecting_family",
       "qhv.linalg", "qhv.oa", "qhv.oracles"]),
+    # the array and the code need the parameter layer, not the variety
     (["oa", "--q", "2", "--n", "2"],
-     ["qhv.codes", "qhv.collineations", "qhv.oracles"]),
-    (["code", "--q", "5"], ["qhv.collineations", "qhv.oa", "qhv.oracles"]),
+     ["qhv.codes", "qhv.collineations", "qhv.geometry", "qhv.oracles"]),
+    (["code", "--q", "5"],
+     ["qhv.collineations", "qhv.geometry", "qhv.oa", "qhv.oracles"]),
     (["code", "--q", "7", "--doubly-extend"],
-     ["qhv.collineations", "qhv.oa", "qhv.oracles"]),
+     ["qhv.collineations", "qhv.geometry", "qhv.oa", "qhv.oracles"]),
     (["grid", "--instances", "2,2"], ["qhv.codes"]),
 ])
 def test_a_command_executes_only_the_modules_it_uses(tmp_path, args, unexecuted):
