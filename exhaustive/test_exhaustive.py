@@ -92,13 +92,22 @@ def test_grid_instance_with_its_oracle_at_3_5():
 @pytest.mark.parametrize("n,q,size,spectrum", [
     (4, 5, 81276, {3151: 81276, 3276: 325625}),
     (6, 3, 199108, {21961: 199108, 22204: 398763}),
+    # on a 2-vCPU VM the full count takes 27-43 s at (4,7) and 15-19 s at
+    # (5,4), the orbit route under 0.1 s at either
+    (4, 7, 840400, {16857: 840400, 17200: 5044501}),
+    (5, 4, 279825, {17425: 838656, 17681: 279825}),
 ])
 def test_character_spectrum(n, q, size, spectrum):
     ctx = field_context(q)
-    S = geo.bm_variety(geo.scan_params(ctx, n, mode="variety"))
+    params = geo.scan_params(ctx, n, mode="variety")
+    S = geo.bm_variety(params)
     found = geo.character_spectrum(S, ctx)
     assert len(S) == size == geo.hermitian_size(n, q)
     assert dict(found) == spectrum
+    # the orbit route proves its certificate here and gives the full count's
+    # spectrum
+    assert geo._orbit_spectrum(S, params, geo.DEFAULT_BUDGET) == found
+    assert geo.character_spectrum(S, ctx, params=params) == found
     # test_every_pair_sweep's identities: every hyperplane counted once, and
     # every point on each of the (q^{2n}-1)/(q^2-1) hyperplanes through it
     assert set(found) == geo.expected_spectrum_support(n, q)

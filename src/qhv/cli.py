@@ -94,7 +94,8 @@ def variety(q, n, a, b, out, fmt, budget):
         ctx = field_context(q)
         params = _params(ctx, n, a, b, mode="variety")
         S = geo.bm_variety(params, budget=_budget(budget))
-        spectrum = geo.character_spectrum(S, ctx, budget=_budget(budget))
+        spectrum = geo.character_spectrum(S, ctx, budget=_budget(budget),
+                                          params=params)
     expected_support = geo.expected_spectrum_support(n, q)
     expected_size = geo.hermitian_size(n, q)
     ok = len(S) == expected_size and set(spectrum) == expected_support
@@ -134,6 +135,11 @@ def variety(q, n, a, b, out, fmt, budget):
             click.echo(f"two-character check: first hyperplane outside "
                        f"{sorted(expected_support)} is {list(h)}, "
                        f"meeting M in {count} points", err=True)
+        uneven = geo.first_uneven_head(S, params)
+        if uneven is not None:
+            head, count = uneven
+            click.echo(f"variety check: first head {list(head)} carries "
+                       f"{count} affine points, expected {q}", err=True)
     sys.exit(EXIT_OK if ok else EXIT_VERIFY_FAILED)
 
 

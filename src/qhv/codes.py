@@ -244,10 +244,12 @@ def rs_certificate(code: FqLinearCode, omega: OmegaSet) -> RSReport | None:
     seen[keys] = True
     if not seen.all():
         return None
+    # G, an RREF, seeds the basis and only V's rows are added; a row that
+    # reduces to 0 lies in span(G) whatever G is, so the proof needs no check
     Fq = field_context(q).Fq
     span = linalg.SpanBuilder(Fq, code.length)
-    for row in code.generator:
-        span.add(row)
+    span.basis = code.generator.tolist()
+    span.pivots = (code.generator != 0).argmax(axis=1).tolist()
     for k in range(5):
         span.add([Fq.pow(t, k) for t in psi] + [int(k == 4)] * (code.length - q))
     if span.rank != 5:

@@ -232,6 +232,13 @@ def _tail_index(F, q2: int, t: int) -> np.ndarray:
             + v // q2 * (q2 * len(y)))
 
 
+def _check_hyperplane_budget(n: int, q2: int, budget: int) -> None:
+    hyperplanes = num_projective_points(q2, n)
+    if hyperplanes > budget:
+        raise BudgetExceededError(f"hyperplane enumeration would take "
+                                  f"{hyperplanes} hyperplanes, budget is {budget}")
+
+
 def _hyperplane_counts(S: PointSet, ctx: FieldCtx, budget: int):
     """|S meet H| for every hyperplane H but (0, ..., 0, 1), head by head;
     raises ``BudgetExceededError`` first when the hyperplanes exceed the budget.
@@ -255,10 +262,7 @@ def _hyperplane_counts(S: PointSet, ctx: FieldCtx, budget: int):
     with h_n = -v.  Every hyperplane gets an exact count from every point.
     """
     n, q2 = S.n, ctx.q2
-    hyperplanes = num_projective_points(q2, n)
-    if hyperplanes > budget:
-        raise BudgetExceededError(f"hyperplane enumeration would take "
-                                  f"{hyperplanes} hyperplanes, budget is {budget}")
+    _check_hyperplane_budget(n, q2, budget)
     F = ctx.Fq2
     add, mul = F.np_add_table(), F.np_mul_table()
     pts = S.points
@@ -286,19 +290,97 @@ def _hyperplane_counts(S: PointSet, ctx: FieldCtx, budget: int):
         yield counts(np.zeros(len(S), dtype=np.int32))[np.concatenate(tails)]
 
 
-def character_spectrum(S: PointSet, ctx: FieldCtx,
-                       budget: int = DEFAULT_BUDGET) -> Counter:
-    """Multiset {|S meet H| : H hyperplane of PG(n, q^2)} as a Counter.
-
-    The counts come from ``_hyperplane_counts``; the hyperplane
-    (0, ..., 0, 1) holds the points with x_n = 0.
-    """
+def _full_spectrum(S: PointSet, ctx: FieldCtx, budget: int) -> Counter:
+    """The counts of ``_hyperplane_counts`` as a Counter; the hyperplane
+    (0, ..., 0, 1) holds the points with x_n = 0."""
     hist = np.zeros(len(S) + 1, dtype=np.int64)
     hist[np.count_nonzero(S.points[:, -1] == 0)] += 1
     for counts in _hyperplane_counts(S, ctx, budget):
         hist += np.bincount(counts.ravel(), minlength=len(S) + 1)
     seen = np.flatnonzero(hist)
     return Counter(dict(zip(seen.tolist(), hist[seen].tolist())))
+
+
+def first_uneven_head(S: PointSet, params: BMParams):
+    """(head, count) for the first head (x_1..x_{n-1}), in lexicographic
+    order, that does not carry exactly q affine points of S; None when every
+    head does, as every head of M_{a,b} carries the q roots of its d."""
+    n, q2 = S.n, params.ctx.q2
+    key = np.ravel_multi_index(S.points[:, 1:n].T, (q2,) * (n - 1))
+    key[S.points[:, 0] != 1] = q2 ** (n - 1)  # a last bin for the rest
+    per_head = np.bincount(key, minlength=q2 ** (n - 1) + 1)[:-1]
+    uneven = np.flatnonzero(per_head != params.q)
+    if not len(uneven):
+        return None
+    head = np.unravel_index(uneven[0], (q2,) * (n - 1))
+    return tuple(map(int, head)), int(per_head[uneven[0]])
+
+
+def _orbit_spectrum(S: PointSet, params: BMParams, budget: int):
+    """The spectrum of S from the stabilizer's orbits, or None unless the
+    certificate proves S = M_{a,b}.
+
+    Certificate: L = ``separating_map`` is injective (nonzero separation
+    value); S, sorted, starts with the cone and has only affine points
+    after it; these are zeros of the base form, q over every head, so all
+    the roots of each head's Z^q - Z = d, that is M's affine points.  The
+    cone is the vertex and q^2 points over each point of its base B, the
+    Hermitian variety of PG(n-2, q^2) in (x_1..x_{n-1}).
+
+    h_n != 0, scaled to 1.  The element g of Psi at alpha in M (beta_i =
+    -L(alpha_i)) maps the hyperplane h to M(g) h: h_i loses L(alpha_i) for
+    0 < i < n, and h_0 gains sum_j alpha_j h_j.  g fixes M: pulled back,
+    the base form shifts no coefficient and gains F(alpha) = 0, and at
+    infinity g keeps (x_1..x_{n-1}), which define the cone.  So |M meet h|
+    is constant on Psi-orbits.  L is bijective: alpha_i = L^{-1}(h_i)
+    clears the prefix, alpha_n running over a coset of GF(q), and the
+    elements keeping a zero prefix shift h_0 by GF(q).  So each orbit holds
+    one (c, 0, ..., 0, 1), c in the transversal, and q^{2n-1} hyperplanes;
+    (c, 0, ..., 0, 1) meets M in the affine points with x_n = -c and B.
+
+    h_n = 0.  x_0 = 0 meets M in the cone.  Each other h is (h_0, h', 0),
+    h' a point of the dual PG(n-2, q^2) and h_0 any of q^2 values: the
+    q^{2n-4} heads on h_0 + h'.x = 0 carry q points each, and the cone
+    gives the vertex and q^2 points over each point of B on h'.  So h meets
+    M in q^{2n-3} + 1 + q^2 k points, k from B's spectrum (k = 0 at n = 2,
+    where B is empty and PG(0) has one hyperplane).
+    """
+    ctx, n, q = params.ctx, S.n, params.q
+    cone = cone_at_infinity(ctx, n)
+    affine = S.points[len(cone):]
+    if (n != params.n or separation_value(ctx, params.a, params.b) == 0
+            or not np.array_equal(S.points[:len(cone)], cone)
+            or (affine[:, 0] != 1).any()
+            or first_uneven_head(S, params) is not None
+            or not np.array_equal(coordinate_tables(params)[0][affine[:, n]],
+                                  affine_rhs(params, affine[:, 1:n]))):
+        return None
+    base = cone[cone[:, n] == 0, 1:n]
+    by_last = np.bincount(affine[:, n], minlength=ctx.q2)
+    spectrum = Counter({len(cone): 1})
+    for c in ctx.transversal:
+        spectrum[int(by_last[ctx.Fq2.neg(c)]) + len(base)] += q ** (2 * n - 1)
+    ks = _full_spectrum(PointSet(n - 2, base), ctx, budget) if n > 2 else {0: 1}
+    for k, m in ks.items():
+        spectrum[q ** (2 * n - 3) + 1 + q * q * k] += q * q * m
+    return Counter(dict(sorted(spectrum.items())))
+
+
+def character_spectrum(S: PointSet, ctx: FieldCtx,
+                       budget: int = DEFAULT_BUDGET,
+                       params: BMParams | None = None) -> Counter:
+    """Multiset {|S meet H| : H hyperplane of PG(n, q^2)} as a Counter.
+
+    With the ``params`` that ``bm_variety`` built S from, ``_orbit_spectrum``
+    counts q hyperplanes and B's spectrum; otherwise, or when its
+    certificate fails, ``_full_spectrum`` counts every hyperplane.
+    """
+    if params is not None:
+        _check_hyperplane_budget(S.n, ctx.q2, budget)
+        spectrum = _orbit_spectrum(S, params, budget)
+        if spectrum is not None:
+            return spectrum
+    return _full_spectrum(S, ctx, budget)
 
 
 def first_hyperplane_outside(S: PointSet, ctx: FieldCtx, support,

@@ -376,7 +376,8 @@ def run_instance(inst: GridInstance, spec: GridSpec) -> dict:
                skipped="the variety was skipped")
     else:
         try:
-            spectrum = geo.character_spectrum(S, ctx, budget=spec.budget)
+            spectrum = geo.character_spectrum(S, ctx, budget=spec.budget,
+                                              params=params)
             support = set(spectrum)
             expected_support = geo.expected_spectrum_support(n, q)
             _check(report, "two_character", support == expected_support,

@@ -60,7 +60,10 @@ def test_variety_failure_names_first_hyperplane(runner, tmp_path, monkeypatch):
     assert "two-character FAILED" in res.stdout
     found = re.fullmatch(r"two-character check: first hyperplane outside "
                          r"\[1, 4\] is \[(\d+), (\d+), (\d+)\], meeting M in "
-                         r"(\d+) points\n", res.stderr)
+                         r"(\d+) points\n"
+                         # row 5 is the second affine point over x_1 = 1
+                         r"variety check: first head \[1\] carries 2 affine "
+                         r"points, expected 3\n", res.stderr)
     assert found, res.stderr
     *named, count = map(int, found.groups())
     ctx = field_context(3)

@@ -290,6 +290,10 @@ def test_budget_messages_name_their_numbers():
     with pytest.raises(BudgetExceededError,
                        match="would take 91 hyperplanes, budget is 90"):
         geo.character_spectrum(S, ctx, budget=90)
+    # the orbit route counts the same hyperplanes against the budget
+    with pytest.raises(BudgetExceededError,
+                       match="would take 91 hyperplanes, budget is 90"):
+        geo.character_spectrum(S, ctx, budget=90, params=params)
 
 
 def test_spectrum_budget():
@@ -333,13 +337,40 @@ PAIR_SWEEP = {
 }
 
 
+def _full_count_dimensions(monkeypatch) -> list:
+    """The dimension n of every point set ``_hyperplane_counts`` counts from
+    now on: the orbit route counts only its cone's base, in PG(n-2, q^2)."""
+    calls = []
+    real = geo._hyperplane_counts
+
+    def spy(S, ctx, budget):
+        calls.append(S.n)
+        return real(S, ctx, budget)
+
+    monkeypatch.setattr(geo, "_hyperplane_counts", spy)
+    return calls
+
+
+def _both_routes(S, params, calls):
+    """The spectrum with ``params`` and without, and whether the first one
+    took the orbit route (no full count of S)."""
+    ctx = params.ctx
+    calls.clear()
+    routed = geo.character_spectrum(S, ctx, params=params)
+    orbit = S.n not in calls
+    return routed, geo.character_spectrum(S, ctx), orbit
+
+
 @pytest.mark.parametrize("n,q", sorted(PAIR_SWEEP))
-def test_every_pair_sweep(n, q):
+def test_every_pair_sweep(n, q, monkeypatch):
     """Every pair, none sampled: the QH and classical labels promise two
     characters, and |M| is the Hermitian count whatever the pair.  The
     multiplicities count every hyperplane once, and every point on each of
     the (q^{2n}-1)/(q^2-1) hyperplanes through it; with two characters these
-    two sums fix the whole spectrum."""
+    two sums fix the whole spectrum.  The orbit route gives the full count's
+    spectrum at every separating pair, and leaves the "rejected" ones, whose
+    L is not injective, to the full count."""
+    calls = _full_count_dimensions(monkeypatch)
     ctx = field_context(q)
     hyperplanes = geo.num_projective_points(ctx.q2, n)
     through_a_point = (q ** (2 * n) - 1) // (q * q - 1)
@@ -354,7 +385,9 @@ def test_every_pair_sweep(n, q):
                 params = geo.BMParams(ctx, n, a, b, "rejected")
             S = geo.bm_variety(params)
             assert len(S) == geo.hermitian_size(n, q), (a, b)
-            spectrum = geo.character_spectrum(S, ctx)
+            routed, spectrum, orbit = _both_routes(S, params, calls)
+            assert routed == spectrum, (a, b)
+            assert orbit is (params.condition != "rejected"), (a, b)
             assert sum(spectrum.values()) == hyperplanes, (a, b)
             assert sum(c * m for c, m in spectrum.items()) == \
                 len(S) * through_a_point, (a, b)
@@ -363,3 +396,52 @@ def test_every_pair_sweep(n, q):
             found.setdefault(label, Counter())[two] += 1
     assert found == {label: Counter({two: pairs})
                      for label, (pairs, two) in PAIR_SWEEP[(n, q)].items()}
+
+
+@pytest.mark.parametrize("n,q", [(2, 16), (3, 5), (4, 3), (6, 2), (3, 4),
+                                 (3, 7)])
+def test_orbit_route_is_the_full_count(n, q, monkeypatch):
+    calls = _full_count_dimensions(monkeypatch)
+    params = geo.scan_params(field_context(q), n, mode="variety")
+    routed, full, orbit = _both_routes(geo.bm_variety(params), params, calls)
+    assert orbit and routed == full
+    assert set(full) == geo.expected_spectrum_support(n, q)
+
+
+def _replaced(S, row, *points):
+    """S without its row ``row``, with ``points`` added."""
+    return geo.point_set(S.n, np.vstack([np.delete(S.points, row, axis=0),
+                                         *points]))
+
+
+@pytest.mark.parametrize("n,q", [(2, 3), (3, 3), (4, 3)])
+def test_orbit_route_falls_back_unless_S_is_M(n, q, monkeypatch):
+    """Each doctored S fails one check of the certificate, and gets the
+    full count whatever it is; only odd q has non-separating pairs."""
+    calls = _full_count_dimensions(monkeypatch)
+    ctx = field_context(q)
+    params = geo.scan_params(ctx, n, mode="family")
+    S = geo.bm_variety(params)
+    cone = len(geo.cone_at_infinity(ctx, n))
+    on_cone = S.points[:cone].tolist()
+    outside = next(p for p in geo.projective_points(ctx.Fq2, n, first=1).tolist()
+                   if p not in on_cone)
+    # a point over the first head that is no zero of the base form
+    off_form = [1] + [0] * (n - 1) + [
+        next(x for x in range(ctx.q2) if x not in S.points[cone:cone + q, n])]
+    a, b = next((a, b) for a in range(ctx.q2) for b in range(ctx.q, ctx.q2)
+                if geo.separation_value(ctx, a, b) == 0)
+    rejected = geo.BMParams(ctx, n, a, b, "rejected")
+    doctored = {
+        "affine point removed": (_replaced(S, cone + 1), params),
+        "affine point off the form": (_replaced(S, cone + 1, off_form), params),
+        "cone point moved": (_replaced(S, cone - 1, outside), params),
+        "non-separating pair": (geo.bm_variety(rejected), rejected),
+    }
+    for name, (T, P) in doctored.items():
+        routed, full, orbit = _both_routes(T, P, calls)
+        assert not orbit and routed == full, name
+    assert geo.first_uneven_head(S, params) is None
+    head = tuple(S.points[cone + 1, 1:n].tolist())
+    removed = doctored["affine point removed"][0]
+    assert geo.first_uneven_head(removed, params) == (head, q - 1)
