@@ -8,17 +8,22 @@ codes or the spectrum, and report its result next to the tier-1 count.
 """
 
 import json
+import os
 import sys
 from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
-from qhv import geometry as geo
-from qhv.cli import main
-from qhv import oa as oam
-from qhv.fields import field_context
-from qhv.oracles import GridInstance, GridSpec, run_instance
+# one OpenBLAS thread unless the caller says otherwise, as in tests/conftest.py;
+# numpy reads this when qhv first imports it
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from qhv import geometry as geo  # noqa: E402
+from qhv.cli import main  # noqa: E402
+from qhv import oa as oam  # noqa: E402
+from qhv.fields import field_context  # noqa: E402
+from qhv.oracles import GridInstance, GridSpec, run_instance  # noqa: E402
 
 # tier-1's acceptance checks, run here on larger instances
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "tests"))

@@ -14,8 +14,6 @@ import sys
 import warnings
 from contextlib import contextmanager
 
-import click
-
 from . import codes as codes_mod
 from . import geometry as geo
 from . import oa as oa_mod
@@ -53,10 +51,10 @@ def _exit_on_bad_input():
     try:
         yield
     except (ValueError, OSError) as exc:  # ParameterError included
-        click.echo(f"invalid parameters: {exc}", err=True)
+        print(f"invalid parameters: {exc}", file=sys.stderr, flush=True)
         sys.exit(EXIT_BAD_PARAMS)
     except BudgetExceededError as exc:
-        click.echo(f"budget exceeded: {exc}", err=True)
+        print(f"budget exceeded: {exc}", file=sys.stderr, flush=True)
         sys.exit(EXIT_BUDGET)
 
 
@@ -71,21 +69,37 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-@click.group()
-def main() -> None:
-    """Quasi-Hermitian varieties, orthogonal arrays and MDS codes."""
+# each command's function and options, in the order that --help lists them;
+# the parser is built from these only when main() parses argv
+_COMMANDS: dict = {}
 
 
-@main.command()
-@click.option("--q", type=int, required=True, help="subfield order (prime power)")
-@click.option("--n", type=int, default=2, show_default=True, help="ambient dimension")
-@click.option("--a", type=int, default=None, help="parameter a (canonical code)")
-@click.option("--b", type=int, default=None, help="parameter b (canonical code)")
-@click.option("--out", type=str, default=None, help="output path prefix")
-@click.option("--format", "fmt", type=click.Choice(["text", "json"]),
-              default="text", show_default=True)
-@click.option("--budget", type=int, default=None,
-              help=f"point budget (also {BUDGET_ENV})")
+def _command(*options):
+    """Register the function as the command of its name, taking ``options``."""
+    def register(fn):
+        _COMMANDS[fn.__name__] = (fn, options)
+        return fn
+    return register
+
+
+def _option(*flags, **kwargs):
+    """One option: its flags and ``ArgumentParser.add_argument``'s keywords."""
+    return flags, kwargs
+
+
+_DEFAULT = "(default: %(default)s)"
+
+
+@_command(
+    _option("--q", type=int, required=True, help="subfield order (prime power)"),
+    _option("--n", type=int, default=2, help=f"ambient dimension {_DEFAULT}"),
+    _option("--a", type=int, help="parameter a (canonical code)"),
+    _option("--b", type=int, help="parameter b (canonical code)"),
+    _option("--out", help="output path prefix"),
+    _option("--format", dest="fmt", choices=["text", "json"], default="text",
+            help=_DEFAULT),
+    _option("--budget", type=int, help=f"point budget (also {BUDGET_ENV})"),
+)
 def variety(q, n, a, b, out, fmt, budget):
     """Build the variety, check its size and hyperplane characters."""
     cfg = {"command": "variety", "q": q, "n": n, "a": a, "b": b,
@@ -114,45 +128,46 @@ def variety(q, n, a, b, out, fmt, budget):
         if fmt == "json":
             report["points"] = S.export_lines(ctx)
             _write_json(base + ".json", report)
-            click.echo(base + ".json")
+            print(base + ".json", flush=True)
         else:
             with open(base + ".points.txt", "w") as fh:
                 fh.write("\n".join(S.export_lines(ctx)) + "\n")
             _write_json(base + ".json", report)
-            click.echo(base + ".points.txt")
-            click.echo(base + ".json")
-    click.echo(f"|M| = {len(S)}, spectrum support {sorted(set(spectrum))}, "
-               f"two-character {'ok' if ok else 'FAILED'}")
+            print(base + ".points.txt", flush=True)
+            print(base + ".json", flush=True)
+    print(f"|M| = {len(S)}, spectrum support {sorted(set(spectrum))}, "
+          f"two-character {'ok' if ok else 'FAILED'}", flush=True)
     if not ok:
         witness = geo.first_hyperplane_outside(S, ctx, expected_support,
                                                budget=_budget(budget))
         if witness is None:
-            click.echo(f"two-character check: no hyperplane count outside "
-                       f"{sorted(expected_support)}; |M| = {len(S)}, "
-                       f"expected {expected_size}", err=True)
+            print(f"two-character check: no hyperplane count outside "
+                  f"{sorted(expected_support)}; |M| = {len(S)}, "
+                  f"expected {expected_size}", file=sys.stderr, flush=True)
         else:
             h, count = witness
-            click.echo(f"two-character check: first hyperplane outside "
-                       f"{sorted(expected_support)} is {list(h)}, "
-                       f"meeting M in {count} points", err=True)
+            print(f"two-character check: first hyperplane outside "
+                  f"{sorted(expected_support)} is {list(h)}, "
+                  f"meeting M in {count} points", file=sys.stderr, flush=True)
         uneven = geo.first_uneven_head(S, params)
         if uneven is not None:
             head, count = uneven
-            click.echo(f"variety check: first head {list(head)} carries "
-                       f"{count} affine points, expected {q}", err=True)
+            print(f"variety check: first head {list(head)} carries "
+                  f"{count} affine points, expected {q}",
+                  file=sys.stderr, flush=True)
     sys.exit(EXIT_OK if ok else EXIT_VERIFY_FAILED)
 
 
-@main.command()
-@click.option("--q", type=int, required=True)
-@click.option("--n", type=int, default=2, show_default=True)
-@click.option("--a", type=int, default=None)
-@click.option("--b", type=int, default=None)
-@click.option("--out", type=str, default=None)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]),
-              default="csv", show_default=True,
-              help="csv: entries file + JSON sidecar; json: single file")
-@click.option("--budget", type=int, default=None)
+@_command(
+    _option("--q", type=int, required=True),
+    _option("--n", type=int, default=2, help=_DEFAULT),
+    _option("--a", type=int),
+    _option("--b", type=int),
+    _option("--out"),
+    _option("--format", dest="fmt", choices=["csv", "json"], default="csv",
+            help=f"csv: entries file + JSON sidecar; json: single file {_DEFAULT}"),
+    _option("--budget", type=int),
+)
 def oa(q, n, a, b, out, fmt, budget):
     """Build the orthogonal array and verify strength, index and simplicity."""
     cfg = {"command": "oa", "q": q, "n": n, "a": a, "b": b,
@@ -164,9 +179,9 @@ def oa(q, n, a, b, out, fmt, budget):
     strength = oa_mod.verify_strength(A, 2)
     if strength.violations:
         cols, symbols, count = strength.violations[0]
-        click.echo(f"strength check: first violation at columns {cols}, "
-                   f"symbols {symbols}: {count} rows, expected {strength.index}",
-                   err=True)
+        print(f"strength check: first violation at columns {cols}, "
+              f"symbols {symbols}: {count} rows, expected {strength.index}",
+              file=sys.stderr, flush=True)
     simple = oa_mod.verify_simple(A)
     ok = strength.ok and strength.index == A.index and simple
     base = out or f"oa_q{q}_n{n}"
@@ -176,34 +191,38 @@ def oa(q, n, a, b, out, fmt, budget):
                                         simple, cfg)
             payload["entries"] = A.entries.tolist()
             _write_json(base + ".json", payload)
-            click.echo(base + ".json")
+            print(base + ".json", flush=True)
         else:
             csv_path, json_path = oa_mod.write_oa(A, base, strength, simple, cfg)
-            click.echo(csv_path)
-            click.echo(json_path)
-    click.echo(f"OA({A.runs},{A.factors},{A.levels},2) index {A.index}: "
-               f"strength {'ok' if strength.ok else 'FAILED'}, "
-               f"simple {'ok' if simple else 'FAILED'}")
+            print(csv_path, flush=True)
+            print(json_path, flush=True)
+    print(f"OA({A.runs},{A.factors},{A.levels},2) index {A.index}: "
+          f"strength {'ok' if strength.ok else 'FAILED'}, "
+          f"simple {'ok' if simple else 'FAILED'}", flush=True)
     sys.exit(EXIT_OK if ok else EXIT_VERIFY_FAILED)
 
 
-@main.command()
-@click.option("--q", type=int, required=True)
-@click.option("--a", type=int, default=None)
-@click.option("--b", type=int, default=None)
-@click.option("--out", type=str, default=None)
-@click.option("--strict/--no-strict", default=False,
-              help="reject q <= 4 instead of warning")
-@click.option("--doubly-extend", "extend", is_flag=True, default=False)
-@click.option("--dump-codewords", is_flag=True, default=False)
-@click.option("--budget", type=int, default=None)
+@_command(
+    _option("--q", type=int, required=True),
+    _option("--a", type=int),
+    _option("--b", type=int),
+    _option("--out"),
+    _option("--strict", action="store_true",
+            help="reject q <= 4 instead of warning"),
+    _option("--no-strict", dest="strict", action="store_false", default=False,
+            help="warn for q <= 4 (the default)"),
+    _option("--doubly-extend", dest="extend", action="store_true"),
+    _option("--dump-codewords", action="store_true"),
+    _option("--budget", type=int),
+)
 def code(q, a, b, out, strict, extend, dump_codewords, budget):
     """Build the [q,5,q-4] code (ambient n = 3), verify and export."""
     cfg = {"command": "code", "q": q, "a": a, "b": b, "out": out,
            "strict": strict, "doubly_extend": extend,
            "dump_codewords": dump_codewords, "budget": budget}
     if q <= 4 and strict:
-        click.echo("q <= 4: the MDS construction requires q > 4", err=True)
+        print("q <= 4: the MDS construction requires q > 4",
+              file=sys.stderr, flush=True)
         sys.exit(EXIT_BAD_PARAMS)
     with _exit_on_bad_input():
         ctx = field_context(q)
@@ -224,11 +243,12 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
             paths = codes_mod.write_code(c, ec, base, None, cfg,
                                          dump_codewords=dump_codewords)
         for p in paths:
-            click.echo(p)
-        click.echo(f"[{c.length},{c.dimension},{d}] built")
-        click.echo("warning: q <= 4, MDS/RS contracts not applicable", err=True)
+            print(p, flush=True)
+        print(f"[{c.length},{c.dimension},{d}] built", flush=True)
+        print("warning: q <= 4, MDS/RS contracts not applicable",
+              file=sys.stderr, flush=True)
         if extend:
-            click.echo("--doubly-extend ignored: q <= 4", err=True)
+            print("--doubly-extend ignored: q <= 4", file=sys.stderr, flush=True)
         sys.exit(EXIT_OK)
     # the span proves d, MDS and RS equivalence; scans only where it fails
     with _exit_on_bad_input():
@@ -238,8 +258,8 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     d, d2 = c.min_dist, dx.min_dist
     if rs.first_mismatch is not None:
         row, col = rs.first_mismatch
-        click.echo(f"RS check: {rs.mismatches} mismatches, first at "
-                   f"codeword {row}, coordinate {col}", err=True)
+        print(f"RS check: {rs.mismatches} mismatches, first at "
+              f"codeword {row}, coordinate {col}", file=sys.stderr, flush=True)
     ok = c.dimension == 5 and d == q - 4 and bool(c.is_mds) and rs.two_sided
     label = f"[{c.length},{c.dimension},{d}]"
     if extend:
@@ -251,9 +271,9 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
         paths = codes_mod.write_code(c, ec, base, rs, cfg,
                                      dump_codewords=dump_codewords)
     for p in paths:
-        click.echo(p)
-    click.echo(f"{label}: {'ok' if ok else 'FAILED'} "
-               f"(MDS {c.is_mds}, RS-equivalent {rs.two_sided})")
+        print(p, flush=True)
+    print(f"{label}: {'ok' if ok else 'FAILED'} "
+          f"(MDS {c.is_mds}, RS-equivalent {rs.two_sided})", flush=True)
     sys.exit(EXIT_OK if ok else EXIT_VERIFY_FAILED)
 
 
@@ -268,11 +288,12 @@ def _grid_status(inst: dict) -> str:
     return "FAILED"
 
 
-@main.command()
-@click.option("--instances", type=str, default="2,2;2,3;2,4;3,2;3,3",
-              show_default=True, help="semicolon-separated n,q pairs")
-@click.option("--out", type=str, default=None)
-@click.option("--budget", type=int, default=None)
+@_command(
+    _option("--instances", default="2,2;2,3;2,4;3,2;3,3",
+            help=f"semicolon-separated n,q pairs {_DEFAULT}"),
+    _option("--out"),
+    _option("--budget", type=int),
+)
 def grid(instances, out, budget):
     """Run the cross-module verification grid and write its JSON report."""
     cfg = {"command": "grid", "instances": instances, "out": out,
@@ -294,14 +315,90 @@ def grid(instances, out, budget):
     base = out or "grid_report"
     with _exit_on_bad_input():
         _write_json(base + ".json", report)
-    click.echo(base + ".json")
+    print(base + ".json", flush=True)
     for inst in report["instances"]:
-        click.echo(f"(n={inst['n']}, q={inst['q']}): {_grid_status(inst)}")
+        print(f"(n={inst['n']}, q={inst['q']}): {_grid_status(inst)}", flush=True)
         for name, check in inst["checks"].items():
             if "witness" in check:
-                click.echo(f"(n={inst['n']}, q={inst['q']}) {name}: first "
-                           f"witness {json.dumps(check['witness'])}", err=True)
+                print(f"(n={inst['n']}, q={inst['q']}) {name}: first "
+                      f"witness {json.dumps(check['witness'])}",
+                      file=sys.stderr, flush=True)
     sys.exit(EXIT_OK if report["ok"] else EXIT_VERIFY_FAILED)
+
+
+def _parse(argv: list[str], prog: str):
+    """The command that ``argv`` names and its keyword arguments.  A usage
+    error exits 2 and --help exits 0, here."""
+    import argparse  # not at module level: importing the CLI loads no parser
+
+    if argv and argv[0] in _COMMANDS:
+        # a valued option takes the next token even when it starts with "-"
+        # (--instances -2,3 must reach the command's own check), where
+        # argparse would read that token as an option: join the two
+        valued = {flag for flags, spec in _COMMANDS[argv[0]][1]
+                  if "action" not in spec for flag in flags}
+        rest, argv = argv[1:], argv[:1]
+        while rest:
+            token = rest.pop(0)
+            if token in valued and rest:
+                token = f"{token}={rest.pop(0)}"
+            argv.append(token)
+    parser = argparse.ArgumentParser(
+        prog=prog, allow_abbrev=False, add_help=False,
+        description="Quasi-Hermitian varieties, orthogonal arrays and MDS codes.")
+    parser.add_argument("--help", action="help", help="show this message and exit")
+    commands = parser.add_subparsers(title="commands", dest="command",
+                                     metavar="COMMAND", required=True)
+    for name, (fn, options) in _COMMANDS.items():
+        sub = commands.add_parser(name, help=fn.__doc__, description=fn.__doc__,
+                                  allow_abbrev=False, add_help=False)
+        sub.add_argument("--help", action="help",
+                         help="show this message and exit")
+        for flags, kwargs in options:
+            sub.add_argument(*flags, **kwargs)
+    kwargs = vars(parser.parse_args(argv))
+    return _COMMANDS[kwargs.pop("command")][0], kwargs
+
+
+class _QuietFlush:
+    """A standard stream whose reader has gone: flushing it raises nothing."""
+
+    def __init__(self, stream):
+        self._stream = stream
+
+    def flush(self):
+        try:
+            self._stream.flush()
+        except BrokenPipeError:
+            pass
+
+    def __getattr__(self, name):
+        return getattr(self._stream, name)
+
+
+def main(args=None, prog_name=None, **extra) -> None:
+    """Run the command that ``args`` (by default ``sys.argv[1:]``) names; it
+    exits with its code.
+
+    ``main.main(args=, prog_name=)`` and ``main.name`` give this click's
+    ``Command`` call shape, which ``click.testing.CliRunner`` and other
+    in-process callers use; ``extra`` is accepted and ignored.
+    """
+    try:
+        command, kwargs = _parse(sys.argv[1:] if args is None else list(args),
+                                 prog_name or main.name)
+        command(**kwargs)
+    except KeyboardInterrupt:
+        print("\nAborted!", file=sys.stderr, flush=True)
+        sys.exit(1)
+    except BrokenPipeError:
+        # the reader closed the pipe: exit 1 without a traceback, and with
+        # nothing left to fail at the interpreter's last flush
+        sys.stdout, sys.stderr = _QuietFlush(sys.stdout), _QuietFlush(sys.stderr)
+        sys.exit(1)
+
+
+main.main, main.name = main, "qhv"
 
 
 def run() -> None:

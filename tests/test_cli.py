@@ -448,3 +448,56 @@ def test_artifacts_match_golden_digests(runner, tmp_path, monkeypatch, out):
     assert res.exit_code == 0, res.output
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest()
             for p in tmp_path.iterdir()} == digests
+
+
+@pytest.mark.parametrize("args", [
+    ["nosuch"],
+    ["variety", "--q", "3", "--bogus"],
+    ["variety", "--n", "2"],
+    ["variety", "--q", "x"],
+    ["variety", "--q", "2", "--format", "xml"],
+    ["variety", "--q", "2", "--n"],
+    ["variety", "--q", "2", "extra"],
+], ids=["unknown-command", "unknown-option", "missing-q", "q-not-int",
+        "format-xml", "trailing-n", "stray-positional"])
+def test_usage_error_exits_2(runner, tmp_path, monkeypatch, args):
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, args)
+    assert res.exit_code == 2
+    assert isinstance(res.exception, SystemExit)
+    assert "Traceback" not in res.output
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args,message", [
+    (["grid", "--instances", "-2,3"], "ambient dimension n must be >= 2, got -2"),
+    (["variety", "--q", "3", "--a", "-5"],
+     "no admissible (a, b) for n=2, q=3 in mode 'variety'"),
+], ids=["instances", "a"])
+def test_an_option_value_may_start_with_a_dash(runner, tmp_path, args, message):
+    # the value reaches the command's own check, not a usage error
+    res = runner.invoke(main, args + ["--out", str(tmp_path / "x")])
+    assert res.exit_code == 2
+    assert res.stderr == f"invalid parameters: {message}\n"
+
+
+HELP_NAMES = {
+    None: ["--help", "variety", "oa", "code", "grid"],
+    "variety": ["--help", "--q", "--n", "--a", "--b", "--out", "--format",
+                "--budget"],
+    "oa": ["--help", "--q", "--n", "--a", "--b", "--out", "--format",
+           "--budget"],
+    "code": ["--help", "--q", "--a", "--b", "--out", "--strict", "--no-strict",
+             "--doubly-extend", "--dump-codewords", "--budget"],
+    "grid": ["--help", "--instances", "--out", "--budget"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(HELP_NAMES, key=str))
+def test_help_names_every_option(runner, tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    res = runner.invoke(main, [command, "--help"] if command else ["--help"])
+    assert res.exit_code == 0 and res.stderr == ""
+    for name in HELP_NAMES[command]:
+        assert re.search(rf"(?<![\w-]){name}(?![\w-])", res.stdout), name
+    assert not list(tmp_path.iterdir())

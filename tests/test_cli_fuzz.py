@@ -1,7 +1,7 @@
 """Fuzzed argv for every command: each call ends in a documented exit code.
 
-Values are well-formed for click, so its usage errors stay out of the way,
-but q need not be a prime power, n runs up to 40, a and b leave GF(q^2),
+The argv is well-formed for the parser, so its usage errors stay out of the
+way, but q need not be a prime power, n runs up to 40, a and b leave GF(q^2),
 grid instances are malformed and budgets are small.  Every call must exit
 0-3 within ``WALL_BOUND_S`` without a traceback, and exits 2 and 3 print
 exactly one stderr line.

@@ -35,7 +35,16 @@ except SystemExit as exc:
 print(json.dumps({"before": before, "after": unexecuted(), "exit": code,
                   "hashlib": "_hashlib" in sys.modules,
                   "numpy_ma": "numpy.ma" in sys.modules,
-                  "dataclasses": "dataclasses" in sys.modules}))
+                  "dataclasses": "dataclasses" in sys.modules,
+                  "click": "click" in sys.modules}))
+"""
+
+# what a fresh interpreter loads to import the CLI, before any argv is parsed
+IMPORT_PROBE = """\
+import sys
+import qhv.cli
+
+print("click" in sys.modules, "argparse" in sys.modules)
 """
 
 # what the interpreter has frozen when it starts to shut down after run()
@@ -71,14 +80,19 @@ LIBRARY = ["qhv.codes", "qhv.collineations", "qhv.geometry",
            "qhv.params"]
 
 
-def _python(tmp_path, *argv):
-    """Run the interpreter on this checkout's sources, in ``tmp_path``, with
-    no budget taken from the environment."""
+def _env():
+    """The environment with this checkout's sources first on the path, and no
+    budget."""
     env = dict(os.environ)
     env.pop(cli.BUDGET_ENV, None)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=env,
+    return env
+
+
+def _python(tmp_path, *argv):
+    """Run the interpreter on this checkout's sources, in ``tmp_path``."""
+    return subprocess.run([sys.executable, *argv], cwd=tmp_path, env=_env(),
                           capture_output=True, text=True, timeout=120)
 
 
@@ -113,6 +127,14 @@ def test_a_command_executes_only_the_modules_it_uses(tmp_path, args, unexecuted)
     assert probe["numpy_ma"] is False
     # the records are built without generated code, so without dataclasses
     assert probe["dataclasses"] is False
+    # the parser is the standard library's
+    assert probe["click"] is False
+
+
+def test_importing_the_cli_loads_no_parser(tmp_path):
+    res = _python(tmp_path, "-c", IMPORT_PROBE)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "False False"
 
 
 def test_the_family_leaves_collineations_unexecuted(tmp_path):
@@ -160,6 +182,36 @@ def test_module_entry_point_matches_in_process_run(tmp_path, monkeypatch, args,
     files = {p.name: p.read_bytes() for p in spawned.iterdir()}
     assert files == {p.name: p.read_bytes() for p in in_process.iterdir()}
     assert bool(files) is (code == 0)
+
+
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+    # the report is written before the first line to stdout fails
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        res = subprocess.run([sys.executable, "-m", "qhv.cli", "grid",
+                              "--instances", "2,2"], cwd=tmp_path, env=_env(),
+                             stdout=write, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write)
+    assert res.returncode == 1
+    assert res.stderr == b""
+    assert json.loads((tmp_path / "grid_report.json").read_text())["ok"]
+
+
+def test_interrupt_prints_aborted_and_exits_1(tmp_path, monkeypatch):
+    from qhv import oracles
+
+    def interrupted(spec):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(oracles, "run_grid", interrupted)
+    monkeypatch.chdir(tmp_path)
+    res = CliRunner().invoke(cli.main, ["grid", "--instances", "2,2"])
+    assert res.exit_code == 1
+    assert isinstance(res.exception, SystemExit)
+    assert (res.stdout, res.stderr) == ("", "\nAborted!\n")
+    assert not list(tmp_path.iterdir())
 
 
 def test_every_export_is_its_submodules_object():
