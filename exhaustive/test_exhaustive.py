@@ -19,6 +19,7 @@ from click.testing import CliRunner
 # numpy reads this when qhv first imports it
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
+from qhv import codes as cod  # noqa: E402
 from qhv import geometry as geo  # noqa: E402
 from qhv.cli import main  # noqa: E402
 from qhv import oa as oam  # noqa: E402
@@ -67,6 +68,26 @@ def test_criteria_1_2_at_every_family_pair(n, q, pairs):
 def test_criterion_3_mds_codes(q):
     # q^6 codeword-table cells exceed the default budget of 10^7 at both
     assert check_mds_code(q, budget=10**8) == (q - 4, q - 3)
+
+
+@pytest.mark.parametrize("q", [16, 17])
+def test_extension_proof_catches_a_row_at_first_middle_last_position(q):
+    # tier-1's test of the same name at q = 16 and 17: one row's appended
+    # coordinate alone is off, so the extension has dimension 6 and its
+    # last generator row is the unit vector; q^6 outgrows the q^5 rows, so
+    # the walk keys every row only when it meets the off row last
+    ec = cod.build_code(geo.scan_params(field_context(q), 3, mode="family"),
+                        budget=10**8)
+    Fq = ec.params.ctx.Fq
+    plain = cod.doubly_extend(ec).codewords
+    N = len(ec)
+    for row in (0, N // 2, N - 1):
+        doctored = plain.copy()
+        doctored[row, q] = Fq.add(int(doctored[row, q]), 1)
+        dx = cod._fq_code(ec.params.ctx, doctored)
+        assert dx.dimension == 6, row
+        assert dx.generator[-1].tolist() == [0] * q + [1]
+        assert (dx.keys is not None) is (row == N - 1)
 
 
 def test_code_command_at_q_19(tmp_path):

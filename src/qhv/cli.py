@@ -50,6 +50,8 @@ def _exit_on_bad_input():
     exceeded budget."""
     try:
         yield
+    except BrokenPipeError:
+        raise  # a closed stdout is no bad input: main exits 1 on it
     except (ValueError, OSError) as exc:  # ParameterError included
         print(f"invalid parameters: {exc}", file=sys.stderr, flush=True)
         sys.exit(EXIT_BAD_PARAMS)
@@ -343,6 +345,9 @@ def _parse(argv: list[str], prog: str):
             if token in valued and rest:
                 token = f"{token}={rest.pop(0)}"
             argv.append(token)
+    # only the command that runs needs its options; argparse runs the first
+    # command name in argv, as no token before it can be a name
+    named = next((token for token in argv if token in _COMMANDS), None)
     parser = argparse.ArgumentParser(
         prog=prog, allow_abbrev=False, add_help=False,
         description="Quasi-Hermitian varieties, orthogonal arrays and MDS codes.")
@@ -354,7 +359,7 @@ def _parse(argv: list[str], prog: str):
                                   allow_abbrev=False, add_help=False)
         sub.add_argument("--help", action="help",
                          help="show this message and exit")
-        for flags, kwargs in options:
+        for flags, kwargs in options if name == named else ():
             sub.add_argument(*flags, **kwargs)
     kwargs = vars(parser.parse_args(argv))
     return _COMMANDS[kwargs.pop("command")][0], kwargs

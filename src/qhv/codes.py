@@ -237,12 +237,8 @@ def rs_certificate(code: FqLinearCode, omega: OmegaSet) -> RSReport | None:
     the code is MDS.
     """
     q, keys, psi = code.q, code.keys, omega.psi
-    if (keys is None or code.dimension != 5 or len(keys) != q**5
-            or code.length - q not in (0, 1) or len(set(psi)) != q):
-        return None
-    seen = np.zeros(q**5, dtype=bool)
-    seen[keys] = True
-    if not seen.all():
+    if (code.dimension != 5 or code.length - q not in (0, 1)
+            or len(set(psi)) != q or not linalg.whole_span(keys, q, 5)):
         return None
     # G, an RREF, seeds the basis and only V's rows are added; a row that
     # reduces to 0 lies in span(G) whatever G is, so the proof needs no check

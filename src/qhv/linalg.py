@@ -2,10 +2,11 @@
 
 `SpanBuilder` is the one Gaussian elimination: ranks, spans and inverses
 all go through it.  `row_space` proves every row of a matrix in the span it
-finds, against a listing of the span (`span_listing`) while that has no
-more vectors than the matrix has rows.  `linear_image` is the one bulk
-product X·M: membership in a wider span and Reed-Solomon consistency both
-ask whether one column block is a fixed linear image of another.
+finds in one ordered walk: against a listing of the span (`span_listing`)
+while that has no more vectors than the matrix has rows, through
+`linear_image` once it has more.  `linear_image` is the one bulk product
+X·M: membership in a wider span and Reed-Solomon consistency both ask
+whether one column block is a fixed linear image of another.
 `gram_blocks` is the one co-occurrence counter: OA strength, mutual
 intersections and the W-relative intersections are all blocks of the Gram
 matrix of a 0/1 matrix.
@@ -98,32 +99,6 @@ def linear_image(F, X, M) -> np.ndarray:
     return out
 
 
-def _eliminate(builder: SpanBuilder, rows: np.ndarray) -> None:
-    """Extend the builder until its span holds every row.
-
-    Residuals start as rows - rows[:, pivots] · basis.  Each new basis vector
-    is the first nonzero residual; it enters through `SpanBuilder.add`, and
-    all remaining residuals are reduced against it at its pivot in one step
-    with the field's numpy tables.  A residual that vanishes proves its row
-    lies in the span, so the loop runs once per new basis vector.
-    """
-    F = builder.F
-    # field codes stay below DENSE_TABLE_LIMIT, so int16 holds every residual
-    add, mul, neg = (t.astype(np.int16) for t in
-                     (F.np_add_table(), F.np_mul_table(), F.np_neg_table()))
-    rows = rows[rows.any(axis=1)]
-    image = linear_image(F, rows[:, builder.pivots], builder.matrix())
-    residual = add[rows, neg[image]]
-    residual = residual[residual.any(axis=1)]
-    while len(residual):
-        head = residual[0]
-        piv = int(np.flatnonzero(head)[0])
-        builder.add(head)
-        row = np.asarray(builder.basis[builder.pivots.index(piv)])
-        residual = add[residual, neg[mul[residual[:, piv, None], row]]]
-        residual = residual[residual.any(axis=1)]
-
-
 def span_listing(F, basis: np.ndarray) -> np.ndarray:
     """Every vector of the span of an RREF basis, one row each, int16.
 
@@ -153,66 +128,82 @@ def pivot_keys(rows: np.ndarray, pivots, q: int) -> np.ndarray:
     return keys
 
 
-def _scan(builder: SpanBuilder, matrix: np.ndarray) -> tuple[int, np.ndarray]:
-    """Prove rows in order against the listed span while it has at most
-    len(matrix) vectors.  Returns how many leading rows are proved and, when
-    that is all of them, every row's pivot key.
+def whole_span(keys, q: int, rank: int) -> bool:
+    """Whether pivot keys that `row_space` set name every vector of a span
+    of this rank once each: q^rank keys, none repeated.  Every row was
+    proved equal to the span vector under its key, so the rows are then the
+    whole span, each once."""
+    if keys is None or len(keys) != q**rank:
+        return False
+    seen = np.zeros(q**rank, dtype=bool)
+    seen[keys] = True
+    return bool(seen.all())
 
-    A row lies in the span exactly when it equals the listed vector under
-    its pivot key.  That vector equals the row at the pivots by the key's
-    definition, so the columns before the first free (non-pivot) column,
-    all pivots, are neither listed nor compared: for the extended code's
-    RREF that leaves its 4 free columns of 9, and a span of full rank holds
-    every row.  The first row that differs is a new basis vector: it enters
-    through `SpanBuilder.add`, the span is listed again, and the scan goes
-    on after it; rows already passed lie in every larger span.  Blocks
-    start at SCAN_CELLS cells after each new basis vector and double while
-    they pass, so a block cut short by a new vector wastes little.
+
+def _scan(builder: SpanBuilder, matrix: np.ndarray) -> np.ndarray | None:
+    """Prove every row in order against the span, extending the builder by
+    each row that lies outside it.  Returns every row's pivot key when each
+    row was proved against a listing, else None.
+
+    A row lies in the span exactly when it equals the image of its pivot
+    entries, its coordinates in the RREF basis.  While the span has at most
+    len(matrix) vectors, that image is read from the listing under the
+    row's pivot key; a wider span takes it from `linear_image`.  The image
+    equals the row at the pivots, so the columns before the first free
+    (non-pivot) column, all pivots, are neither imaged nor compared: for
+    the extended code's RREF that leaves its 4 free columns of 9, and a
+    span of full rank holds every row.  The first row that differs is a new
+    basis vector: it enters through `SpanBuilder.add` and the walk goes on
+    after it; rows already passed lie in every larger span.  Blocks start
+    at SCAN_CELLS cells after each new basis vector and double while they
+    pass, so a block cut short by a new vector wastes little.
     """
     F, N, k = builder.F, len(matrix), matrix.shape[1]
     q, first = F.order, max(SCAN_CELLS // max(k, 1), 1)
     keys = np.empty(N, dtype=np.int64)
     pos = changed = 0
-    while pos < N and q ** builder.rank <= N:
+    listed = True   # the rank only grows: once wider than N, always wider
+    while pos < N:
         lead = next((i for i, p in enumerate(builder.pivots) if p != i),
                     builder.rank)
-        E, step = span_listing(F, builder.matrix()[:, lead:]), first
+        basis, step = builder.matrix()[:, lead:], first
+        listed = q ** builder.rank <= N
+        if listed:
+            E = span_listing(F, basis)
         while pos < N:
             block = matrix[pos:pos + step]
-            keys[pos:pos + len(block)] = pivot_keys(block, builder.pivots, q)
-            listed = np.take(E, keys[pos:pos + len(block)], axis=0)
+            if listed:
+                keys[pos:pos + len(block)] = pivot_keys(block, builder.pivots, q)
+                image = np.take(E, keys[pos:pos + len(block)], axis=0)
+            else:
+                image = linear_image(F, block[:, builder.pivots], basis)
             # one flat search: a row-wise any() over a few columns is slower
-            hits = np.flatnonzero(block[:, lead:] != listed)
+            hits = np.flatnonzero(block[:, lead:] != image)
             if len(hits):
                 pos += int(hits[0]) // (k - lead)
                 builder.add(matrix[pos])
                 pos = changed = pos + 1
                 break
             pos, step = pos + len(block), 2 * step
-    if pos == N:  # keys before the last new basis vector used an older basis
-        keys[:changed] = pivot_keys(matrix[:changed], builder.pivots, q)
-    return pos, keys
+    if not listed:
+        return None
+    # keys before the last new basis vector used an older basis
+    keys[:changed] = pivot_keys(matrix[:changed], builder.pivots, q)
+    return keys
 
 
 def row_space(F, matrix: np.ndarray) -> SpanBuilder:
     """RREF basis of the span of every row of an int-coded matrix.
 
-    While the span has at most N vectors (N the number of rows), `_scan`
-    lists it and proves each row against the listing, picking the basis
-    from the rows it meets in order; when it proves every row, the
-    builder's ``keys`` hold each row's pivot key.  A wider span (q^rank >
-    N) leaves the rows not yet proved to one `_eliminate`.  Either way
-    every row is proved to lie in the span, and the RREF of a span is
+    `_scan` proves each row in the span, picking the basis from the rows it
+    meets in order; when every row was proved against a listing, the
+    builder's ``keys`` hold each row's pivot key.  The RREF of a span is
     unique, so the basis does not depend on the order in which rows are
     met.
     """
     matrix = np.asarray(matrix, dtype=np.int16)
     builder = SpanBuilder(F, matrix.shape[1])
-    proved, keys = _scan(builder, matrix)
-    if proved < len(matrix):
-        _eliminate(builder, matrix[proved:])
-    else:
-        builder.keys = keys
+    builder.keys = _scan(builder, matrix)
     return builder
 
 

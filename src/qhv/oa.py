@@ -75,20 +75,18 @@ def _is_linear_code_array(A: OrthogonalArray) -> bool:
     entries, read as GF(q) codes, are then c^-1 theta^-1 times the values
     and span the same code as the rescaled values the codes span.
     `linalg.row_space` proves every row lies in the span; the rows are then
-    the whole code exactly when q^rank = N and no pivot key repeats.
+    the whole code, each once, exactly when their pivot keys are
+    `linalg.whole_span`: q^rank of them, none repeated.
     """
     if A.params is None or A.levels != A.params.ctx.q:
         return False
-    ctx, q, N = A.params.ctx, A.levels, A.runs
+    ctx, q = A.params.ctx, A.levels
     fq = ctx.over_theta(np.asarray(A.level_map))
     if fq[1] == 0 or not np.array_equal(fq, ctx.Fq.np_mul_table()[fq[1]]):
         return False
     span = linalg.row_space(ctx.Fq, A.entries)
-    if span.keys is None or q**span.rank != N:
-        return False
-    seen = np.zeros(N, dtype=bool)
-    seen[span.keys] = True
-    return bool(seen.all()) and _projective_columns(ctx.Fq, span.matrix())
+    return (linalg.whole_span(span.keys, q, span.rank)
+            and _projective_columns(ctx.Fq, span.matrix()))
 
 
 def _projective_columns(F, G: np.ndarray) -> bool:

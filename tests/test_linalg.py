@@ -198,19 +198,28 @@ FREE_RUN_BASIS = [[1, 2, 0, 1, 2, 0, 1, 1],
 def test_row_space_catches_a_row_off_in_one_free_column(column, where):
     # a span vector changed in one free column only, among every span
     # vector four times over: 109 rows, so the listing walk proves all of
-    # them at rank 4 too (3^4 <= 109)
+    # them at rank 4 too (3^4 <= 109); and among 20 span vectors, whose 21
+    # rows the span outgrows at rank 3 (3^3 > 21), so that `linear_image`
+    # proves every row met after that
     F = field_context(3).Fq
     span = linalg.span_listing(F, np.array(FREE_RUN_BASIS))
-    inside = np.random.default_rng(column).permutation(np.tile(span, (4, 1)))
-    off = inside[7].copy()
-    off[column] = F.add(int(off[column]), 1)
-    at = {"first": 0, "middle": len(inside) // 2, "last": len(inside)}[where]
-    m = np.insert(inside, at, off, axis=0)
-    got = linalg.row_space(F, m)
-    assert got.rank == 4
-    assert got.basis == _feed(F, m, 8).basis
-    assert got.keys is not None
-    assert np.array_equal(linalg.span_listing(F, got.matrix())[got.keys], m)
+    rng = np.random.default_rng(column)
+    for inside in (rng.permutation(np.tile(span, (4, 1))),
+                   rng.permutation(span)[:20]):
+        off = inside[7].copy()
+        off[column] = F.add(int(off[column]), 1)
+        at = {"first": 0, "middle": len(inside) // 2, "last": len(inside)}[where]
+        m = np.insert(inside, at, off, axis=0)
+        got = linalg.row_space(F, m)
+        assert got.rank == 4
+        assert got.basis == _feed(F, m, 8).basis
+        if len(m) < 3**3:
+            # past the first position, the span is wide before the off row
+            assert at == 0 or _feed(F, m[:at], 8).rank == 3
+            assert got.keys is None
+            continue
+        assert got.keys is not None
+        assert np.array_equal(linalg.span_listing(F, got.matrix())[got.keys], m)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -291,7 +300,8 @@ def test_linear_image_matches_scalar_dot(q, N, r, c, monkeypatch):
 
 def test_row_space_sample_missing_a_direction():
     # 100 rows of a rank-3 span over GF(5): the listing would outgrow the rows
-    # (5^3 > 100), so the rows past the first basis vectors are eliminated
+    # (5^3 > 100), so `linear_image` proves the rows met after the span
+    # reaches rank 3
     F = field_context(5).Fq
     rng = np.random.default_rng(11)
     low = _combos(F, rng.integers(0, 5, (100, 3)), rng.integers(0, 5, (3, 7)))

@@ -184,19 +184,25 @@ def test_module_entry_point_matches_in_process_run(tmp_path, monkeypatch, args,
     assert bool(files) is (code == 0)
 
 
-def test_closed_stdout_exits_1_without_a_traceback(tmp_path):
+@pytest.mark.parametrize("argv,report,ok", [
+    (["variety", "--q", "2", "--n", "2"], "variety_q2_n2.json", "two_character_ok"),
+    (["oa", "--q", "2", "--n", "2"], "oa_q2_n2.json", "strength_ok"),
+    (["code", "--q", "5"], "code_q5.json", "mds"),
+    (["grid", "--instances", "2,2"], "grid_report.json", "ok"),
+], ids=["variety", "oa", "code", "grid"])
+def test_closed_stdout_exits_1_without_a_traceback(tmp_path, argv, report, ok):
     # the report is written before the first line to stdout fails
     read, write = os.pipe()
     os.close(read)
     try:
-        res = subprocess.run([sys.executable, "-m", "qhv.cli", "grid",
-                              "--instances", "2,2"], cwd=tmp_path, env=_env(),
-                             stdout=write, stderr=subprocess.PIPE, timeout=120)
+        res = subprocess.run([sys.executable, "-m", "qhv.cli", *argv],
+                             cwd=tmp_path, env=_env(), stdout=write,
+                             stderr=subprocess.PIPE, timeout=120)
     finally:
         os.close(write)
     assert res.returncode == 1
     assert res.stderr == b""
-    assert json.loads((tmp_path / "grid_report.json").read_text())["ok"]
+    assert json.loads((tmp_path / report).read_text())[ok]
 
 
 def test_interrupt_prints_aborted_and_exits_1(tmp_path, monkeypatch):
