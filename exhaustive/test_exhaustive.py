@@ -88,6 +88,14 @@ def test_extension_proof_catches_a_row_at_first_middle_last_position(q):
         assert dx.dimension == 6, row
         assert dx.generator[-1].tolist() == [0] * q + [1]
         assert (dx.keys is not None) is (row == N - 1)
+    # a second off row past the first, outside the code plus e_q, is met
+    # where the span has outgrown the rows: by the linear_image branch alone
+    doctored = plain.copy()
+    doctored[N // 2, q] = Fq.add(int(doctored[N // 2, q]), 1)
+    doctored[N - 1, 0] = Fq.add(int(doctored[N - 1, 0]), 1)
+    dx = cod._fq_code(ec.params.ctx, doctored)
+    assert dx.dimension == 7 and dx.keys is None
+    assert dx.generator[-1].tolist() == [0] * q + [1]
 
 
 def test_code_command_at_q_19(tmp_path):
@@ -104,6 +112,22 @@ def test_code_command_at_q_19(tmp_path):
             meta["mds"], meta["codewords"]) == (20, 5, 16, True, 19**5)
     assert meta["rs_equivalence"] == {"consistent": True, "two_sided": True,
                                       "checked": 19**5, "mismatches": 0}
+
+
+def test_variety_command_at_4_7(tmp_path):
+    # 840400 points: the points file is one format_rows gather, checked here
+    # against a join per point of bm_variety's points
+    res = CliRunner().invoke(main, ["variety", "--q", "7", "--n", "4",
+                                    "--out", str(tmp_path / "v")])
+    assert res.exit_code == 0, res.output
+    ctx = field_context(7)
+    S = geo.bm_variety(geo.scan_params(ctx, 4, mode="variety"))
+    names = [ctx.format_element(x) for x in range(ctx.q2)]
+    lines = [" ".join(names[x] for x in pt) for pt in S.points.tolist()]
+    assert (tmp_path / "v.points.txt").read_bytes() == \
+        ("\n".join(lines) + "\n").encode()
+    report = json.loads((tmp_path / "v.json").read_text())
+    assert report["size"] == len(S) == 840400 and report["two_character_ok"]
 
 
 def test_grid_instance_with_its_oracle_at_3_5():

@@ -109,9 +109,9 @@ def variety(q, n, a, b, out, fmt, budget):
     with _exit_on_bad_input():
         ctx = field_context(q)
         params = _params(ctx, n, a, b, mode="variety")
-        S = geo.bm_variety(params, budget=_budget(budget))
-        spectrum = geo.character_spectrum(S, ctx, budget=_budget(budget),
-                                          params=params)
+        limit = _budget(budget)
+        S = geo.bm_variety(params, budget=limit)
+        spectrum = geo.character_spectrum(S, ctx, budget=limit, params=params)
     expected_support = geo.expected_spectrum_support(n, q)
     expected_size = geo.hermitian_size(n, q)
     ok = len(S) == expected_size and set(spectrum) == expected_support
@@ -128,20 +128,19 @@ def variety(q, n, a, b, out, fmt, budget):
     base = out or f"variety_q{q}_n{n}"
     with _exit_on_bad_input():
         if fmt == "json":
-            report["points"] = S.export_lines(ctx)
+            report["points"] = S.export_bytes(ctx).decode().splitlines()
             _write_json(base + ".json", report)
             print(base + ".json", flush=True)
         else:
-            with open(base + ".points.txt", "w") as fh:
-                fh.write("\n".join(S.export_lines(ctx)) + "\n")
+            with open(base + ".points.txt", "wb") as fh:
+                fh.write(S.export_bytes(ctx))
             _write_json(base + ".json", report)
             print(base + ".points.txt", flush=True)
             print(base + ".json", flush=True)
     print(f"|M| = {len(S)}, spectrum support {sorted(set(spectrum))}, "
           f"two-character {'ok' if ok else 'FAILED'}", flush=True)
     if not ok:
-        witness = geo.first_hyperplane_outside(S, ctx, expected_support,
-                                               budget=_budget(budget))
+        witness = geo.first_hyperplane_outside(S, ctx, expected_support, budget=limit)
         if witness is None:
             print(f"two-character check: no hyperplane count outside "
                   f"{sorted(expected_support)}; |M| = {len(S)}, "
@@ -177,7 +176,8 @@ def oa(q, n, a, b, out, fmt, budget):
     with _exit_on_bad_input():
         ctx = field_context(q)
         params = _params(ctx, n, a, b, mode="family")
-        A = oa_mod.build_oa(params, budget=_budget(budget))
+        limit = _budget(budget)
+        A = oa_mod.build_oa(params, budget=limit)
     strength = oa_mod.verify_strength(A, 2)
     if strength.violations:
         cols, symbols, count = strength.violations[0]
@@ -311,7 +311,8 @@ def grid(instances, out, budget):
                 raise ValueError(f"ambient dimension n must be >= 2, got {n}")
             field_context(q)  # rejects q that is not a prime power, or too large
             pairs.append(oracles.GridInstance(n, q))
-        spec = oracles.GridSpec(tuple(pairs), budget=_budget(budget))
+        limit = _budget(budget)
+        spec = oracles.GridSpec(tuple(pairs), budget=limit)
     report = oracles.run_grid(spec)
     report["config"] = cfg
     base = out or "grid_report"

@@ -22,7 +22,8 @@ import numpy as np
 
 from . import linalg
 from ._record import record
-from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, field_context
+from .fields import (DEFAULT_BUDGET, BudgetExceededError, FieldCtx, field_context,
+                     format_rows)
 from .params import BMParams, separating_map
 from .intersecting_family import family, w_values
 
@@ -204,12 +205,8 @@ def rs_equivalence_check(code: FqLinearCode, omega: OmegaSet) -> RSReport:
         first = (row, 5 + col)
         distinct = linalg.distinct_rows(words)
     else:  # every word is fixed by its first five coordinates, a base-q key
-        key = np.zeros(len(words), dtype=np.int32)
-        for j in range(5):
-            key *= q
-            key += words[:, j]
         seen = np.zeros(q**5, dtype=bool)
-        seen[key] = True
+        seen[linalg.pivot_keys(words, range(5), q)] = True
         distinct = int(np.count_nonzero(seen))
     return RSReport(
         checked=len(words),
@@ -243,9 +240,7 @@ def rs_certificate(code: FqLinearCode, omega: OmegaSet) -> RSReport | None:
     # G, an RREF, seeds the basis and only V's rows are added; a row that
     # reduces to 0 lies in span(G) whatever G is, so the proof needs no check
     Fq = field_context(q).Fq
-    span = linalg.SpanBuilder(Fq, code.length)
-    span.basis = code.generator.tolist()
-    span.pivots = (code.generator != 0).argmax(axis=1).tolist()
+    span = linalg.SpanBuilder(Fq, code.length, code.generator)
     for k in range(5):
         span.add([Fq.pow(t, k) for t in psi] + [int(k == 4)] * (code.length - q))
     if span.rank != 5:
@@ -315,15 +310,15 @@ def puncture(code: FqLinearCode) -> FqLinearCode:
 # exports
 # ---------------------------------------------------------------------------
 
-def generator_matrix_text(code: FqLinearCode) -> str:
-    lines = [" ".join(map(str, row)) for row in code.generator.tolist()]
-    return "\n".join(lines) + "\n"
+def generator_matrix_text(code: FqLinearCode) -> bytes:
+    """The generator, one row per line, its symbols space-separated."""
+    return format_rows(code.generator, [str(x) for x in range(code.q)], " ")
 
 
-def code_metadata(code: FqLinearCode, eval_code: EvalCode, genmat: str,
+def code_metadata(code: FqLinearCode, eval_code: EvalCode, genmat: bytes,
                   rs_report: RSReport | None = None,
                   extra_meta: dict | None = None) -> dict:
-    """Metadata for the code and its generator matrix text ``genmat``."""
+    """Metadata for the code and the bytes ``genmat`` of its generator matrix."""
     import hashlib  # loads OpenSSL: only commands that write a digest pay it
 
     ctx = eval_code.params.ctx
@@ -344,7 +339,7 @@ def code_metadata(code: FqLinearCode, eval_code: EvalCode, genmat: str,
         "theta": ctx.theta,
         "omega_pairs": [list(p) for p in eval_code.omega.pairs],
         "evaluation_points": list(eval_code.omega.psi),
-        "generator_sha256": hashlib.sha256(genmat.encode()).hexdigest(),
+        "generator_sha256": hashlib.sha256(genmat).hexdigest(),
     }
     if rs_report is not None:
         meta["rs_equivalence"] = {
@@ -365,7 +360,7 @@ def write_code(code: FqLinearCode, eval_code: EvalCode, base_path: str,
     paths = []
     gen_path = base_path + ".genmat.txt"
     genmat = generator_matrix_text(code)
-    with open(gen_path, "w") as fh:
+    with open(gen_path, "wb") as fh:
         fh.write(genmat)
     paths.append(gen_path)
     json_path = base_path + ".json"
@@ -376,8 +371,8 @@ def write_code(code: FqLinearCode, eval_code: EvalCode, base_path: str,
     paths.append(json_path)
     if dump_codewords:
         words_path = base_path + ".codewords.txt"
-        with open(words_path, "w") as fh:
-            for row in code.codewords.tolist():
-                fh.write(" ".join(map(str, row)) + "\n")
+        with open(words_path, "wb") as fh:
+            fh.write(format_rows(code.codewords, [str(x) for x in range(code.q)],
+                                 " "))
         paths.append(words_path)
     return paths

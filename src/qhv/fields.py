@@ -523,6 +523,18 @@ class FieldCtx:
         return f"FieldCtx(q={self.q})"
 
 
+def format_rows(rows: np.ndarray, labels: list[str], sep: str) -> bytes:
+    """Each row of an int matrix as one line, its entries' labels joined by
+    ``sep``: every exported matrix is written through here.  A cell is a
+    fixed-width byte slot, its label and then ``sep`` or, in the last column,
+    newline, padded with NUL; the slots are gathered by the entries and the
+    padding stripped in one pass.  No row gives no bytes."""
+    slots = np.array([[s + sep for s in labels], [s + "\n" for s in labels]],
+                     dtype=np.bytes_)
+    last = np.arange(rows.shape[1]) == rows.shape[1] - 1
+    return slots[last.astype(np.intp), rows].tobytes().replace(b"\0", b"")
+
+
 @lru_cache(maxsize=None)
 def field_context(q: int) -> FieldCtx:
     """Shared, immutable context for GF(q) in GF(q^2)."""

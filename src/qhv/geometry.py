@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from ._record import record
-from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
+from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, format_rows
 from .params import (BMParams, ParameterError, bab_affine_eval,  # noqa: F401
                      check_R_budget, classical_params, coordinate_tables,
                      family_params, lex_grid, scan_params, separating_map,
@@ -100,11 +100,10 @@ class PointSet:
     def __len__(self) -> int:
         return len(self.points)
 
-    def export_lines(self, ctx: FieldCtx) -> list[str]:
+    def export_bytes(self, ctx: FieldCtx) -> bytes:
         """One point per line; elements as comma-joined GF(p) digit vectors."""
-        names = np.array([ctx.format_element(c) for c in range(ctx.q2)],
-                         dtype=object)
-        return [" ".join(pt) for pt in names[self.points].tolist()]
+        names = [ctx.format_element(c) for c in range(ctx.q2)]
+        return format_rows(self.points, names, " ")
 
 
 def point_set(n: int, pts) -> PointSet:

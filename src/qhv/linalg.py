@@ -18,13 +18,14 @@ import numpy as np
 
 
 class SpanBuilder:
-    """Incremental RREF over a stream of rows; tracks the span's dimension."""
+    """Incremental RREF over a stream of rows; tracks the span's dimension.
+    It starts from the rows of ``rref``, an RREF, if given."""
 
-    def __init__(self, F, ncols: int):
+    def __init__(self, F, ncols: int, rref=()):
         self.F = F
         self.ncols = ncols
-        self.basis: list[list[int]] = []   # rows in RREF, ascending pivot
-        self.pivots: list[int] = []
+        self.basis: list[list[int]] = np.asarray(rref).tolist()  # RREF, ascending pivot
+        self.pivots = [next(j for j, x in enumerate(row) if x) for row in self.basis]
         # set by ``row_space`` when its listing walk proves every row: row
         # i's pivot key
         self.keys: np.ndarray | None = None

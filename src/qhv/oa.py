@@ -16,7 +16,7 @@ import numpy as np
 from . import linalg
 from ._record import record
 from .intersecting_family import family, w_values
-from .fields import DEFAULT_BUDGET, BudgetExceededError
+from .fields import DEFAULT_BUDGET, BudgetExceededError, format_rows
 from .params import BMParams
 
 #: verify_strength stops listing violations after this many
@@ -234,17 +234,8 @@ def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET,
 # ---------------------------------------------------------------------------
 
 def oa_csv_bytes(A: OrthogonalArray) -> bytes:
-    """One line per row, the levels in decimal, comma-separated.
-
-    Each cell becomes a fixed-width byte slot, its label followed by "," or,
-    in the last column, by newline and padded with NUL; the slots are
-    gathered by the entries and the padding is stripped in one pass.
-    """
-    labels = [str(x) for x in range(A.levels)]
-    slots = np.array([[s + "," for s in labels], [s + "\n" for s in labels]],
-                     dtype=np.bytes_)
-    last = np.arange(A.factors) == A.factors - 1
-    return slots[last.astype(np.intp), A.entries].tobytes().replace(b"\0", b"")
+    """One line per row, the levels in decimal, comma-separated."""
+    return format_rows(A.entries, [str(x) for x in range(A.levels)], ",")
 
 
 def oa_sidecar(A: OrthogonalArray, csv: bytes, strength: StrengthReport,

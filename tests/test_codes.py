@@ -435,6 +435,26 @@ def test_extension_proof_catches_a_row_at_first_middle_last_position():
         assert cod.rs_certificate(punctured, ec.omega) is None
 
 
+@pytest.mark.parametrize("first,second", [(0, 1), (0, 2**14), (2**14, 8**5 - 1)])
+def test_extension_proof_finds_a_second_off_row_in_the_wide_walk(first, second):
+    # past the first off row the span has 8^6 vectors, more than the 8^5
+    # rows, so only the linear_image branch can meet the second one: it
+    # adds e_0, outside the code plus e_8 (no word has weight <= 2)
+    q = 8
+    ec = _code(q)
+    plain = cod.doubly_extend(ec).codewords
+    doctored = plain.copy()
+    doctored[first, q] ^= 1
+    doctored[second, 0] ^= 1
+    dx = cod._fq_code(ec.params.ctx, doctored)
+    assert dx.dimension == 7 and dx.keys is None
+    expected = linalg.SpanBuilder(field_context(q).Fq, q + 1,
+                                  cod._fq_code(ec.params.ctx, plain).generator)
+    assert expected.add(doctored[first]) and expected.add(doctored[second])
+    assert np.array_equal(dx.generator, expected.matrix())
+    assert dx.generator[-1].tolist() == [0] * q + [1]
+
+
 @pytest.mark.parametrize("q", [5, 7, 8, 9])
 def test_extension_column_reads_y_off_the_row_number(q):
     # row r of the evaluation code is the point r of w_set: its appended

@@ -1,9 +1,13 @@
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from qhv import codes as cod
 from qhv import fields
+from qhv import geometry as geo
+from qhv import oa as oam
 from qhv.fields import (
     DENSE_TABLE_LIMIT,
     BudgetExceededError,
@@ -348,6 +352,66 @@ def test_element_encoding_roundtrip():
         assert all(0 <= d < ctx.p for d in ds)
         assert ctx.element_from_digits(ds) == x
     assert ctx.format_element(0) == "0,0,0,0"
+
+
+# -- the row formatter, against the exports' former join per row ----------------
+
+def _row_join(rows, labels, sep) -> bytes:
+    """Reference: every export before ``format_rows``, one join per row."""
+    lines = [sep.join(labels[x] for x in row) for row in np.asarray(rows).tolist()]
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_format_rows_on_element_labels_of_different_widths(q):
+    # the variety's labels: GF(p) digit vectors such as "10,3" and "1,0"
+    ctx = field_context(q)
+    labels = [ctx.format_element(x) for x in range(ctx.q2)]
+    assert {len(s) for s in labels} == {3, 4, 5}
+    rows = np.random.default_rng(q).integers(ctx.q2, size=(60, 4)).astype(np.int32)
+    rows[0] = ctx.q2 - 1
+    assert fields.format_rows(rows, labels, " ") == _row_join(rows, labels, " ")
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (1, 6), (40, 1), (40, 6)])
+@pytest.mark.parametrize("v,sep", [(2, ","), (11, ","), (13, " "), (32, " ")])
+def test_format_rows_on_decimal_labels(shape, v, sep):
+    # the array's levels and the code's symbols, one row or one column included
+    labels = [str(x) for x in range(v)]
+    rows = np.random.default_rng(v).integers(v, size=shape).astype(np.int16)
+    rows[0, 0] = v - 1
+    assert fields.format_rows(rows, labels, sep) == _row_join(rows, labels, sep)
+
+
+def test_format_rows_gives_no_bytes_for_no_row():
+    # the former join gave a lone newline here
+    assert fields.format_rows(np.zeros((0, 5), dtype=np.int16), ["0"], " ") == b""
+
+
+@pytest.mark.parametrize("n,q", [(2, 11), (2, 13), (3, 4)])
+def test_point_export_matches_the_row_join(n, q):
+    ctx = field_context(q)
+    S = geo.bm_variety(geo.scan_params(ctx, n, mode="variety"))
+    labels = [ctx.format_element(x) for x in range(ctx.q2)]
+    assert S.export_bytes(ctx) == _row_join(S.points, labels, " ")
+
+
+def test_array_csv_matches_the_row_join():
+    A = oam.build_oa(geo.scan_params(field_context(11), 2, mode="family"))
+    labels = [str(x) for x in range(11)]
+    assert oam.oa_csv_bytes(A) == _row_join(A.entries, labels, ",")
+
+
+@pytest.mark.parametrize("q", [11, 13])
+def test_generator_and_codeword_dump_match_the_row_join(q, tmp_path):
+    ec = cod.build_code(geo.scan_params(field_context(q), 3, mode="family"))
+    c = cod.puncture(cod.doubly_extend(ec))
+    genmat, _, words = cod.write_code(c, ec, str(tmp_path / "c"),
+                                      dump_codewords=True)
+    labels = [str(x) for x in range(q)]
+    assert Path(genmat).read_bytes() == _row_join(c.generator, labels, " ")
+    assert Path(words).read_bytes() == _row_join(c.codewords, labels, " ")
+    assert c.generator.max() >= 10
 
 
 def test_context_deterministic():

@@ -308,7 +308,8 @@ def test_point_set_export():
     ctx = field_context(2)
     params = geo.scan_params(ctx, 2, mode="variety")
     S = geo.bm_variety(params)
-    lines = S.export_lines(ctx)
+    lines = S.export_bytes(ctx).decode().split("\n")
+    assert lines.pop() == ""  # every line, the last included, ends in "\n"
     assert len(lines) == len(S)
     points = [tuple(pt) for pt in S.points.tolist()]
     assert points == sorted(points)
