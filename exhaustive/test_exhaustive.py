@@ -9,6 +9,7 @@ codes or the spectrum, and report its result next to the tier-1 count.
 
 import json
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -21,6 +22,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from qhv import codes as cod  # noqa: E402
 from qhv import geometry as geo  # noqa: E402
+from qhv import linalg  # noqa: E402
 from qhv.cli import main  # noqa: E402
 from qhv import oa as oam  # noqa: E402
 from qhv.fields import field_context  # noqa: E402
@@ -74,8 +76,8 @@ def test_criterion_3_mds_codes(q):
 def test_extension_proof_catches_a_row_at_first_middle_last_position(q):
     # tier-1's test of the same name at q = 16 and 17: one row's appended
     # coordinate alone is off, so the extension has dimension 6 and its
-    # last generator row is the unit vector; q^6 outgrows the q^5 rows, so
-    # the walk keys every row only when it meets the off row last
+    # last generator row is the unit vector; the final basis keys every
+    # row, and its q^6 vectors outgrow the q^5 rows
     ec = cod.build_code(geo.scan_params(field_context(q), 3, mode="family"),
                         budget=10**8)
     Fq = ec.params.ctx.Fq
@@ -87,15 +89,24 @@ def test_extension_proof_catches_a_row_at_first_middle_last_position(q):
         dx = cod._fq_code(ec.params.ctx, doctored)
         assert dx.dimension == 6, row
         assert dx.generator[-1].tolist() == [0] * q + [1]
-        assert (dx.keys is not None) is (row == N - 1)
+        _assert_keyed_wider(dx, doctored, q)
     # a second off row past the first, outside the code plus e_q, is met
-    # where the span has outgrown the rows: by the linear_image branch alone
+    # where the span has outgrown the rows
     doctored = plain.copy()
     doctored[N // 2, q] = Fq.add(int(doctored[N // 2, q]), 1)
     doctored[N - 1, 0] = Fq.add(int(doctored[N - 1, 0]), 1)
     dx = cod._fq_code(ec.params.ctx, doctored)
-    assert dx.dimension == 7 and dx.keys is None
+    assert dx.dimension == 7
     assert dx.generator[-1].tolist() == [0] * q + [1]
+    _assert_keyed_wider(dx, doctored, q)
+
+
+def _assert_keyed_wider(code, words, q):
+    """The code's keys are the words' pivot keys, and its span is wider
+    than the words."""
+    pivots = [int(row.nonzero()[0][0]) for row in code.generator]
+    assert (code.keys == linalg.pivot_keys(words, pivots, q)).all()
+    assert not linalg.whole_span(code.keys, q, code.dimension)
 
 
 def test_code_command_at_q_19(tmp_path):
@@ -112,6 +123,33 @@ def test_code_command_at_q_19(tmp_path):
             meta["mds"], meta["codewords"]) == (20, 5, 16, True, 19**5)
     assert meta["rs_equivalence"] == {"consistent": True, "two_sided": True,
                                       "checked": 19**5, "mismatches": 0}
+
+
+@pytest.mark.parametrize("argv,megabytes,line", [
+    (["oa", "--q", "8", "--n", "3"], 1200,
+     "OA(32768,4096,8,2) index 512: strength ok, simple ok\n"),
+    (["code", "--q", "23", "--doubly-extend"], 1400,
+     "[23,5,19] doubly extended to [24,5,20]: ok (MDS True, RS-equivalent True)\n"),
+], ids=["oa_3_8", "code_23"])
+def test_commands_at_2e8_cells_fit_their_measured_memory(tmp_path, argv,
+                                                         megabytes, line):
+    # the caps leave at least 100 MiB above the least address space each
+    # command passed in with one OpenBLAS thread, about 1000 and 1260 MiB;
+    # a listing of the span beside the array or the code, 8^5 or 23^5 rows
+    # of its free columns, would not fit
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "PYTHONPATH": src}
+    env.pop("QHV_BUDGET", None)
+    res = subprocess.run([sys.executable, "-m", "qhv.cli", *argv,
+                          "--budget", "200000000", "--out", "x"],
+                         cwd=tmp_path, env=env, capture_output=True, text=True,
+                         timeout=600, preexec_fn=cap)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.endswith(line)
 
 
 def test_variety_command_at_4_7(tmp_path):

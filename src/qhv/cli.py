@@ -1,8 +1,8 @@
 """Command-line front end: construct, verify and export.
 
 Exit codes: 0 all requested verifications passed, 1 a verification failed,
-2 invalid parameters, 3 budget exceeded.  Outputs are deterministic: the
-same invocation produces byte-identical files.
+2 invalid parameters, 3 budget exceeded or out of memory.  Outputs are
+deterministic: the same invocation produces byte-identical files.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from . import geometry as geo
 from . import oa as oa_mod
 from . import oracles
 from . import params as params_mod
-from .fields import DEFAULT_BUDGET, BudgetExceededError, field_context
+from .fields import DEFAULT_BUDGET, BudgetExceededError, field_context, write_json
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,12 +63,6 @@ def _exit_on_bad_input():
 def _params(ctx, n, a, b, mode):
     # the benchmark's own tests call this name; the policy is scan_params's
     return params_mod.scan_params(ctx, n, mode=mode, a=a, b=b)
-
-
-def _write_json(path: str, payload: dict) -> None:
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
-        fh.write("\n")
 
 
 # each command's function and options, in the order that --help lists them;
@@ -129,12 +123,12 @@ def variety(q, n, a, b, out, fmt, budget):
     with _exit_on_bad_input():
         if fmt == "json":
             report["points"] = S.export_bytes(ctx).decode().splitlines()
-            _write_json(base + ".json", report)
+            write_json(base + ".json", report)
             print(base + ".json", flush=True)
         else:
             with open(base + ".points.txt", "wb") as fh:
                 fh.write(S.export_bytes(ctx))
-            _write_json(base + ".json", report)
+            write_json(base + ".json", report)
             print(base + ".points.txt", flush=True)
             print(base + ".json", flush=True)
     print(f"|M| = {len(S)}, spectrum support {sorted(set(spectrum))}, "
@@ -192,7 +186,7 @@ def oa(q, n, a, b, out, fmt, budget):
             payload = oa_mod.oa_sidecar(A, oa_mod.oa_csv_bytes(A), strength,
                                         simple, cfg)
             payload["entries"] = A.entries.tolist()
-            _write_json(base + ".json", payload)
+            write_json(base + ".json", payload)
             print(base + ".json", flush=True)
         else:
             csv_path, json_path = oa_mod.write_oa(A, base, strength, simple, cfg)
@@ -317,7 +311,7 @@ def grid(instances, out, budget):
     report["config"] = cfg
     base = out or "grid_report"
     with _exit_on_bad_input():
-        _write_json(base + ".json", report)
+        write_json(base + ".json", report)
     print(base + ".json", flush=True)
     for inst in report["instances"]:
         print(f"(n={inst['n']}, q={inst['q']}): {_grid_status(inst)}", flush=True)
@@ -397,6 +391,11 @@ def main(args=None, prog_name=None, **extra) -> None:
     except KeyboardInterrupt:
         print("\nAborted!", file=sys.stderr, flush=True)
         sys.exit(1)
+    except MemoryError:
+        # a budget counts cells, not bytes: one the machine cannot hold
+        # ends like one the command refuses
+        print("budget exceeded: out of memory", file=sys.stderr, flush=True)
+        sys.exit(EXIT_BUDGET)
     except BrokenPipeError:
         # the reader closed the pipe: exit 1 without a traceback, and with
         # nothing left to fail at the interpreter's last flush

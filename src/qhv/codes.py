@@ -15,7 +15,6 @@ coefficient of the interpolating polynomial doubly extends it to
 
 from __future__ import annotations
 
-import json
 import warnings
 
 import numpy as np
@@ -23,7 +22,7 @@ import numpy as np
 from . import linalg
 from ._record import record
 from .fields import (DEFAULT_BUDGET, BudgetExceededError, FieldCtx, field_context,
-                     format_rows)
+                     format_rows, write_json)
 from .params import BMParams, separating_map
 from .intersecting_family import family, w_values
 
@@ -110,8 +109,8 @@ class FqLinearCode:
     """Codeword list over GF(q) with its dimension and generator matrix.
 
     ``keys``, when set, is ``row_space``'s proof that every codeword lies in
-    the span of the generator: codeword i is the span vector whose entries
-    at the pivots are the base-q digits of keys[i].
+    the span of the generator: codeword i is the span vector whose
+    coordinates in the generator are the base-q digits of keys[i].
     """
 
     q: int
@@ -126,7 +125,7 @@ class FqLinearCode:
 
 def _fq_code(ctx: FieldCtx, scaled: np.ndarray) -> FqLinearCode:
     """Check that every theta-rescaled entry lands in GF(q), and span the
-    rows, keeping their pivot keys when the span proof lists them."""
+    rows, keeping their pivot keys."""
     if not np.all(scaled < ctx.q):
         raise RuntimeError(
             "a rescaled coordinate fell outside GF(q); the trace-zero "
@@ -364,10 +363,8 @@ def write_code(code: FqLinearCode, eval_code: EvalCode, base_path: str,
         fh.write(genmat)
     paths.append(gen_path)
     json_path = base_path + ".json"
-    with open(json_path, "w") as fh:
-        json.dump(code_metadata(code, eval_code, genmat, rs_report, extra_meta),
-                  fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, code_metadata(code, eval_code, genmat, rs_report,
+                                        extra_meta))
     paths.append(json_path)
     if dump_codewords:
         words_path = base_path + ".codewords.txt"

@@ -15,6 +15,7 @@ bit-identical contexts.
 
 from __future__ import annotations
 
+import json
 from functools import lru_cache
 from itertools import product
 
@@ -533,6 +534,14 @@ def format_rows(rows: np.ndarray, labels: list[str], sep: str) -> bytes:
                      dtype=np.bytes_)
     last = np.arange(rows.shape[1]) == rows.shape[1] - 1
     return slots[last.astype(np.intp), rows].tobytes().replace(b"\0", b"")
+
+
+def write_json(path: str, payload: dict) -> None:
+    """Write ``payload`` as indented JSON with sorted keys and a final
+    newline: every JSON artifact is written through here."""
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+        fh.write("\n")
 
 
 @lru_cache(maxsize=None)

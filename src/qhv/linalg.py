@@ -2,11 +2,9 @@
 
 `SpanBuilder` is the one Gaussian elimination: ranks, spans and inverses
 all go through it.  `row_space` proves every row of a matrix in the span it
-finds in one ordered walk: against a listing of the span (`span_listing`)
-while that has no more vectors than the matrix has rows, through
-`linear_image` once it has more.  `linear_image` is the one bulk product
-X·M: membership in a wider span and Reed-Solomon consistency both ask
-whether one column block is a fixed linear image of another.
+finds in one ordered walk, each row through `linear_image`.  `linear_image`
+is the one bulk product X·M: span membership and Reed-Solomon consistency
+both ask whether one column block is a fixed linear image of another.
 `gram_blocks` is the one co-occurrence counter: OA strength, mutual
 intersections and the W-relative intersections are all blocks of the Gram
 matrix of a 0/1 matrix.
@@ -26,8 +24,8 @@ class SpanBuilder:
         self.ncols = ncols
         self.basis: list[list[int]] = np.asarray(rref).tolist()  # RREF, ascending pivot
         self.pivots = [next(j for j, x in enumerate(row) if x) for row in self.basis]
-        # set by ``row_space`` when its listing walk proves every row: row
-        # i's pivot key
+        # set by ``row_space`` once its walk proves every row: row i's
+        # pivot key
         self.keys: np.ndarray | None = None
 
     def add(self, row) -> bool:
@@ -63,8 +61,8 @@ class SpanBuilder:
         return np.array(self.basis, dtype=np.int16).reshape(self.rank, self.ncols)
 
 
-#: rows per ``linear_image`` block; a block's products are IMAGE_BLOCK x c ints
-IMAGE_BLOCK = 4096
+#: cells per ``linear_image`` block: max(IMAGE_CELLS // c, 1) rows of c columns
+IMAGE_CELLS = 2**17
 
 #: matrix cells in the first block ``_scan`` checks after each new basis vector
 SCAN_CELLS = 2**12
@@ -75,12 +73,13 @@ def linear_image(F, X, M) -> np.ndarray:
 
     Row k of M turns into the table ``mul[:, M[k]]``, whose row x is x·M[k];
     a block of rows gathers one table row per entry of X and sums the r
-    gathered blocks through the flat add table.  Only IMAGE_BLOCK rows are
-    in flight at a time, so the temporaries stay a fixed size.  Field codes
-    stay below DENSE_TABLE_LIMIT, so the tables, the flat add index a·q + b
-    and every sum stay int16.  The gathers use ``take``, which widens its
-    int16 indices to intp in one copy, at most a block's worth here, and is
-    then about twice as fast as fancy indexing on int16 indices.
+    gathered blocks through the flat add table.  A block holds about
+    IMAGE_CELLS cells of the product, however wide c is, so the temporaries
+    stay a fixed size.  Field codes stay below DENSE_TABLE_LIMIT, so the
+    tables, the flat add index a·q + b and every sum stay int16.  The
+    gathers use ``take``, which widens its int16 indices to intp in one
+    copy, at most a block's worth here, and is then about twice as fast as
+    fancy indexing on int16 indices.
     """
     X, M = np.asarray(X), np.asarray(M, dtype=np.intp)
     q = F.order
@@ -89,39 +88,23 @@ def linear_image(F, X, M) -> np.ndarray:
     out = np.zeros((len(X), M.shape[1]), dtype=np.int16)
     if not tables:
         return out
-    for lo in range(0, len(X), IMAGE_BLOCK):
-        block = X[lo:lo + IMAGE_BLOCK]
+    rows = max(IMAGE_CELLS // max(M.shape[1], 1), 1)
+    for lo in range(0, len(X), rows):
+        block = X[lo:lo + rows]
         acc = tables[0].take(block[:, 0], axis=0)
         for k in range(1, len(tables)):
             acc *= q
             acc += tables[k].take(block[:, k], axis=0)
             acc = add.take(acc)
-        out[lo:lo + IMAGE_BLOCK] = acc
+        out[lo:lo + rows] = acc
     return out
-
-
-def span_listing(F, basis: np.ndarray) -> np.ndarray:
-    """Every vector of the span of an RREF basis, one row each, int16.
-
-    Row number sum_j c_j q^(r-1-j) is sum_j c_j basis[j].  Basis row j is 1
-    at pivot j and 0 at the other pivots, so a listed vector's entries at
-    the pivots are the base-q digits of its own row number: its pivot key.
-    Any choice of the basis columns lists those columns of the same
-    vectors, in the same order; with no column, q^r empty rows.
-    """
-    q, k = F.order, basis.shape[1]
-    add = F.np_add_table().ravel().astype(np.int16)
-    times = F.np_mul_table().astype(np.int16) * q   # c·b, premultiplied by q
-    E = np.zeros((1, k), dtype=np.int16)
-    for b in basis:
-        E = add.take(np.add(E[:, None, :], times[:, b], order="C"))
-        E = E.reshape(len(E) * q, k)
-    return E
 
 
 def pivot_keys(rows: np.ndarray, pivots, q: int) -> np.ndarray:
     """Each row's entries at the pivots as one base-q int64 key, the first
-    pivot most significant: a span vector's row number in `span_listing`."""
+    pivot most significant.  Basis row j of an RREF is 1 at pivot j and 0
+    at the other pivots, so a span vector's key spells its coordinates in
+    the basis: distinct span vectors have distinct keys."""
     keys = np.zeros(len(rows), dtype=np.int64)
     for p in pivots:
         keys *= q
@@ -132,8 +115,8 @@ def pivot_keys(rows: np.ndarray, pivots, q: int) -> np.ndarray:
 def whole_span(keys, q: int, rank: int) -> bool:
     """Whether pivot keys that `row_space` set name every vector of a span
     of this rank once each: q^rank keys, none repeated.  Every row was
-    proved equal to the span vector under its key, so the rows are then the
-    whole span, each once."""
+    proved in the span, where its key names it alone, so the rows are then
+    the whole span, each once."""
     if keys is None or len(keys) != q**rank:
         return False
     seen = np.zeros(q**rank, dtype=bool)
@@ -141,18 +124,15 @@ def whole_span(keys, q: int, rank: int) -> bool:
     return bool(seen.all())
 
 
-def _scan(builder: SpanBuilder, matrix: np.ndarray) -> np.ndarray | None:
+def _scan(builder: SpanBuilder, matrix: np.ndarray) -> None:
     """Prove every row in order against the span, extending the builder by
-    each row that lies outside it.  Returns every row's pivot key when each
-    row was proved against a listing, else None.
+    each row that lies outside it.
 
     A row lies in the span exactly when it equals the image of its pivot
-    entries, its coordinates in the RREF basis.  While the span has at most
-    len(matrix) vectors, that image is read from the listing under the
-    row's pivot key; a wider span takes it from `linear_image`.  The image
-    equals the row at the pivots, so the columns before the first free
-    (non-pivot) column, all pivots, are neither imaged nor compared: for
-    the extended code's RREF that leaves its 4 free columns of 9, and a
+    entries, its coordinates in the RREF basis, under `linear_image`.  The
+    image equals the row at the pivots, so the columns before the first
+    free (non-pivot) column, all pivots, are neither imaged nor compared:
+    for the extended code's RREF that leaves its 4 free columns of 9, and a
     span of full rank holds every row.  The first row that differs is a new
     basis vector: it enters through `SpanBuilder.add` and the walk goes on
     after it; rows already passed lie in every larger span.  Blocks start
@@ -160,51 +140,36 @@ def _scan(builder: SpanBuilder, matrix: np.ndarray) -> np.ndarray | None:
     pass, so a block cut short by a new vector wastes little.
     """
     F, N, k = builder.F, len(matrix), matrix.shape[1]
-    q, first = F.order, max(SCAN_CELLS // max(k, 1), 1)
-    keys = np.empty(N, dtype=np.int64)
-    pos = changed = 0
-    listed = True   # the rank only grows: once wider than N, always wider
+    first, pos = max(SCAN_CELLS // max(k, 1), 1), 0
     while pos < N:
         lead = next((i for i, p in enumerate(builder.pivots) if p != i),
                     builder.rank)
         basis, step = builder.matrix()[:, lead:], first
-        listed = q ** builder.rank <= N
-        if listed:
-            E = span_listing(F, basis)
         while pos < N:
             block = matrix[pos:pos + step]
-            if listed:
-                keys[pos:pos + len(block)] = pivot_keys(block, builder.pivots, q)
-                image = np.take(E, keys[pos:pos + len(block)], axis=0)
-            else:
-                image = linear_image(F, block[:, builder.pivots], basis)
+            image = linear_image(F, block[:, builder.pivots], basis)
             # one flat search: a row-wise any() over a few columns is slower
             hits = np.flatnonzero(block[:, lead:] != image)
             if len(hits):
                 pos += int(hits[0]) // (k - lead)
                 builder.add(matrix[pos])
-                pos = changed = pos + 1
+                pos += 1
                 break
             pos, step = pos + len(block), 2 * step
-    if not listed:
-        return None
-    # keys before the last new basis vector used an older basis
-    keys[:changed] = pivot_keys(matrix[:changed], builder.pivots, q)
-    return keys
 
 
 def row_space(F, matrix: np.ndarray) -> SpanBuilder:
     """RREF basis of the span of every row of an int-coded matrix.
 
     `_scan` proves each row in the span, picking the basis from the rows it
-    meets in order; when every row was proved against a listing, the
-    builder's ``keys`` hold each row's pivot key.  The RREF of a span is
-    unique, so the basis does not depend on the order in which rows are
-    met.
+    meets in order; the builder's ``keys`` then hold each row's pivot key,
+    its coordinates in that basis.  The RREF of a span is unique, so the
+    basis does not depend on the order in which rows are met.
     """
     matrix = np.asarray(matrix, dtype=np.int16)
     builder = SpanBuilder(F, matrix.shape[1])
-    builder.keys = _scan(builder, matrix)
+    _scan(builder, matrix)
+    builder.keys = pivot_keys(matrix, builder.pivots, F.order)
     return builder
 
 

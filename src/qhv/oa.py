@@ -8,7 +8,6 @@ OA(q^{2n-1}, q^{2n-2}, q, 2) of index q^{2n-3}.
 
 from __future__ import annotations
 
-import json
 from itertools import combinations
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from . import linalg
 from ._record import record
 from .intersecting_family import family, w_values
-from .fields import DEFAULT_BUDGET, BudgetExceededError, format_rows
+from .fields import DEFAULT_BUDGET, BudgetExceededError, format_rows, write_json
 from .params import BMParams
 
 #: verify_strength stops listing violations after this many
@@ -286,8 +285,5 @@ def write_oa(A: OrthogonalArray, base_path: str, strength: StrengthReport,
     csv = oa_csv_bytes(A)
     with open(csv_path, "wb") as fh:
         fh.write(csv)
-    with open(json_path, "w") as fh:
-        json.dump(oa_sidecar(A, csv, strength, simple, extra_meta), fh,
-                  indent=2, sort_keys=True)
-        fh.write("\n")
+    write_json(json_path, oa_sidecar(A, csv, strength, simple, extra_meta))
     return csv_path, json_path

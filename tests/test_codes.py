@@ -25,6 +25,11 @@ def _code(q):
     return cod.build_code(_params(q))
 
 
+def _pivots(code):
+    """The pivot columns of a code's RREF generator."""
+    return [int(np.flatnonzero(row)[0]) for row in code.generator]
+
+
 # -- the twisted-cubic index set ------------------------------------------------
 
 def test_omega_first_pair_is_zero():
@@ -425,8 +430,9 @@ def test_extension_proof_catches_a_row_at_first_middle_last_position():
         dx = cod._fq_code(ctx, doctored)
         assert dx.dimension == 6, row
         assert dx.generator[-1].tolist() == [0] * q + [1]
-        # the last row is met by the listing walk, which then keys every row
-        assert (dx.keys is not None) is (row == N - 1)
+        # every row is keyed by the final basis, which spans more than the rows
+        assert np.array_equal(dx.keys, linalg.pivot_keys(doctored, _pivots(dx), q))
+        assert not linalg.whole_span(dx.keys, q, dx.dimension)
         punctured = cod.puncture(dx)
         assert punctured.dimension == 5
         assert np.array_equal(punctured.generator, c.generator)
@@ -438,8 +444,8 @@ def test_extension_proof_catches_a_row_at_first_middle_last_position():
 @pytest.mark.parametrize("first,second", [(0, 1), (0, 2**14), (2**14, 8**5 - 1)])
 def test_extension_proof_finds_a_second_off_row_in_the_wide_walk(first, second):
     # past the first off row the span has 8^6 vectors, more than the 8^5
-    # rows, so only the linear_image branch can meet the second one: it
-    # adds e_0, outside the code plus e_8 (no word has weight <= 2)
+    # rows, and the walk still meets the second one: it adds e_0, outside
+    # the code plus e_8 (no word has weight <= 2)
     q = 8
     ec = _code(q)
     plain = cod.doubly_extend(ec).codewords
@@ -447,7 +453,9 @@ def test_extension_proof_finds_a_second_off_row_in_the_wide_walk(first, second):
     doctored[first, q] ^= 1
     doctored[second, 0] ^= 1
     dx = cod._fq_code(ec.params.ctx, doctored)
-    assert dx.dimension == 7 and dx.keys is None
+    assert dx.dimension == 7
+    assert np.array_equal(dx.keys, linalg.pivot_keys(doctored, _pivots(dx), q))
+    assert not linalg.whole_span(dx.keys, q, dx.dimension)
     expected = linalg.SpanBuilder(field_context(q).Fq, q + 1,
                                   cod._fq_code(ec.params.ctx, plain).generator)
     assert expected.add(doctored[first]) and expected.add(doctored[second])

@@ -118,6 +118,15 @@ def _combos(F, coeffs, basis):
     return out
 
 
+def _assert_keyed(F, got, m):
+    """``row_space``'s keys are the rows' pivot keys, and each row is the
+    span vector whose coordinates in the basis are its key's base-q digits."""
+    q = F.order
+    assert np.array_equal(got.keys, linalg.pivot_keys(m, got.pivots, q))
+    digits = got.keys[:, None] // q ** np.arange(got.rank - 1, -1, -1) % q
+    assert np.array_equal(_combos(F, digits, got.matrix()), m)
+
+
 def _matrix(F, kind, rng):
     q = F.order
     if kind == "full":
@@ -144,30 +153,15 @@ def test_row_space_matches_row_by_row_feed(q, kind):
 @pytest.mark.parametrize("q", [2, 3, 4, 7, 9])
 @pytest.mark.parametrize("kind", ["full", "deficient", "duplicated", "zero"])
 def test_row_space_keys_find_each_row_in_the_listing(q, kind):
+    # every row is the span vector listed under its own key: `_combos` of
+    # the key's digits and the basis; where the span outgrows the rows,
+    # they are not the whole span
     F = field_context(q).Fq
     m = _matrix(F, kind, np.random.default_rng(q))
     got = linalg.row_space(F, m)
-    # keys exist whenever the span never outgrew the rows
-    assert (got.keys is None) <= (q ** got.rank > len(m))
-    if got.keys is None:
-        return
-    assert np.array_equal(got.keys, linalg.pivot_keys(m, got.pivots, q))
-    assert np.array_equal(linalg.span_listing(F, got.matrix())[got.keys], m)
-
-
-@pytest.mark.parametrize("q", [2, 4, 5, 9])
-def test_span_listing_is_every_combination_in_key_order(q):
-    F = field_context(q).Fq
-    rng = np.random.default_rng(q)
-    basis = linalg.row_space(F, rng.integers(0, q, (3, 7))).matrix()
-    r = len(basis)
-    keys = np.arange(q ** r)
-    digits = keys[:, None] // q ** np.arange(r - 1, -1, -1) % q
-    listed = linalg.span_listing(F, basis)
-    assert listed.dtype == np.int16
-    assert np.array_equal(listed, _combos(F, digits, basis))
-    pivots = [int(np.flatnonzero(b)[0]) for b in basis]
-    assert np.array_equal(linalg.pivot_keys(listed, pivots, q), keys)
+    _assert_keyed(F, got, m)
+    if q ** got.rank > len(m):
+        assert not linalg.whole_span(got.keys, q, got.rank)
 
 
 def test_row_space_finds_one_row_outside_a_rank_5_span():
@@ -197,12 +191,11 @@ FREE_RUN_BASIS = [[1, 2, 0, 1, 2, 0, 1, 1],
 @pytest.mark.parametrize("column", [1, 3, 4, 6, 7])
 def test_row_space_catches_a_row_off_in_one_free_column(column, where):
     # a span vector changed in one free column only, among every span
-    # vector four times over: 109 rows, so the listing walk proves all of
-    # them at rank 4 too (3^4 <= 109); and among 20 span vectors, whose 21
-    # rows the span outgrows at rank 3 (3^3 > 21), so that `linear_image`
-    # proves every row met after that
+    # vector four times over (109 rows), and among 20 span vectors, whose
+    # 21 rows the span outgrows at rank 3 (3^3 > 21)
     F = field_context(3).Fq
-    span = linalg.span_listing(F, np.array(FREE_RUN_BASIS))
+    digits = np.arange(27)[:, None] // 3 ** np.arange(2, -1, -1) % 3
+    span = _combos(F, digits, np.array(FREE_RUN_BASIS))
     rng = np.random.default_rng(column)
     for inside in (rng.permutation(np.tile(span, (4, 1))),
                    rng.permutation(span)[:20]):
@@ -213,27 +206,23 @@ def test_row_space_catches_a_row_off_in_one_free_column(column, where):
         got = linalg.row_space(F, m)
         assert got.rank == 4
         assert got.basis == _feed(F, m, 8).basis
-        if len(m) < 3**3:
-            # past the first position, the span is wide before the off row
-            assert at == 0 or _feed(F, m[:at], 8).rank == 3
-            assert got.keys is None
-            continue
-        assert got.keys is not None
-        assert np.array_equal(linalg.span_listing(F, got.matrix())[got.keys], m)
+        _assert_keyed(F, got, m)
+        assert not linalg.whole_span(got.keys, 3, got.rank)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_row_space_of_the_whole_space_has_no_free_column(q):
-    # every vector of GF(q)^3 twice: a full-rank span lists no column, and
+    # every vector of GF(q)^3 twice: a full-rank span images no column, and
     # the walk still proves and keys every row
     F = field_context(q).Fq
     space = np.indices((q,) * 3).reshape(3, -1).T
     m = np.random.default_rng(q).permutation(np.tile(space, (2, 1)))
     got = linalg.row_space(F, m)
     assert got.rank == 3 and got.pivots == [0, 1, 2]
-    assert got.keys is not None
     assert np.array_equal(got.keys, linalg.pivot_keys(m, [0, 1, 2], q))
-    assert linalg.span_listing(F, got.matrix()[:, []]).shape == (q ** 3, 0)
+    assert linalg.linear_image(F, m, got.matrix()[:, 3:]).shape == (len(m), 0)
+    assert not linalg.whole_span(got.keys, q, 3)  # each vector twice
+    assert linalg.whole_span(linalg.row_space(F, space).keys, q, 3)
 
 
 @pytest.mark.parametrize("shape", [(200, 4), (50, 1), (1, 6), (300, 9)],
@@ -283,11 +272,12 @@ def test_gram_dtype_keeps_counts_exact():
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
 @pytest.mark.parametrize("N,r,c", [(200, 3, 4), (50, 1, 5), (50, 4, 1), (0, 3, 2),
-                                   (5, 0, 3)],
-                         ids=["blocks", "r1", "c1", "zero_rows", "r0"])
+                                   (5, 0, 3), (6, 2, 300)],
+                         ids=["blocks", "r1", "c1", "zero_rows", "r0", "wide"])
 def test_linear_image_matches_scalar_dot(q, N, r, c, monkeypatch):
-    # a small block makes 200 rows three full blocks and a partial one
-    monkeypatch.setattr(linalg, "IMAGE_BLOCK", 64)
+    # a small block makes 200 rows of 4 columns three full blocks of 64
+    # rows and a partial one, and 300 columns a block per row
+    monkeypatch.setattr(linalg, "IMAGE_CELLS", 256)
     F = field_context(q).Fq
     rng = np.random.default_rng(q * 100 + N + r)
     X = rng.integers(0, q, (N, r)).astype(np.int16)
@@ -299,9 +289,8 @@ def test_linear_image_matches_scalar_dot(q, N, r, c, monkeypatch):
 
 
 def test_row_space_sample_missing_a_direction():
-    # 100 rows of a rank-3 span over GF(5): the listing would outgrow the rows
-    # (5^3 > 100), so `linear_image` proves the rows met after the span
-    # reaches rank 3
+    # 100 rows of a rank-3 span over GF(5), one replaced by a row outside
+    # it: the span outgrows the rows (5^4 > 100)
     F = field_context(5).Fq
     rng = np.random.default_rng(11)
     low = _combos(F, rng.integers(0, 5, (100, 3)), rng.integers(0, 5, (3, 7)))
@@ -314,5 +303,6 @@ def test_row_space_sample_missing_a_direction():
         m[at] = outside
         got = linalg.row_space(F, m)
         ref = _feed(F, m, 7)
-        assert got.keys is None  # not every row was proved against a listing
         assert (got.basis, got.pivots, got.rank) == (ref.basis, ref.pivots, 4)
+        _assert_keyed(F, got, m)
+        assert not linalg.whole_span(got.keys, 5, 4)

@@ -220,6 +220,42 @@ def test_interrupt_prints_aborted_and_exits_1(tmp_path, monkeypatch):
     assert not list(tmp_path.iterdir())
 
 
+def _capped(tmp_path, megabytes, *argv):
+    """Run the CLI as ``_python`` does, with the child's address space capped
+    at ``megabytes`` MiB (this process keeps its own) and one OpenBLAS
+    thread, whose buffers the cap counts too."""
+    import resource
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (megabytes << 20, megabytes << 20))
+    return subprocess.run([sys.executable, "-m", "qhv.cli", *argv], cwd=tmp_path,
+                          env={**_env(), "OPENBLAS_NUM_THREADS": "1"},
+                          capture_output=True, text=True, timeout=120,
+                          preexec_fn=cap)
+
+
+@pytest.mark.parametrize("argv", [
+    ["oa", "--q", "8", "--n", "3", "--budget", "200000000"],
+    ["code", "--q", "23", "--doubly-extend", "--budget", "200000000"],
+], ids=["oa", "code"])
+def test_out_of_memory_exits_3_on_one_line(tmp_path, argv):
+    # each fits its budget of cells but needs about 1 GiB or more of address
+    # space, so one of its arrays fails to allocate after numpy has loaded
+    res = _capped(tmp_path, 512, *argv)
+    assert res.returncode == 3
+    assert res.stderr.splitlines() == ["budget exceeded: out of memory"]
+    assert "Traceback" not in res.stderr
+
+
+def test_the_span_walk_fits_the_3_7_array_in_512_mb(tmp_path):
+    # the whole command needs about 375 MiB of address space; a listing of
+    # the span beside it, 7^5 rows of its 2396 free columns, would not fit
+    res = _capped(tmp_path, 512, "oa", "--q", "7", "--n", "3",
+                  "--budget", "100000000", "--out", "a")
+    assert res.returncode == 0, res.stderr
+    assert json.loads((tmp_path / "a.json").read_text())["strength_ok"]
+
+
 def test_every_export_is_its_submodules_object():
     assert qhv._EXPORTS
     for name, module in qhv._EXPORTS.items():
