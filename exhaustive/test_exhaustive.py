@@ -13,6 +13,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -22,7 +23,6 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from qhv import codes as cod  # noqa: E402
 from qhv import geometry as geo  # noqa: E402
-from qhv import linalg  # noqa: E402
 from qhv.cli import main  # noqa: E402
 from qhv import oa as oam  # noqa: E402
 from qhv.fields import field_context  # noqa: E402
@@ -76,8 +76,8 @@ def test_criterion_3_mds_codes(q):
 def test_extension_proof_catches_a_row_at_first_middle_last_position(q):
     # tier-1's test of the same name at q = 16 and 17: one row's appended
     # coordinate alone is off, so the extension has dimension 6 and its
-    # last generator row is the unit vector; the final basis keys every
-    # row, and its q^6 vectors outgrow the q^5 rows
+    # last generator row is the unit vector; every row lies in the final
+    # span, and its q^6 vectors outgrow the q^5 rows
     ec = cod.build_code(geo.scan_params(field_context(q), 3, mode="family"),
                         budget=10**8)
     Fq = ec.params.ctx.Fq
@@ -89,7 +89,7 @@ def test_extension_proof_catches_a_row_at_first_middle_last_position(q):
         dx = cod._fq_code(ec.params.ctx, doctored)
         assert dx.dimension == 6, row
         assert dx.generator[-1].tolist() == [0] * q + [1]
-        _assert_keyed_wider(dx, doctored, q)
+        _assert_spanned_wider(dx, doctored)
     # a second off row past the first, outside the code plus e_q, is met
     # where the span has outgrown the rows
     doctored = plain.copy()
@@ -98,15 +98,21 @@ def test_extension_proof_catches_a_row_at_first_middle_last_position(q):
     dx = cod._fq_code(ec.params.ctx, doctored)
     assert dx.dimension == 7
     assert dx.generator[-1].tolist() == [0] * q + [1]
-    _assert_keyed_wider(dx, doctored, q)
+    _assert_spanned_wider(dx, doctored)
 
 
-def _assert_keyed_wider(code, words, q):
-    """The code's keys are the words' pivot keys, and its span is wider
-    than the words."""
-    pivots = [int(row.nonzero()[0][0]) for row in code.generator]
-    assert (code.keys == linalg.pivot_keys(words, pivots, q)).all()
-    assert not linalg.whole_span(code.keys, q, code.dimension)
+def _assert_spanned_wider(code, words):
+    """Each word is the span vector whose coordinates in the code's RREF
+    generator are its entries at the pivots, and the span is wider than
+    the words."""
+    Fq = field_context(code.q).Fq
+    add, mul = Fq.np_add_table(), Fq.np_mul_table()
+    span = np.zeros_like(words)
+    for row in code.generator:
+        pivot = int(np.flatnonzero(row)[0])
+        span = add[span, mul[words[:, pivot, None], row]]
+    assert np.array_equal(span, words)
+    assert not code.whole
 
 
 def test_code_command_at_q_19(tmp_path):
@@ -126,15 +132,15 @@ def test_code_command_at_q_19(tmp_path):
 
 
 @pytest.mark.parametrize("argv,megabytes,line", [
-    (["oa", "--q", "8", "--n", "3"], 1200,
+    (["oa", "--q", "8", "--n", "3"], 1000,
      "OA(32768,4096,8,2) index 512: strength ok, simple ok\n"),
-    (["code", "--q", "23", "--doubly-extend"], 1400,
+    (["code", "--q", "23", "--doubly-extend"], 1150,
      "[23,5,19] doubly extended to [24,5,20]: ok (MDS True, RS-equivalent True)\n"),
 ], ids=["oa_3_8", "code_23"])
 def test_commands_at_2e8_cells_fit_their_measured_memory(tmp_path, argv,
                                                          megabytes, line):
     # the caps leave at least 100 MiB above the least address space each
-    # command passed in with one OpenBLAS thread, about 1000 and 1260 MiB;
+    # command passed in with one OpenBLAS thread, about 875 and 1040 MiB;
     # a listing of the span beside the array or the code, 8^5 or 23^5 rows
     # of its free columns, would not fit
     import resource

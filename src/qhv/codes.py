@@ -108,9 +108,8 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
 class FqLinearCode:
     """Codeword list over GF(q) with its dimension and generator matrix.
 
-    ``keys``, when set, is ``row_space``'s proof that every codeword lies in
-    the span of the generator: codeword i is the span vector whose
-    coordinates in the generator are the base-q digits of keys[i].
+    ``whole`` is ``row_space``'s proof that the codewords are every vector
+    of the generator's span, each once.
     """
 
     q: int
@@ -120,19 +119,19 @@ class FqLinearCode:
     generator: np.ndarray          # dimension x length, reduced echelon form
     min_dist: int | None = None
     is_mds: bool | None = None
-    keys: np.ndarray | None = None
+    whole: bool = False
 
 
 def _fq_code(ctx: FieldCtx, scaled: np.ndarray) -> FqLinearCode:
     """Check that every theta-rescaled entry lands in GF(q), and span the
-    rows, keeping their pivot keys."""
-    if not np.all(scaled < ctx.q):
+    rows, keeping whether they are the whole span, each vector once."""
+    if scaled.size and scaled.max() >= ctx.q:
         raise RuntimeError(
             "a rescaled coordinate fell outside GF(q); the trace-zero "
             "invariant is violated")
     builder = linalg.row_space(ctx.Fq, scaled)
     return FqLinearCode(ctx.q, scaled.shape[1], scaled, builder.rank,
-                        builder.matrix(), keys=builder.keys)
+                        builder.basis, whole=builder.whole)
 
 
 def scale_to_fq(code: EvalCode) -> FqLinearCode:
@@ -221,20 +220,20 @@ def rs_certificate(code: FqLinearCode, omega: OmegaSet) -> RSReport | None:
     from the generator alone; None, with nothing set, when the proof fails.
 
     It applies to the [q, 5] code and its doubly extended [q+1, 5] form.
-    ``row_space`` proved every word equal to the span vector under its pivot
-    key, so q^5 distinct keys make the words the whole span of the
-    generator G.  Let V be the generalized Vandermonde matrix: column i is
-    (1, t, t^2, t^3, t^4) at t = psi(i), and the extension's column q, the
-    degree-4 coefficient, is (0, 0, 0, 0, 1).  If G and V together have
-    rank 5, then span(G) = span(V): each word evaluates a polynomial of
-    degree <= 4 (none mismatches its interpolant) and each such polynomial
-    gives a word (all q^5 occur).  Any 5 columns of V on distinct points are
+    ``row_space`` proved the words every vector of the span of the
+    generator G, each once (``whole``).  Let V be the generalized
+    Vandermonde matrix: column i is (1, t, t^2, t^3, t^4) at t = psi(i),
+    and the extension's column q, the degree-4 coefficient, is
+    (0, 0, 0, 0, 1).  If G and V together have rank 5, then
+    span(G) = span(V): each word evaluates a polynomial of degree <= 4
+    (none mismatches its interpolant) and each such polynomial gives a word
+    (all q^5 occur).  Any 5 columns of V on distinct points are
     independent, so a nonzero word has at most 4 zeros: d = length - 4 and
     the code is MDS.
     """
-    q, keys, psi = code.q, code.keys, omega.psi
+    q, psi = code.q, omega.psi
     if (code.dimension != 5 or code.length - q not in (0, 1)
-            or len(set(psi)) != q or not linalg.whole_span(keys, q, 5)):
+            or len(set(psi)) != q or not code.whole):
         return None
     # G, an RREF, seeds the basis and only V's rows are added; a row that
     # reduces to 0 lies in span(G) whatever G is, so the proof needs no check
@@ -283,7 +282,9 @@ def doubly_extend(code: EvalCode) -> FqLinearCode:
                    dtype=np.int32)
     words = code.codewords
     scaled = np.empty((len(words), words.shape[1] + 1), dtype=np.int16)
-    scaled[:, :-1] = ctx.over_theta(words)
+    rows = max(linalg.IMAGE_CELLS // ctx.q, 1)  # no full-size temporary
+    for lo in range(0, len(words), rows):
+        scaled[lo:lo + rows, :-1] = ctx.over_theta(words[lo:lo + rows])
     # row r has y = (r // q) mod q^2: the column is ext over y, each value
     # repeated q times, the whole repeated for each x
     scaled[:, -1].reshape(-1, ctx.q2, ctx.q)[...] = ctx.over_theta(ext)[:, None]
@@ -296,13 +297,14 @@ def puncture(code: FqLinearCode) -> FqLinearCode:
     In an RREF the last column is either no pivot, or its pivot row is the
     unit vector there and every other row is 0 in it; so the rows with a
     pivot before the last column, cut to the first length - 1 columns, are
-    the RREF of the punctured code, and no elimination is needed.  The
-    pivot keys carry over when the last column is no pivot.
+    the RREF of the punctured code, and no elimination is needed.  When
+    the last column is no pivot, puncturing is one-to-one on the span, so
+    the words stay the whole span, each once, if they were.
     """
     gen = code.generator[code.generator[:, :-1].any(axis=1), :-1]
-    keys = code.keys if len(gen) == code.dimension else None
     return FqLinearCode(code.q, code.length - 1, code.codewords[:, :-1],
-                        len(gen), gen, keys=keys)
+                        len(gen), gen,
+                        whole=code.whole and len(gen) == code.dimension)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 `SpanBuilder` is the one Gaussian elimination: ranks, spans and inverses
 all go through it.  `row_space` proves every row of a matrix in the span it
-finds in one ordered walk, each row through `linear_image`.  `linear_image`
+finds in one ordered walk, each row through `linear_image`, and decides
+whether the rows are that whole span, each vector once.  `linear_image`
 is the one bulk product X·M: span membership and Reed-Solomon consistency
 both ask whether one column block is a fixed linear image of another.
 `gram_blocks` is the one co-occurrence counter: OA strength, mutual
@@ -17,16 +18,16 @@ import numpy as np
 
 class SpanBuilder:
     """Incremental RREF over a stream of rows; tracks the span's dimension.
-    It starts from the rows of ``rref``, an RREF, if given."""
+    It starts from the rows of ``rref``, an RREF, if given.  ``basis`` is
+    the RREF as a rank x ncols int16 array (field codes fit int16)."""
 
     def __init__(self, F, ncols: int, rref=()):
         self.F = F
         self.ncols = ncols
-        self.basis: list[list[int]] = np.asarray(rref).tolist()  # RREF, ascending pivot
-        self.pivots = [next(j for j, x in enumerate(row) if x) for row in self.basis]
-        # set by ``row_space`` once its walk proves every row: row i's
-        # pivot key
-        self.keys: np.ndarray | None = None
+        self.basis = np.array(rref, dtype=np.int16).reshape(len(rref), ncols)
+        self.pivots = [int(np.flatnonzero(row)[0]) for row in self.basis]
+        # set by ``row_space``: whether its rows are every span vector once
+        self.whole = False
 
     def add(self, row) -> bool:
         """Reduce row against the basis; extend it if independent.
@@ -37,28 +38,22 @@ class SpanBuilder:
         F = self.F
         add, mul, neg = F.np_add_table(), F.np_mul_table(), F.np_neg_table()
         row = np.asarray(row)
-        basis = self.matrix()
-        for f, b in zip(row[self.pivots].tolist(), basis):
+        for f, b in zip(row[self.pivots].tolist(), self.basis):
             row = add[row, neg[mul[f, b]]]
         nonzero = np.flatnonzero(row)
         if not len(nonzero):
             return False
         piv = int(nonzero[0])
         row = mul[F.inv(int(row[piv])), row]
-        basis = add[basis, neg[mul[basis[:, piv, None], row]]]
+        basis = add[self.basis, neg[mul[self.basis[:, piv, None], row]]]
         k = next((i for i, p in enumerate(self.pivots) if p > piv), len(self.pivots))
-        self.basis = basis.tolist()
-        self.basis.insert(k, row.tolist())
+        self.basis = np.insert(basis, k, row, axis=0).astype(np.int16)
         self.pivots.insert(k, piv)
         return True
 
     @property
     def rank(self) -> int:
         return len(self.basis)
-
-    def matrix(self) -> np.ndarray:
-        """The basis as a rank x ncols int16 array (field codes fit int16)."""
-        return np.array(self.basis, dtype=np.int16).reshape(self.rank, self.ncols)
 
 
 #: cells per ``linear_image`` block: max(IMAGE_CELLS // c, 1) rows of c columns
@@ -84,7 +79,8 @@ def linear_image(F, X, M) -> np.ndarray:
     X, M = np.asarray(X), np.asarray(M, dtype=np.intp)
     q = F.order
     add = F.np_add_table().ravel().astype(np.int16)
-    tables = [F.np_mul_table()[:, m].astype(np.int16) for m in M]
+    mul = F.np_mul_table().astype(np.int16)
+    tables = [mul.take(m, axis=1) for m in M]
     out = np.zeros((len(X), M.shape[1]), dtype=np.int16)
     if not tables:
         return out
@@ -112,18 +108,6 @@ def pivot_keys(rows: np.ndarray, pivots, q: int) -> np.ndarray:
     return keys
 
 
-def whole_span(keys, q: int, rank: int) -> bool:
-    """Whether pivot keys that `row_space` set name every vector of a span
-    of this rank once each: q^rank keys, none repeated.  Every row was
-    proved in the span, where its key names it alone, so the rows are then
-    the whole span, each once."""
-    if keys is None or len(keys) != q**rank:
-        return False
-    seen = np.zeros(q**rank, dtype=bool)
-    seen[keys] = True
-    return bool(seen.all())
-
-
 def _scan(builder: SpanBuilder, matrix: np.ndarray) -> None:
     """Prove every row in order against the span, extending the builder by
     each row that lies outside it.
@@ -137,14 +121,16 @@ def _scan(builder: SpanBuilder, matrix: np.ndarray) -> None:
     basis vector: it enters through `SpanBuilder.add` and the walk goes on
     after it; rows already passed lie in every larger span.  Blocks start
     at SCAN_CELLS cells after each new basis vector and double while they
-    pass, so a block cut short by a new vector wastes little.
+    pass, so a block cut short by a new vector wastes little; they stop
+    doubling at IMAGE_CELLS cells, so no temporary grows with the matrix.
     """
     F, N, k = builder.F, len(matrix), matrix.shape[1]
     first, pos = max(SCAN_CELLS // max(k, 1), 1), 0
+    cap = max(IMAGE_CELLS // max(k, 1), first)
     while pos < N:
         lead = next((i for i, p in enumerate(builder.pivots) if p != i),
                     builder.rank)
-        basis, step = builder.matrix()[:, lead:], first
+        basis, step = builder.basis[:, lead:], first
         while pos < N:
             block = matrix[pos:pos + step]
             image = linear_image(F, block[:, builder.pivots], basis)
@@ -155,21 +141,27 @@ def _scan(builder: SpanBuilder, matrix: np.ndarray) -> None:
                 builder.add(matrix[pos])
                 pos += 1
                 break
-            pos, step = pos + len(block), 2 * step
+            pos, step = pos + len(block), min(2 * step, cap)
 
 
 def row_space(F, matrix: np.ndarray) -> SpanBuilder:
     """RREF basis of the span of every row of an int-coded matrix.
 
     `_scan` proves each row in the span, picking the basis from the rows it
-    meets in order; the builder's ``keys`` then hold each row's pivot key,
-    its coordinates in that basis.  The RREF of a span is unique, so the
-    basis does not depend on the order in which rows are met.
+    meets in order.  The RREF of a span is unique, so the basis does not
+    depend on the order in which rows are met.  A proved row is the span
+    vector named by its pivot key alone, so the builder's ``whole`` is set
+    when q^rank rows have q^rank distinct pivot keys: the rows are then the
+    whole span, each vector once.
     """
     matrix = np.asarray(matrix, dtype=np.int16)
     builder = SpanBuilder(F, matrix.shape[1])
     _scan(builder, matrix)
-    builder.keys = pivot_keys(matrix, builder.pivots, F.order)
+    size = F.order**builder.rank
+    if len(matrix) == size:
+        seen = np.zeros(size, dtype=bool)
+        seen[pivot_keys(matrix, builder.pivots, F.order)] = True
+        builder.whole = bool(seen.all())
     return builder
 
 
@@ -242,4 +234,4 @@ def inv_matrix(F, matrix: list[list[int]]) -> list[list[int]]:
         builder.add(list(row) + [int(i == j) for j in range(n)])
     if builder.pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in builder.basis]
+    return builder.basis[:, n:].tolist()

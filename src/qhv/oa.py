@@ -73,19 +73,17 @@ def _is_linear_code_array(A: OrthogonalArray) -> bool:
     must stand for theta c i, for one c != 0, as in every built array; the
     entries, read as GF(q) codes, are then c^-1 theta^-1 times the values
     and span the same code as the rescaled values the codes span.
-    `linalg.row_space` proves every row lies in the span; the rows are then
-    the whole code, each once, exactly when their pivot keys are
-    `linalg.whole_span`: q^rank of them, none repeated.
+    `linalg.row_space` proves every row lies in the span and decides
+    whether the rows are the whole code, each once (``whole``).
     """
     if A.params is None or A.levels != A.params.ctx.q:
         return False
-    ctx, q = A.params.ctx, A.levels
+    ctx = A.params.ctx
     fq = ctx.over_theta(np.asarray(A.level_map))
     if fq[1] == 0 or not np.array_equal(fq, ctx.Fq.np_mul_table()[fq[1]]):
         return False
     span = linalg.row_space(ctx.Fq, A.entries)
-    return (linalg.whole_span(span.keys, q, span.rank)
-            and _projective_columns(ctx.Fq, span.matrix()))
+    return span.whole and _projective_columns(ctx.Fq, span.basis)
 
 
 def _projective_columns(F, G: np.ndarray) -> bool:
@@ -211,7 +209,7 @@ def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET,
     level = np.full(ctx.q2, -1, dtype=np.int16)
     level[list(ctx.t0)] = np.arange(q)
     entries = level[values]
-    if np.any(entries < 0):
+    if entries.size and entries.min() < 0:
         i, j = np.argwhere(entries < 0)[0]
         raise RuntimeError(
             f"form value {values[i, j]} at row {i}, column {j} is not "

@@ -161,7 +161,7 @@ def _distinct(keys: np.ndarray) -> int:
 def _certified(code, omega):
     """``rs_certificate`` on a copy of the code, and the copy."""
     copy = cod.FqLinearCode(code.q, code.length, code.codewords,
-                            code.dimension, code.generator, keys=code.keys)
+                            code.dimension, code.generator, whole=code.whole)
     return cod.rs_certificate(copy, omega), copy
 
 

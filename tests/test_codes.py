@@ -25,9 +25,16 @@ def _code(q):
     return cod.build_code(_params(q))
 
 
-def _pivots(code):
-    """The pivot columns of a code's RREF generator."""
-    return [int(np.flatnonzero(row)[0]) for row in code.generator]
+def _assert_in_span(code, words):
+    """Each word is the span vector whose coordinates in the code's RREF
+    generator are its entries at the pivots."""
+    Fq = field_context(code.q).Fq
+    add, mul = Fq.np_add_table(), Fq.np_mul_table()
+    span = np.zeros_like(words)
+    for row in code.generator:
+        pivot = int(np.flatnonzero(row)[0])
+        span = add[span, mul[words[:, pivot, None], row]]
+    assert np.array_equal(span, words)
 
 
 # -- the twisted-cubic index set ------------------------------------------------
@@ -417,7 +424,7 @@ def test_puncture_of_the_extension_is_the_scaled_code(q):
 def test_extension_proof_catches_a_row_at_first_middle_last_position():
     # one row's appended coordinate alone is off; the extension then has a
     # pivot in its last column, which the puncture drops without touching
-    # the rest of the generator, and the pivot keys with it
+    # the rest of the generator, and the words stay short of its span
     q = 8
     ec = _code(q)
     ctx = ec.params.ctx
@@ -430,14 +437,14 @@ def test_extension_proof_catches_a_row_at_first_middle_last_position():
         dx = cod._fq_code(ctx, doctored)
         assert dx.dimension == 6, row
         assert dx.generator[-1].tolist() == [0] * q + [1]
-        # every row is keyed by the final basis, which spans more than the rows
-        assert np.array_equal(dx.keys, linalg.pivot_keys(doctored, _pivots(dx), q))
-        assert not linalg.whole_span(dx.keys, q, dx.dimension)
+        # every row lies in the final span, which holds more than the rows
+        _assert_in_span(dx, doctored)
+        assert not dx.whole
         punctured = cod.puncture(dx)
         assert punctured.dimension == 5
         assert np.array_equal(punctured.generator, c.generator)
         assert np.array_equal(punctured.codewords, c.codewords)
-        assert punctured.keys is None
+        assert not punctured.whole
         assert cod.rs_certificate(punctured, ec.omega) is None
 
 
@@ -454,12 +461,12 @@ def test_extension_proof_finds_a_second_off_row_in_the_wide_walk(first, second):
     doctored[second, 0] ^= 1
     dx = cod._fq_code(ec.params.ctx, doctored)
     assert dx.dimension == 7
-    assert np.array_equal(dx.keys, linalg.pivot_keys(doctored, _pivots(dx), q))
-    assert not linalg.whole_span(dx.keys, q, dx.dimension)
+    _assert_in_span(dx, doctored)
+    assert not dx.whole
     expected = linalg.SpanBuilder(field_context(q).Fq, q + 1,
                                   cod._fq_code(ec.params.ctx, plain).generator)
     assert expected.add(doctored[first]) and expected.add(doctored[second])
-    assert np.array_equal(dx.generator, expected.matrix())
+    assert np.array_equal(dx.generator, expected.basis)
     assert dx.generator[-1].tolist() == [0] * q + [1]
 
 
@@ -506,8 +513,8 @@ def test_grid_code_check_takes_one_span(monkeypatch):
 
 def _duplicate_a_word_for_the_span(monkeypatch):
     """The span proof sees word 10 as a copy of word 11: the span is the
-    same, but its keys are not distinct, so the certificate fails, and the
-    scans run on the words as built."""
+    same, but the words are not the whole span, each once, so the
+    certificate fails, and the scans run on the words as built."""
     span = linalg.row_space
 
     def duplicating(F, words):
@@ -543,9 +550,23 @@ def test_min_distance_scans_within_the_command_budget(monkeypatch, tmp_path,
 
 # -- the span certificate ----------------------------------------------------------------
 
-def _unkeyed(code):
+def _unproved(code):
+    """The code without ``row_space``'s proof that its words are the whole
+    span: ``whole`` takes its default, False."""
     return cod.FqLinearCode(code.q, code.length, code.codewords,
                             code.dimension, code.generator)
+
+
+def test_certificate_needs_the_whole_span():
+    q = 7
+    ec = _code(q)
+    dx = cod.doubly_extend(ec)
+    for code in (dx, cod.puncture(dx)):
+        assert code.whole
+        unproved = _unproved(code)
+        assert not unproved.whole
+        assert cod.rs_certificate(unproved, ec.omega) is None
+        assert unproved.min_dist is None and unproved.is_mds is None
 
 
 @pytest.mark.parametrize("q", [5, 7, 8, 9, 11, 13])
@@ -554,7 +575,7 @@ def test_certificate_agrees_with_the_scans(q):
     dx = cod.doubly_extend(ec)
     c = cod.puncture(dx)
     # the punctured code: every report field, d and the MDS flag
-    scanned = _unkeyed(c)
+    scanned = _unproved(c)
     rs = cod.check_code(scanned, ec.omega)
     assert rs == cod.rs_equivalence_check(scanned, ec.omega)
     assert cod.rs_certificate(c, ec.omega) == rs
@@ -563,14 +584,14 @@ def test_certificate_agrees_with_the_scans(q):
             rs.expected_codewords, rs.first_mismatch) == (q**5, 0, q**5, q**5, None)
     # the extension: the same report (its words are the punctured words and
     # their interpolants' leading coefficients), d = q - 3
-    scanned = _unkeyed(dx)
+    scanned = _unproved(dx)
     assert cod.check_code(scanned, ec.omega) is None
     assert cod.rs_certificate(dx, ec.omega) == rs
     assert (dx.min_dist, dx.is_mds) == (scanned.min_dist, scanned.is_mds) == (q - 3, True)
 
 
 def test_certificate_rejects_a_generator_of_another_span():
-    # distinct keys, but one free entry of the RREF moved: rank 6 with V
+    # the whole span, but one free entry of the RREF moved: rank 6 with V
     q = 7
     c = cod.puncture(cod.doubly_extend(_code(q)))
     omega = cod.omega_set(field_context(q))
@@ -578,7 +599,7 @@ def test_certificate_rejects_a_generator_of_another_span():
     for row in range(5):
         generator = c.generator.copy()
         generator[row, free] = (generator[row, free] + 1) % q
-        other = cod.FqLinearCode(q, q, c.codewords, 5, generator, keys=c.keys)
+        other = cod.FqLinearCode(q, q, c.codewords, 5, generator, whole=c.whole)
         assert cod.rs_certificate(other, omega) is None
         assert other.min_dist is None and other.is_mds is None
 
@@ -587,9 +608,10 @@ def test_certificate_needs_distinct_keys_and_distinct_points():
     q = 7
     ec = _code(q)
     c = cod.puncture(cod.doubly_extend(ec))
-    keys = c.keys.copy()
-    keys[10] = keys[11]
-    twice = cod.FqLinearCode(q, q, c.codewords, 5, c.generator, keys=keys)
+    words = c.codewords.copy()
+    words[10] = words[11]
+    twice = cod._fq_code(ec.params.ctx, words)
+    assert twice.dimension == 5 and not twice.whole
     assert cod.rs_certificate(twice, ec.omega) is None
     # the whole span of V at points with a repeat: rank 5 with V, but two
     # coordinates always agree, so the code is not MDS
@@ -598,10 +620,9 @@ def test_certificate_needs_distinct_keys_and_distinct_points():
     span = linalg.SpanBuilder(Fq, q)
     for k in range(5):
         span.add([Fq.pow(t, k) for t in psi])
-    keyed = cod.FqLinearCode(q, q, c.codewords, 5, span.matrix(),
-                             keys=np.arange(q**5))
-    assert cod.rs_certificate(keyed, cod.OmegaSet(ec.omega.pairs, psi)) is None
-    assert keyed.min_dist is None
+    claimed = cod.FqLinearCode(q, q, c.codewords, 5, span.basis, whole=True)
+    assert cod.rs_certificate(claimed, cod.OmegaSet(ec.omega.pairs, psi)) is None
+    assert claimed.min_dist is None
     assert cod.rs_certificate(c, ec.omega) is not None
 
 
@@ -610,7 +631,7 @@ def test_a_code_without_keys_takes_the_scans(monkeypatch, length):
     q = 7
     ec = _code(q)
     dx = cod.doubly_extend(ec)
-    code = _unkeyed(cod.puncture(dx) if length == "punctured" else dx)
+    code = _unproved(cod.puncture(dx) if length == "punctured" else dx)
     calls = []
     for name in ("min_distance", "rs_equivalence_check"):
         real = getattr(cod, name)

@@ -41,8 +41,24 @@ def test_span_builder_rref_and_dependence():
     assert [sb.add(r) for r in ([1, 2, 3], [2, 4, 6], [0, 1, 1])] == \
         [True, False, True]
     assert sb.rank == 2
-    assert sb.basis == [[1, 0, 1], [0, 1, 1]] and sb.pivots == [0, 1]
+    assert sb.basis.dtype == np.int16
+    assert np.array_equal(sb.basis, [[1, 0, 1], [0, 1, 1]]) and sb.pivots == [0, 1]
     assert not sb.add([3, 6, 2])  # = 3*(1,2,3) mod 7, dependent
+
+
+def test_span_builder_starts_empty_or_from_a_zero_row_rref():
+    Fq = field_context(5).Fq
+    none = linalg.SpanBuilder(Fq, 0)
+    assert none.basis.shape == (0, 0) and none.pivots == [] and none.rank == 0
+    assert not none.add([])
+    for seeded in (linalg.SpanBuilder(Fq, 3),
+                   linalg.SpanBuilder(Fq, 3, np.zeros((0, 3), dtype=np.int16))):
+        assert seeded.basis.shape == (0, 3) and seeded.basis.dtype == np.int16
+        assert seeded.pivots == [] and seeded.rank == 0
+        assert not seeded.add([0, 0, 0])
+        assert seeded.add([0, 2, 4]) and seeded.add([1, 1, 1])
+        assert np.array_equal(seeded.basis, [[1, 0, 4], [0, 1, 2]])
+        assert seeded.pivots == [0, 1]
 
 
 def test_span_builder_exact_rank():
@@ -119,12 +135,12 @@ def _combos(F, coeffs, basis):
 
 
 def _assert_keyed(F, got, m):
-    """``row_space``'s keys are the rows' pivot keys, and each row is the
-    span vector whose coordinates in the basis are its key's base-q digits."""
+    """Each row is the span vector whose coordinates in ``row_space``'s
+    basis are the base-q digits of the row's pivot key."""
     q = F.order
-    assert np.array_equal(got.keys, linalg.pivot_keys(m, got.pivots, q))
-    digits = got.keys[:, None] // q ** np.arange(got.rank - 1, -1, -1) % q
-    assert np.array_equal(_combos(F, digits, got.matrix()), m)
+    keys = linalg.pivot_keys(m, got.pivots, q)
+    digits = keys[:, None] // q ** np.arange(got.rank - 1, -1, -1) % q
+    assert np.array_equal(_combos(F, digits, got.basis), m)
 
 
 def _matrix(F, kind, rng):
@@ -146,7 +162,8 @@ def test_row_space_matches_row_by_row_feed(q, kind):
     m = _matrix(F, kind, np.random.default_rng(q))
     got = linalg.row_space(F, m)
     ref = _feed(F, m, m.shape[1])
-    assert (got.basis, got.pivots, got.rank) == (ref.basis, ref.pivots, ref.rank)
+    assert got.basis.dtype == np.int16 and np.array_equal(got.basis, ref.basis)
+    assert (got.pivots, got.rank) == (ref.pivots, ref.rank)
     assert got.rank == {"full": 6, "zero": 0}.get(kind, 3)
 
 
@@ -161,7 +178,7 @@ def test_row_space_keys_find_each_row_in_the_listing(q, kind):
     got = linalg.row_space(F, m)
     _assert_keyed(F, got, m)
     if q ** got.rank > len(m):
-        assert not linalg.whole_span(got.keys, q, got.rank)
+        assert not got.whole
 
 
 def test_row_space_finds_one_row_outside_a_rank_5_span():
@@ -172,12 +189,12 @@ def test_row_space_finds_one_row_outside_a_rank_5_span():
     assert linalg.row_space(F, inside).rank == 5
     spanned = _feed(F, basis, 8)
     outside = next(r for r in rng.integers(0, 7, (50, 8))
-                   if _feed(F, spanned.basis + [r], 8).rank == 6)
+                   if _feed(F, np.vstack([spanned.basis, r]), 8).rank == 6)
     for at in (0, 1000, len(inside)):
         m = np.insert(inside, at, outside, axis=0)
         got = linalg.row_space(F, m)
         assert got.rank == 6
-        assert got.basis == _feed(F, m, 8).basis
+        assert np.array_equal(got.basis, _feed(F, m, 8).basis)
 
 
 # RREF over GF(3) of rank 3 with pivots 0, 2, 5: the free columns are the
@@ -205,9 +222,9 @@ def test_row_space_catches_a_row_off_in_one_free_column(column, where):
         m = np.insert(inside, at, off, axis=0)
         got = linalg.row_space(F, m)
         assert got.rank == 4
-        assert got.basis == _feed(F, m, 8).basis
+        assert np.array_equal(got.basis, _feed(F, m, 8).basis)
         _assert_keyed(F, got, m)
-        assert not linalg.whole_span(got.keys, 3, got.rank)
+        assert not got.whole
 
 
 @pytest.mark.parametrize("q", [2, 3, 4])
@@ -219,10 +236,29 @@ def test_row_space_of_the_whole_space_has_no_free_column(q):
     m = np.random.default_rng(q).permutation(np.tile(space, (2, 1)))
     got = linalg.row_space(F, m)
     assert got.rank == 3 and got.pivots == [0, 1, 2]
-    assert np.array_equal(got.keys, linalg.pivot_keys(m, [0, 1, 2], q))
-    assert linalg.linear_image(F, m, got.matrix()[:, 3:]).shape == (len(m), 0)
-    assert not linalg.whole_span(got.keys, q, 3)  # each vector twice
-    assert linalg.whole_span(linalg.row_space(F, space).keys, q, 3)
+    _assert_keyed(F, got, m)
+    assert linalg.linear_image(F, m, got.basis[:, 3:]).shape == (len(m), 0)
+    assert not got.whole  # each vector twice
+    assert linalg.row_space(F, space).whole
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_row_space_is_whole_for_every_vector_once(q):
+    # every vector of a rank-3 span in GF(q)^5 once, shuffled, is the whole
+    # span; one row duplicated over another, one row dropped (q^3 - 1 rows)
+    # or one row repeated on top (q^3 + 1 rows) is not
+    F = field_context(q).Fq
+    rng = np.random.default_rng(q)
+    basis = np.array([[1, 0, 0, 1, 2 % q], [0, 1, 0, 1, 1], [0, 0, 1, 0, 1]])
+    digits = np.indices((q,) * 3).reshape(3, -1).T
+    span = rng.permutation(_combos(F, digits, basis))
+    got = linalg.row_space(F, span)
+    assert got.rank == 3 and np.array_equal(got.basis, basis) and got.whole
+    duplicated = span.copy()
+    duplicated[5] = duplicated[6]
+    for m in (duplicated, span[1:], np.vstack([span, span[3]])):
+        got = linalg.row_space(F, m)
+        assert got.rank == 3 and not got.whole
 
 
 @pytest.mark.parametrize("shape", [(200, 4), (50, 1), (1, 6), (300, 9)],
@@ -297,12 +333,13 @@ def test_row_space_sample_missing_a_direction():
     spanned = _feed(F, low, 7)
     assert spanned.rank == 3
     outside = next(r for r in rng.integers(0, 5, (50, 7))
-                   if _feed(F, spanned.basis + [r], 7).rank == 4)
+                   if _feed(F, np.vstack([spanned.basis, r]), 7).rank == 4)
     for at in (1, len(low) // 2 + 1, len(low) - 1):
         m = low.copy()
         m[at] = outside
         got = linalg.row_space(F, m)
         ref = _feed(F, m, 7)
-        assert (got.basis, got.pivots, got.rank) == (ref.basis, ref.pivots, 4)
+        assert np.array_equal(got.basis, ref.basis)
+        assert (got.pivots, got.rank) == (ref.pivots, 4)
         _assert_keyed(F, got, m)
-        assert not linalg.whole_span(got.keys, 5, 4)
+        assert not got.whole
