@@ -169,8 +169,8 @@ def scan_params(ctx: FieldCtx, n: int, mode: str = "variety",
     not scanned: it goes to ``validate_params`` in mode "quasi_hermitian", to
     ``classical_params`` (a = 0) or ``validate_params`` in mode "variety", and
     to ``family_params`` (a = 0 there meaning classical) in mode "family".
-    An n below 2, a pinned a that is no GF(q^2) code and a pinned b that
-    ``_check_b`` rejects are rejected before any pair is tried.
+    An n below 2, a pinned a or b out of range and a pinned b in GF(q) are
+    rejected before any pair is tried, as a fully pinned pair would be.
     """
     if n < 2:
         raise ParameterError("ambient dimension n must be >= 2")
@@ -180,8 +180,8 @@ def scan_params(ctx: FieldCtx, n: int, mode: str = "variety",
         if mode == "variety" and a == 0:
             return classical_params(ctx, n, b)
         return validate_params(ctx, n, a, b)
-    if a is not None and not 0 <= a < ctx.q2:
-        raise ParameterError(f"a = {a} is not a GF(q^2) code")
+    if a and not 0 < a < ctx.q2:  # a pinned 0 is the classical case
+        raise ParameterError(f"a = {a} is not a nonzero GF(q^2) code")
     if b is not None:
         _check_b(ctx, b)
     a_range = [a] if a is not None else list(range(1, ctx.q2))

@@ -471,7 +471,8 @@ def test_usage_error_exits_2(runner, tmp_path, monkeypatch, args):
 
 @pytest.mark.parametrize("args,message", [
     (["grid", "--instances", "-2,3"], "ambient dimension n must be >= 2, got -2"),
-    (["variety", "--q", "3", "--a", "-5"], "a = -5 is not a GF(q^2) code"),
+    (["variety", "--q", "3", "--a", "-5"],
+     "a = -5 is not a nonzero GF(q^2) code"),
 ], ids=["instances", "a"])
 def test_an_option_value_may_start_with_a_dash(runner, tmp_path, args, message):
     # the value reaches the command's own check, not a usage error
@@ -484,13 +485,16 @@ def test_an_option_value_may_start_with_a_dash(runner, tmp_path, args, message):
     ["variety", "--q", "3"], ["oa", "--q", "3", "--n", "2"], ["code", "--q", "5"],
 ], ids=["variety", "oa", "code"])
 @pytest.mark.parametrize("pinned,message", [
-    (["--a", "99"], "a = 99 is not a GF(q^2) code"),
+    (["--a", "99"], "a = 99 is not a nonzero GF(q^2) code"),
+    (["--a", "99", "--b", "5"], "a = 99 is not a nonzero GF(q^2) code"),
     (["--b", "99"], "b = 99 is not a GF(q^2) code"),
     (["--b", "1"], "b = 1 lies in GF(q); b^q - b would vanish"),
-], ids=["a_out_of_range", "b_out_of_range", "b_in_gf_q"])
+], ids=["a_out_of_range", "a_out_of_range_b_pinned", "b_out_of_range",
+        "b_in_gf_q"])
 def test_a_half_pinned_pair_names_its_fault(runner, tmp_path, command, pinned,
                                             message):
-    # one pinned code, the other scanned: the same message in every command
+    # one pinned code, the other scanned: the same message in every command,
+    # and the one a fully pinned pair with the same fault gets
     res = runner.invoke(main, command + pinned + ["--out", str(tmp_path / "x")])
     assert res.exit_code == 2
     assert res.stderr == f"invalid parameters: {message}\n"

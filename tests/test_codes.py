@@ -419,6 +419,26 @@ def test_puncture_of_the_extension_is_the_scaled_code(q):
     assert np.array_equal(punctured.codewords, c.codewords)
     assert punctured.dimension == c.dimension == 5
     assert np.array_equal(punctured.generator, c.generator)
+    assert punctured.whole
+
+
+@pytest.mark.parametrize("q", [3, 4, 5])
+def test_puncture_keeps_whole_only_when_the_last_column_is_no_pivot(q):
+    # every vector of GF(q)^3 once is its whole span with a pivot in the last
+    # column; cut off, its q^3 words fall on q^2 vectors, each q times.  The
+    # words (x, y, x + y) are a whole span with no pivot there, and stay one
+    ctx = field_context(q)
+    space = np.indices((q, q, q), dtype=np.int16).reshape(3, -1).T.copy()
+    cube = cod._fq_code(ctx, space)
+    assert cube.whole and cube.generator[-1].tolist() == [0, 0, 1]
+    punctured = cod.puncture(cube)
+    assert punctured.dimension == 2 and len(punctured.codewords) == q ** 3
+    assert not punctured.whole
+    plane = np.array([[x, y, ctx.Fq.add(x, y)] for x in range(q)
+                      for y in range(q)], dtype=np.int16)
+    sum_code = cod._fq_code(ctx, plane)
+    assert sum_code.whole and sum_code.dimension == 2
+    assert cod.puncture(sum_code).whole
 
 
 def test_extension_proof_catches_a_row_at_first_middle_last_position():
