@@ -216,12 +216,12 @@ def code(q, a, b, out, strict, extend, dump_codewords, budget):
     cfg = {"command": "code", "q": q, "a": a, "b": b, "out": out,
            "strict": strict, "doubly_extend": extend,
            "dump_codewords": dump_codewords, "budget": budget}
-    if q <= 4 and strict:
-        print("q <= 4: the MDS construction requires q > 4",
-              file=sys.stderr, flush=True)
-        sys.exit(EXIT_BAD_PARAMS)
     with _exit_on_bad_input():
-        ctx = field_context(q)
+        ctx = field_context(q)  # a q that is no prime power fails first
+        if q <= 4 and strict:
+            print("q <= 4: the MDS construction requires q > 4",
+                  file=sys.stderr, flush=True)
+            sys.exit(EXIT_BAD_PARAMS)
         params = _params(ctx, 3, a, b, mode="family")
         limit = _budget(budget)
         with warnings.catch_warnings():

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import linalg
 from ._record import record
-from .fields import (DEFAULT_BUDGET, BudgetExceededError, FieldCtx, field_context,
+from .fields import (DEFAULT_BUDGET, FieldCtx, check_budget, field_context,
                      format_rows, write_json)
 from .params import BMParams, separating_map
 from .intersecting_family import family, w_values
@@ -94,9 +94,7 @@ def build_code(params: BMParams, omega: OmegaSet | None = None,
     if params.n != 3:
         raise ValueError("the code construction lives in PG(3, q^2)")
     q = ctx.q
-    if q**5 * q > budget:
-        raise BudgetExceededError(
-            f"codeword table would have {q**5 * q} cells, budget is {budget}")
+    check_budget(q**5 * q, budget, "codeword table would have", "cells")
     if omega is None:
         omega = omega_set(ctx)
     # column i is the family form pulled back along the i-th Omega pair
@@ -144,9 +142,7 @@ def min_distance(code: FqLinearCode,
                  budget: int = DEFAULT_BUDGET) -> int:
     """Minimum Hamming weight over the nonzero codewords (the code is linear)."""
     rows = code.codewords.shape[0]
-    if rows > budget:
-        raise BudgetExceededError(
-            f"codeword scan would read {rows} codewords, budget is {budget}")
+    check_budget(rows, budget, "codeword scan would read", "codewords")
     # a column's nonzero flags at a time: a row-wise count over a few
     # columns is slower
     weights = np.zeros(rows, dtype=np.min_scalar_type(code.length))

@@ -31,6 +31,13 @@ class BudgetExceededError(RuntimeError):
     """An enumeration would exceed the configured desk-scale budget."""
 
 
+def check_budget(count: int, budget: int, subject: str, unit: str) -> None:
+    """Raise ``BudgetExceededError`` when ``count`` exceeds the budget; the
+    message reads "<subject> <count> <unit>, budget is <budget>"."""
+    if count > budget:
+        raise BudgetExceededError(f"{subject} {count} {unit}, budget is {budget}")
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n >= 1, ascending, by trial division."""
     out = []

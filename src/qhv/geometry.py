@@ -26,7 +26,7 @@ from functools import reduce
 import numpy as np
 
 from ._record import record
-from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, format_rows
+from .fields import DEFAULT_BUDGET, FieldCtx, check_budget, format_rows
 from .params import (BMParams, ParameterError, bab_affine_eval,  # noqa: F401
                      check_R_budget, classical_params, coordinate_tables,
                      family_params, lex_grid, scan_params, separating_map,
@@ -126,10 +126,8 @@ def affine_points(params: BMParams, budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """The q^{2n-1} affine points of the variety as int32 rows (x_1..x_n),
     in lexicographic order: each head with the sorted roots of its d."""
     ctx, n = params.ctx, params.n
-    count = ctx.q ** (2 * n - 1)
-    if count > budget:
-        raise BudgetExceededError(
-            f"affine enumeration would give {count} points, budget is {budget}")
+    check_budget(ctx.q ** (2 * n - 1), budget, "affine enumeration would give",
+                 "points")
     heads = lex_grid((ctx.q2,) * (n - 1))
     roots = ctx.as_roots[affine_rhs(params, heads)]
     if (roots < 0).any():
@@ -232,10 +230,8 @@ def _tail_index(F, q2: int, t: int) -> np.ndarray:
 
 
 def _check_hyperplane_budget(n: int, q2: int, budget: int) -> None:
-    hyperplanes = num_projective_points(q2, n)
-    if hyperplanes > budget:
-        raise BudgetExceededError(f"hyperplane enumeration would take "
-                                  f"{hyperplanes} hyperplanes, budget is {budget}")
+    check_budget(num_projective_points(q2, n), budget,
+                 "hyperplane enumeration would take", "hyperplanes")
 
 
 def _hyperplane_counts(S: PointSet, ctx: FieldCtx, budget: int):

@@ -15,7 +15,7 @@ import numpy as np
 from ._record import record
 from .params import (BMParams, bab_affine_eval, check_R_budget,
                      coordinate_tables, lex_grid, separating_map)
-from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx
+from .fields import DEFAULT_BUDGET, FieldCtx, check_budget
 from .linalg import gram
 
 
@@ -136,11 +136,8 @@ def intersection_count(params: BMParams, u: np.ndarray, v: np.ndarray,
     """
     ctx = params.ctx
     k = len(u)
-    cells = ctx.q * ctx.q2 ** (params.n - 1) * k
-    if cells > budget:
-        raise BudgetExceededError(
-            f"the {k} x {k} intersection matrix would take {cells} one-hot "
-            f"cells, budget is {budget}")
+    check_budget(ctx.q * ctx.q2 ** (params.n - 1) * k, budget,
+                 f"the {k} x {k} intersection matrix would take", "one-hot cells")
     profiles = _head_values(params, u, v)
     pairs = np.arange(len(profiles))[:, None] * ctx.q2 + profiles
     rows, row_of = np.unique(pairs, return_inverse=True)

@@ -15,7 +15,7 @@ import numpy as np
 from . import linalg
 from ._record import record
 from .intersecting_family import family, w_values
-from .fields import DEFAULT_BUDGET, BudgetExceededError, format_rows, write_json
+from .fields import DEFAULT_BUDGET, check_budget, format_rows, write_json
 from .params import BMParams
 
 #: verify_strength stops listing violations after this many
@@ -200,9 +200,7 @@ def build_oa(params: BMParams, budget: int = DEFAULT_BUDGET,
     ctx, n, q = params.ctx, params.n, params.ctx.q
     N = q ** (2 * n - 1)
     k = q ** (2 * n - 2)
-    if N * k > budget:
-        raise BudgetExceededError(
-            f"array would have {N * k} cells, budget is {budget}")
+    check_budget(N * k, budget, "array would have", "cells")
     if forms is None:
         forms = family(params, budget=budget)
     values = w_values(params, *forms)

@@ -27,7 +27,8 @@ from . import oa as oa_mod
 from ._record import record
 from .collineations import Collineation, build_R, to_matrix
 from .intersecting_family import AffineForm, family, intersection_count
-from .fields import DEFAULT_BUDGET, BudgetExceededError, FieldCtx, field_context
+from .fields import (DEFAULT_BUDGET, BudgetExceededError, FieldCtx, check_budget,
+                     field_context)
 from .params import BMParams, ParameterError
 
 
@@ -131,10 +132,8 @@ def zero_set_masks(params: BMParams, R, budget: int = DEFAULT_BUDGET) -> np.ndar
     """
     ctx, n = params.ctx, params.n
     F, q, q2 = ctx.Fq2, ctx.q, ctx.q2
-    evals = len(R) * q2**n
-    if evals > budget:
-        raise BudgetExceededError(f"oracle zero sets would take {evals} form "
-                                  f"evaluations, budget is {budget}")
+    check_budget(len(R) * q2**n, budget, "oracle zero sets would take",
+                 "form evaluations")
     elems = range(q2)
     add_flat, times = _scalar_tables(F)
     power = _power_tables(F, q2, (q, 2 * q, 2, q + 1))
@@ -184,10 +183,8 @@ def naive_character_spectrum(S: geo.PointSet, ctx: FieldCtx,
     """
     F = ctx.Fq2
     n, q2 = S.n, ctx.q2
-    products = sum(q2**k for k in range(n + 1)) * max(len(S), 1)
-    if products > budget:
-        raise BudgetExceededError(f"naive hyperplane spectrum would take "
-                                  f"{products} dot products, budget is {budget}")
+    check_budget(sum(q2**k for k in range(n + 1)) * max(len(S), 1), budget,
+                 "naive hyperplane spectrum would take", "dot products")
     spectrum: Counter = Counter()
     for last in range(n + 1):
         for head in product(range(q2), repeat=last):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import record
-from .fields import BudgetExceededError, FieldCtx, absolute_trace
+from .fields import FieldCtx, absolute_trace, check_budget
 
 
 class ParameterError(ValueError):
@@ -72,11 +72,66 @@ def separating_map(params: BMParams, u: int) -> int:
     return F.add(F.mul(F.mul(2 % ctx.p, params.a), u), F.mul(bqmb, ctx.frob[u]))
 
 
-def _check_b(ctx: FieldCtx, b: int) -> None:
+_QH_FAULTS = {
+    "QH1": "QH1 fails: 4 a^{q+1} + (b^q-b)^2 = 0",
+    "QH2": "QH2 fails: 4 a^{q+1} + (b^q-b)^2 is a square in GF(q)",
+    "QH3": "QH3 fails: Tr(a^{q+1}/(b^q+b)^2) != 0",
+}
+
+
+def _check_codes(ctx: FieldCtx, n: int, a: int | None, b: int | None,
+                 mode: str) -> None:
+    """Reject n below 2, then a, then b; None is a code not pinned.  a = 0 is
+    the classical case, which only modes "variety" and "family" take."""
+    if n < 2:
+        raise ParameterError("ambient dimension n must be >= 2")
+    if a == 0 and mode not in ("variety", "family"):
+        raise ParameterError("a = 0 is the classical case; use classical_params")
+    if a and not 0 < a < ctx.q2:
+        raise ParameterError(f"a = {a} is not a nonzero GF(q^2) code")
+    if b is None:
+        return
     if not 0 <= b < ctx.q2:
         raise ParameterError(f"b = {b} is not a GF(q^2) code")
     if ctx.in_subfield(b):
         raise ParameterError(f"b = {b} lies in GF(q); b^q - b would vanish")
+
+
+def _admit(ctx: FieldCtx, n: int, a: int, b: int, mode: str) -> BMParams:
+    """The one judge of a pinned pair: n, then a, then b, then the condition.
+
+    Every mode takes the two-character condition that the parities of n and
+    q select.  Mode "quasi_hermitian" takes nothing else; "variety" also
+    takes a = 0, labelled "classical"; "family" takes a = 0 too, and
+    otherwise any pair with a nonzero separation value, labelled "affine".
+    """
+    _check_codes(ctx, n, a, b, mode)
+    if a == 0:
+        return BMParams(ctx, n, 0, b, "classical")
+    q = ctx.q
+    if q % 2:
+        val = separation_value(ctx, a, b)
+        if n % 2:
+            label, holds = "QH1", val != 0
+        else:
+            label = "QH2"
+            holds = val != 0 and ctx.Fq.pow(val, (q - 1) // 2) != 1
+    elif n % 2:
+        label, holds = "QH4", True
+    else:
+        trb = ctx.trace(b)
+        ratio = ctx.Fq.div(ctx.norm(a), ctx.Fq.mul(trb, trb))
+        label, holds = "QH3", absolute_trace(ctx.Fq, ratio) == 0
+    if holds:
+        return BMParams(ctx, n, a, b, label)
+    if mode != "family":
+        raise ParameterError(_QH_FAULTS[label])
+    if separation_value(ctx, a, b) == 0:
+        raise ParameterError(
+            "4 a^{q+1} + (b^q-b)^2 = 0: distinct group elements would yield "
+            "identical forms"
+        )
+    return BMParams(ctx, n, a, b, "affine")
 
 
 def validate_params(ctx: FieldCtx, n: int, a: int, b: int) -> BMParams:
@@ -93,39 +148,12 @@ def validate_params(ctx: FieldCtx, n: int, a: int, b: int) -> BMParams:
     identically zero in even characteristic, and the exhaustive pair sweep
     in the test suite confirms the absolute trace is the discriminating one.
     """
-    if n < 2:
-        raise ParameterError("ambient dimension n must be >= 2")
-    if a == 0:
-        raise ParameterError("a = 0 is the classical case; use classical_params")
-    if not 0 < a < ctx.q2:
-        raise ParameterError(f"a = {a} is not a nonzero GF(q^2) code")
-    _check_b(ctx, b)
-    q = ctx.q
-    n_odd, q_odd = n % 2 == 1, q % 2 == 1
-    if q_odd:
-        val = separation_value(ctx, a, b)
-        if n_odd:
-            if val != 0:
-                return BMParams(ctx, n, a, b, "QH1")
-            raise ParameterError("QH1 fails: 4 a^{q+1} + (b^q-b)^2 = 0")
-        if val != 0 and ctx.Fq.pow(val, (q - 1) // 2) != 1:
-            return BMParams(ctx, n, a, b, "QH2")
-        raise ParameterError("QH2 fails: 4 a^{q+1} + (b^q-b)^2 is a square in GF(q)")
-    if n_odd:
-        return BMParams(ctx, n, a, b, "QH4")
-    trb = ctx.trace(b)
-    ratio = ctx.Fq.div(ctx.norm(a), ctx.Fq.mul(trb, trb))
-    if absolute_trace(ctx.Fq, ratio) == 0:
-        return BMParams(ctx, n, a, b, "QH3")
-    raise ParameterError("QH3 fails: Tr(a^{q+1}/(b^q+b)^2) != 0")
+    return _admit(ctx, n, a, b, "quasi_hermitian")
 
 
 def classical_params(ctx: FieldCtx, n: int, b: int) -> BMParams:
     """Parameters with a = 0: the classical (Hermitian) point set."""
-    if n < 2:
-        raise ParameterError("ambient dimension n must be >= 2")
-    _check_b(ctx, b)
-    return BMParams(ctx, n, 0, b, "classical")
+    return _admit(ctx, n, 0, b, "variety")
 
 
 def family_params(ctx: FieldCtx, n: int, a: int, b: int) -> BMParams:
@@ -139,23 +167,7 @@ def family_params(ctx: FieldCtx, n: int, a: int, b: int) -> BMParams:
     holds at q = 2, where the absolute trace is the identity), while at
     (2, 3) none of the 24 is.
     """
-    if n < 2:
-        raise ParameterError("ambient dimension n must be >= 2")
-    try:
-        return validate_params(ctx, n, a, b)
-    except ParameterError:
-        pass
-    if a == 0:
-        return classical_params(ctx, n, b)
-    _check_b(ctx, b)
-    if not 0 < a < ctx.q2:
-        raise ParameterError(f"a = {a} is not a nonzero GF(q^2) code")
-    if separation_value(ctx, a, b) == 0:
-        raise ParameterError(
-            "4 a^{q+1} + (b^q-b)^2 = 0: distinct group elements would yield "
-            "identical forms"
-        )
-    return BMParams(ctx, n, a, b, "affine")
+    return _admit(ctx, n, a, b, "family")
 
 
 def scan_params(ctx: FieldCtx, n: int, mode: str = "variety",
@@ -165,38 +177,32 @@ def scan_params(ctx: FieldCtx, n: int, mode: str = "variety",
     mode "quasi_hermitian": QH-labelled pairs only (raises if none exist).
     mode "variety": QH pairs, falling back to classical a = 0.
     mode "family": QH pairs, falling back to "affine" separating pairs.
-    Supplying a or b pins that code during the scan.  A fully pinned pair is
-    not scanned: it goes to ``validate_params`` in mode "quasi_hermitian", to
-    ``classical_params`` (a = 0) or ``validate_params`` in mode "variety", and
-    to ``family_params`` (a = 0 there meaning classical) in mode "family".
-    An n below 2, a pinned a or b out of range and a pinned b in GF(q) are
-    rejected before any pair is tried, as a fully pinned pair would be.
+    Supplying a or b pins that code.  A fully pinned pair is not scanned: the
+    judge of its mode decides it, as ``family_params`` in mode "family",
+    ``classical_params`` (a = 0) or ``validate_params`` in mode "variety" and
+    ``validate_params`` in mode "quasi_hermitian" would.  Else n and the
+    pinned code go first, in the judge's order and with its messages.  The
+    candidates run over a in 1..q^2-1 and b in q..q^2-1, or the pinned code,
+    a slowest: the first that ``validate_params`` admits wins; failing that,
+    mode "variety" takes ``classical_params`` at the first candidate b unless
+    a is pinned nonzero, and mode "family" the first candidate
+    ``family_params`` admits.
     """
-    if n < 2:
-        raise ParameterError("ambient dimension n must be >= 2")
     if a is not None and b is not None:
-        if mode == "family":
-            return family_params(ctx, n, a, b)
-        if mode == "variety" and a == 0:
-            return classical_params(ctx, n, b)
-        return validate_params(ctx, n, a, b)
-    if a and not 0 < a < ctx.q2:  # a pinned 0 is the classical case
-        raise ParameterError(f"a = {a} is not a nonzero GF(q^2) code")
-    if b is not None:
-        _check_b(ctx, b)
-    a_range = [a] if a is not None else list(range(1, ctx.q2))
-    b_range = [b] if b is not None else list(range(ctx.q, ctx.q2))  # not in GF(q)
-    for aa, bb in ((x, y) for x in a_range for y in b_range):
-        try:
-            return validate_params(ctx, n, aa, bb)
-        except ParameterError:
-            continue
-    if mode == "variety" and (a is None or a == 0) and b_range:
-        return classical_params(ctx, n, b_range[0])
+        return _admit(ctx, n, a, b, mode)
+    _check_codes(ctx, n, a, b, mode)
+    a_range = [a] if a is not None else range(1, ctx.q2)
+    b_range = [b] if b is not None else range(ctx.q, ctx.q2)  # not in GF(q)
+    candidates = [(x, y) for x in a_range for y in b_range]
+    passes = [("quasi_hermitian", candidates)]
+    if mode == "variety" and not a:
+        passes.append(("variety", [(0, b_range[0])]))
     if mode == "family":
-        for aa, bb in ((x, y) for x in a_range for y in b_range):
+        passes.append(("family", candidates))
+    for judge, pairs in passes:
+        for x, y in pairs:
             try:
-                return family_params(ctx, n, aa, bb)
+                return _admit(ctx, n, x, y, judge)
             except ParameterError:
                 continue
     raise ParameterError(
@@ -210,10 +216,8 @@ def lex_grid(shape) -> np.ndarray:
 
 def check_R_budget(params: BMParams, budget: int) -> None:
     """Raise ``BudgetExceededError`` when R's q^{2n-2} members exceed the budget."""
-    k = params.ctx.q2 ** (params.n - 1)
-    if k > budget:
-        raise BudgetExceededError(
-            f"R would have {k} members, budget is {budget}")
+    check_budget(params.ctx.q2 ** (params.n - 1), budget, "R would have",
+                 "members")
 
 
 def bab_affine_eval(params: BMParams, x) -> int:

@@ -173,6 +173,26 @@ def test_code_strict_small_q_exits_2(runner, tmp_path):
     res = runner.invoke(main, ["code", "--q", "4", "--strict",
                                "--out", str(tmp_path / "c4")])
     assert res.exit_code == 2
+    assert res.stdout == ""
+    assert res.stderr == "q <= 4: the MDS construction requires q > 4\n"
+    assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("q,message", [
+    ("1", "q must be a prime power >= 2, got 1"),
+    ("-3", "q must be a prime power >= 2, got -3"),
+    ("0", "q must be a prime power >= 2, got 0"),
+    ("6", "q = 6 is not a prime power"),
+])
+def test_code_strict_checks_q_before_the_mds_contract(runner, tmp_path, q,
+                                                      message):
+    # --strict refuses only a valid q <= 4; a bad q gets plain code's message
+    for strict in ([], ["--strict"]):
+        res = runner.invoke(main, ["code", "--q", q, *strict,
+                                   "--out", str(tmp_path / "c")])
+        assert res.exit_code == 2
+        assert res.stderr == f"invalid parameters: {message}\n"
+    assert not list(tmp_path.iterdir())
 
 
 def test_code_small_q_warns_but_builds(runner, tmp_path):
@@ -489,12 +509,14 @@ def test_an_option_value_may_start_with_a_dash(runner, tmp_path, args, message):
     (["--a", "99", "--b", "5"], "a = 99 is not a nonzero GF(q^2) code"),
     (["--b", "99"], "b = 99 is not a GF(q^2) code"),
     (["--b", "1"], "b = 1 lies in GF(q); b^q - b would vanish"),
+    (["--a", "99", "--b", "1"], "a = 99 is not a nonzero GF(q^2) code"),
 ], ids=["a_out_of_range", "a_out_of_range_b_pinned", "b_out_of_range",
-        "b_in_gf_q"])
+        "b_in_gf_q", "a_and_b_bad"])
 def test_a_half_pinned_pair_names_its_fault(runner, tmp_path, command, pinned,
                                             message):
     # one pinned code, the other scanned: the same message in every command,
-    # and the one a fully pinned pair with the same fault gets
+    # and the one a fully pinned pair with the same fault gets; with both
+    # codes bad every command names a, as the judge checks a before b
     res = runner.invoke(main, command + pinned + ["--out", str(tmp_path / "x")])
     assert res.exit_code == 2
     assert res.stderr == f"invalid parameters: {message}\n"

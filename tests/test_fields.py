@@ -1,13 +1,22 @@
+import importlib
+import inspect
+import pkgutil
+import re
 from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qhv
 from qhv import codes as cod
+from qhv import collineations as col
 from qhv import fields
 from qhv import geometry as geo
+from qhv import intersecting_family as fam
 from qhv import oa as oam
+from qhv import oracles
+from qhv import params as prm
 from qhv.fields import (
     DENSE_TABLE_LIMIT,
     BudgetExceededError,
@@ -436,3 +445,57 @@ def test_extension_field_pow_edge_cases():
     assert F.pow(0, 0) == 1
     assert F.pow(0, 5) == 0
     assert F.pow(5, -1) == F.inv(5)
+
+
+def _budget_sites():
+    """(site, call(budget), count, message) for every budget check: the call
+    runs the site's enumeration at most ``budget`` large."""
+    p22 = geo.scan_params(field_context(2), 2, mode="family")
+    ctx, R = p22.ctx, col.build_R(p22)
+    S = geo.bm_variety(p22)
+    forms = fam.family(p22)
+    p53 = geo.scan_params(field_context(5), 3, mode="family")
+    c = cod.puncture(cod.doubly_extend(cod.build_code(p53)))
+    return [
+        ("params.check_R_budget", lambda k: prm.check_R_budget(p22, k),
+         4, "R would have 4 members"),
+        ("geometry.affine_points", lambda k: geo.affine_points(p22, k),
+         8, "affine enumeration would give 8 points"),
+        ("geometry._check_hyperplane_budget",
+         lambda k: geo.character_spectrum(S, ctx, budget=k),
+         21, "hyperplane enumeration would take 21 hyperplanes"),
+        ("intersecting_family.intersection_count",
+         lambda k: fam.intersection_count(p22, *forms, k),
+         32, "the 4 x 4 intersection matrix would take 32 one-hot cells"),
+        ("oa.build_oa", lambda k: oam.build_oa(p22, budget=k),
+         32, "array would have 32 cells"),
+        ("codes.build_code", lambda k: cod.build_code(p53, budget=k),
+         15625, "codeword table would have 15625 cells"),
+        ("codes.min_distance", lambda k: cod.min_distance(c, k),
+         3125, "codeword scan would read 3125 codewords"),
+        ("oracles.zero_set_masks", lambda k: oracles.zero_set_masks(p22, R, k),
+         64, "oracle zero sets would take 64 form evaluations"),
+        ("oracles.naive_character_spectrum",
+         lambda k: oracles.naive_character_spectrum(S, ctx, k),
+         189, "naive hyperplane spectrum would take 189 dot products"),
+    ]
+
+
+def test_every_budget_refusal_word_for_word():
+    # one below the count refuses with the one message; the count itself runs
+    sites = _budget_sites()
+    assert len(sites) == 9
+    for site, call, count, message in sites:
+        with pytest.raises(BudgetExceededError) as exc:
+            call(count - 1)
+        assert str(exc.value) == f"{message}, budget is {count - 1}", site
+        call(count)
+
+
+def test_no_module_but_fields_raises_a_budget_refusal():
+    # every budget check goes through fields.check_budget; fields itself
+    # also keeps the dense-table limit
+    for info in pkgutil.iter_modules(qhv.__path__):
+        source = inspect.getsource(importlib.import_module(f"qhv.{info.name}"))
+        if info.name != "fields":
+            assert not re.search(r"\bBudgetExceededError\(", source), info.name

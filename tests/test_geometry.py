@@ -113,9 +113,9 @@ def test_n_below_two_rejected(make):
 @pytest.mark.parametrize("mode", ["variety", "family", "quasi_hermitian"])
 @pytest.mark.parametrize("n", [1, 0, -1])
 def test_scan_rejects_n_below_two_before_any_pair(monkeypatch, n, mode):
-    # no (a, b) is tried, and no mode falls through to "no admissible (a, b)"
-    real, calls = prm.validate_params, []
-    monkeypatch.setattr(prm, "validate_params",
+    # no (a, b) is judged, and no mode falls through to "no admissible (a, b)"
+    real, calls = prm._admit, []
+    monkeypatch.setattr(prm, "_admit",
                         lambda *args: calls.append(args) or real(*args))
     with pytest.raises(geo.ParameterError,
                        match=r"^ambient dimension n must be >= 2$"):
@@ -164,6 +164,62 @@ def test_pinned_scan_is_the_direct_check(n, q, mode):
     # no QH-labelled pair exists at n = 2, q in {2, 3}
     no_qh_pair = mode == "quasi_hermitian" and n == 2
     assert any(isinstance(o, geo.BMParams) for o in outcomes) != no_qh_pair
+
+
+def _walk(ctx, n, mode, a, b):
+    """``scan_params``'s documented order, walked through the public judges."""
+    def judge(x, y, how):
+        if how == "family":
+            return geo.family_params(ctx, n, x, y)
+        if how == "variety" and x == 0:
+            return geo.classical_params(ctx, n, y)
+        return geo.validate_params(ctx, n, x, y)
+
+    if a is not None and b is not None:
+        return judge(a, b, mode)
+    # n or a pinned code at fault: the judge's message, with the other code
+    # stood in by a valid one
+    bad_a = a is not None and not (0 < a < ctx.q2
+                                   or a == 0 and mode != "quasi_hermitian")
+    bad_b = b is not None and not ctx.q <= b < ctx.q2  # GF(q) is 0..q-1
+    if n < 2 or bad_a or bad_b:
+        return judge(1 if a is None else a, ctx.q if b is None else b, mode)
+    a_values = [a] if a is not None else range(1, ctx.q2)
+    b_values = [b] if b is not None else range(ctx.q, ctx.q2)
+    pairs = [(x, y) for x in a_values for y in b_values]
+    for x, y in pairs:
+        try:
+            return geo.validate_params(ctx, n, x, y)
+        except geo.ParameterError:
+            pass
+    if mode == "variety" and not a:
+        return geo.classical_params(ctx, n, b_values[0])
+    if mode == "family":
+        for x, y in pairs:
+            try:
+                return geo.family_params(ctx, n, x, y)
+            except geo.ParameterError:
+                pass
+    raise geo.ParameterError(
+        f"no admissible (a, b) for n={n}, q={ctx.q} in mode {mode!r}")
+
+
+@pytest.mark.parametrize("mode", ["variety", "family", "quasi_hermitian"])
+@pytest.mark.parametrize("n,q", [(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (2, 5),
+                                 (1, 3)])
+def test_scan_is_the_documented_walk(n, q, mode):
+    # unpinned, a pinned to every code and b pinned to every code, out of
+    # range included: the same params or the same message as the walk
+    ctx = field_context(q)
+    codes = range(-1, ctx.q2 + 1)
+    pins = [(None, None)] + [(x, None) for x in codes] + [(None, y) for y in codes]
+    labels = Counter()
+    for a, b in pins:
+        got = _outcome(lambda: geo.scan_params(ctx, n, mode, a=a, b=b))
+        assert got == _outcome(lambda: _walk(ctx, n, mode, a, b)), (a, b)
+        labels[got if isinstance(got, str) else got.condition] += 1
+    if n >= 2:
+        assert len(labels) > 1  # some pin is refused, some admitted
 
 
 def test_separating_value_zero_rejected():
